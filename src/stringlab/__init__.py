@@ -21,13 +21,8 @@ symplectic   bilinear conserved current, self-adjointness identity,
 solutions    exact on-shell worldsheets and symmetry-generated solutions of
              the linearized equations
 cli          config-driven experiment runner (see ``stringlab --help``)
-
-The hot stencil kernel has a compiled (Cython) implementation with a
-pure-numpy fallback selected at import; ``active_backend()`` reports which
-one is live and ``benchmarks/bench_kernels.py`` compares them.
 """
 
-from .backend import active_backend, available_backends
 from .background import BackgroundSpacetime, minkowski
 from .deformation import DeformationField
 from .dynamics import ActionParams
@@ -54,8 +49,6 @@ __all__ = [
     "GridError",
     "Mask",
     "WorldsheetGrid",
-    "active_backend",
-    "available_backends",
     "build_geometry",
     "jacobi_from_family",
     "make_solution",

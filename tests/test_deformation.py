@@ -172,9 +172,9 @@ def test_curvature_variation_is_topological(pulsating_geo):
     flux = Field(grid, geo.vol.values * flux_vec[..., 0])
     dens_rows = np.array([integrate_sigma_slice(dens, t) for t in range(grid.n_tau)])
     flux_rows = np.array([integrate_sigma_slice(flux, t) for t in range(grid.n_tau)])
-    from stringlab import backend
+    from stringlab.grid import fd4_axis0
 
-    dflux_rows = backend.fd4_axis0(flux_rows[:, None].copy(), grid.h_tau)[:, 0]
+    dflux_rows = fd4_axis0(flux_rows[:, None].copy(), grid.h_tau)[:, 0]
     residual = np.abs(dens_rows - dflux_rows)[2:-2]
     assert residual.max() / np.abs(dens_rows).max() <= 1e-6
 

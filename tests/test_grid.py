@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stringlab import backend
 from stringlab.grid import (
     Field,
     GridError,
@@ -68,6 +67,10 @@ def test_d_tau_polynomial_exact(grid):
     assert np.abs(d_tau(Field(grid, tt)).values - 1.0).max() <= 1e-12
     df = d_tau(Field(grid, tt**4))
     assert np.abs(df.values - 4 * tt**3).max() <= 5e-13
+    # the one-sided boundary rows are exact through degree 5 (the interior is not)
+    edge = [0, 1, -2, -1]
+    df5 = d_tau(Field(grid, tt**5))
+    assert np.abs(df5.values[edge] - 5 * tt[edge] ** 4).max() <= 1e-12
 
 
 def test_d_tau_convergence_order():
@@ -143,24 +146,3 @@ def test_mask_validation(grid):
     assert not m2.active[5, 31]
     assert not m2.active[5, 1]
     assert m2.active[5, 10]
-
-
-def test_backend_agreement():
-    rng = np.random.default_rng(3)
-    arr = rng.normal(size=(41, 24))
-    results = {}
-    for name in backend.available_backends():
-        results[name] = backend._IMPLS[name].fd4_axis0(arr, 0.01)
-    vals = list(results.values())
-    for other in vals[1:]:
-        assert np.abs(vals[0] - other).max() <= 1e-11
-
-
-def test_backend_switch_roundtrip():
-    active = backend.active_backend()
-    for name in backend.available_backends():
-        backend.use(name)
-        assert backend.active_backend() == name
-    backend.use(active)
-    with pytest.raises(ValueError):
-        backend.use("fortran")
