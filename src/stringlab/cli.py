@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import experiments
+from .deformation import MAX_DEFORM_EPS, ORACLE_EPS_RANGE
 from .dynamics import ActionParams, DynamicsError
 from .geometry import GeometryError
 from .grid import GridError
@@ -110,6 +111,7 @@ class ExperimentConfig:
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
         _reject_unknown(options, _KIND_OPTIONS[kind], f"options for kind {kind!r}")
+        _check_option_values(kind, options)
         seed = raw.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
@@ -146,6 +148,24 @@ def _reject_unknown(raw: dict, allowed: set, where: str) -> None:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_option_values(kind: str, options: dict) -> None:
+    """Reject option values the experiment drivers cannot run with."""
+    floors, quantity = experiments._CONVERGENCE_FLOORS, options.get("quantity", "einstein")
+    if kind == "convergence" and quantity not in list(floors):
+        raise ConfigError(f"options.quantity must be one of {sorted(floors)}, got {quantity!r}")
+    if kind not in ("deform-check", "linearize") or "epsilon" not in options:
+        return
+    eps = options["epsilon"]
+    number = isinstance(eps, (int, float))
+    if kind == "deform-check":
+        lo, hi = ORACLE_EPS_RANGE
+        ok, bounds = number and lo <= eps <= hi, f"[{lo}, {hi}]"
+    else:
+        ok, bounds = number and 0.0 < eps <= MAX_DEFORM_EPS, f"(0, {MAX_DEFORM_EPS}]"
+    if not ok:
+        raise ConfigError(f"options.epsilon for kind {kind!r} must lie in {bounds}, got {eps!r}")
 
 
 def _plain(obj):

@@ -14,10 +14,11 @@ at the same (tau, sigma).  Analytic variation formulas:
     D R_ab       = grad_c (D Gamma^c_ab) - grad_b (D Gamma^c_ac)
     D R          = (D gamma^ab) R_ab + gamma^ab (D R_ab)
 
-Every formula has a brute-force central-difference oracle
-(:func:`fd_oracle`) that recomputes the geometry from scratch on displaced
-embeddings; the deformation tests hold the two within 1e-6 of each other on
-smooth band-limited inputs.
+Every formula has a brute-force central-difference oracle: :func:`fd_oracle`
+rebuilds the geometry from scratch once on each of the two displaced
+embeddings and differences all six quantities from that one pair; the
+deformation tests hold the two within 1e-6 of each other on smooth
+band-limited inputs.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .grid import (
 
 MAX_DEFORM_EPS = 1e-2
 ORACLE_EPS_RANGE = (1e-6, 1e-3)
-
-FD_QUANTITIES = ("metric", "inverse_metric", "volume", "connection", "ricci", "scalar_curvature")
 
 
 @dataclass(frozen=True)
@@ -183,19 +182,18 @@ _EXTRACTORS = {
 def fd_oracle(
     emb: Embedding,
     d: DeformationField,
-    quantity: str,
     eps: float = 1e-4,
     geo: GeometryBundle | None = None,
-) -> Field:
-    """Brute-force central difference of a geometric quantity.
+) -> dict[str, Field]:
+    """Brute-force central differences of every varied geometric quantity.
 
-    Recomputes the geometry from scratch on the embeddings displaced by
-    +/- eps along the deformation and returns (Q+ - Q-)/(2 eps) at fixed
-    grid point.  Independent of the analytic variation formulas: the only
-    shared ingredient is the displacement vector itself.
+    Recomputes the geometry from scratch once on each of the embeddings
+    displaced by +/- eps along the deformation and returns (Q+ - Q-)/(2 eps)
+    at fixed grid point for all six quantities, keyed ``metric``,
+    ``inverse_metric``, ``volume``, ``connection``, ``ricci`` and
+    ``scalar_curvature``.  Independent of the analytic variation formulas:
+    the only shared ingredient is the displacement vector itself.
     """
-    if quantity not in _EXTRACTORS:
-        raise ValueError(f"unknown quantity {quantity!r}; choose from {FD_QUANTITIES}")
     lo, hi = ORACLE_EPS_RANGE
     if not lo <= eps <= hi:
         raise ValueError(f"oracle eps {eps} outside the trusted range [{lo}, {hi}]")
@@ -203,9 +201,11 @@ def fd_oracle(
         geo = build_geometry(emb)
     plus = build_geometry(deform_embedding(emb, d, +eps, geo=geo))
     minus = build_geometry(deform_embedding(emb, d, -eps, geo=geo))
-    q_plus = _EXTRACTORS[quantity](plus)
-    q_minus = _EXTRACTORS[quantity](minus)
-    return Field(geo.grid, (q_plus.values - q_minus.values) / (2.0 * eps), q_plus.indices)
+    out = {}
+    for name, extract in _EXTRACTORS.items():
+        q_plus, q_minus = extract(plus), extract(minus)
+        out[name] = Field(geo.grid, (q_plus.values - q_minus.values) / (2.0 * eps), q_plus.indices)
+    return out
 
 
 # ---------------------------------------------------------------------------

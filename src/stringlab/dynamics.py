@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import riemann_slots
-from .deformation import DeformationField, vary_connection
+from .deformation import DeformationField, deform_embedding, vary_connection
 from .geometry import (
-    Embedding,
     GeometryBundle,
     build_geometry,
     covariant_gradient,
@@ -453,11 +452,9 @@ def linearized_fd_oracle(
     itself and drop out at this order.
     """
     _check_normal_field(geo, phi)
-    emb = geo.embedding
-    delta = np.einsum("...im,...i->...m", geo.n.values, phi.values)
+    d = DeformationField.normal_only(phi)
     res = []
     for sgn in (+1.0, -1.0):
-        x2 = Field(emb.grid, emb.x.values + sgn * eps * delta, emb.x.indices)
-        geo2 = build_geometry(Embedding(emb.background, x2, emb.mask))
+        geo2 = build_geometry(deform_embedding(geo.embedding, d, sgn * eps, geo=geo))
         res.append(eom_residual(geo2, p).values)
     return Field(geo.grid, (res[0] - res[1]) / (2.0 * eps), (NORMAL,))

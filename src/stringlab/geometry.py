@@ -101,7 +101,6 @@ class GeometryBundle:
     adjugate: np.ndarray       # adj(gamma): gamma . adj = det * Id
     vol: Field                 # sqrt(-det gamma)
     conn: Field                # worldsheet Christoffel Gamma^a_{bc}, indices (A, a, a)
-    conn_numerator: np.ndarray # P^a_{bc} = Gamma^a_{bc} * (-det), smooth
     riem: Field                # R^a_{bcd}, indices (A, a, a, a)
     ricci: Field               # (a, a)
     scalar: Field              # scalar curvature
@@ -116,9 +115,6 @@ class GeometryBundle:
     @property
     def codim(self) -> int:
         return self.background.dim - 2
-
-    def active(self) -> np.ndarray:
-        return self.mask.active
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,6 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         adjugate=adj,
         vol=Field(grid, vol),
         conn=Field(grid, conn, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
-        conn_numerator=p_num,
         riem=Field(
             grid, riem,
             (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER, WORLDSHEET_LOWER),

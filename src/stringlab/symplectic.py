@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationField
+from .deformation import DeformationField, deform_embedding
 from .dynamics import (
     ActionParams,
     operator_coefficients,
@@ -188,33 +188,24 @@ def worldsheet_divergence(geo: GeometryBundle, j: Field) -> Field:
 
 def self_adjointness_residual(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams
-) -> Field:
-    """Pointwise defect of the self-adjointness identity:
-    phi1 . (P phi2) - (P phi1) . phi2 - div_a j^a.
+) -> tuple[Field, float]:
+    """Pointwise defect of the self-adjointness identity,
+    phi1 . (P phi2) - (P phi1) . phi2 - div_a j^a, and its scale.
 
-    An off-shell identity in the field arguments (they need not solve the
-    linearized equations); the geometry must be on shell."""
+    The scale is the largest of the three cancelling terms' max |.| on
+    active points (floored at 1e-30): the natural relative yardstick for
+    the residual.  An off-shell identity in the field arguments (they need
+    not solve the linearized equations); the geometry must be on shell."""
     p1 = stability_operator_apply(geo, phi1, p).values
     p2 = stability_operator_apply(geo, phi2, p).values
-    lhs = np.einsum("...i,...i->...", phi1.values, p2) - np.einsum(
-        "...i,...i->...", p1, phi2.values
-    )
+    left = np.einsum("...i,...i->...", phi1.values, p2)
+    right = np.einsum("...i,...i->...", p1, phi2.values)
     div = worldsheet_divergence(geo, bilinear_current(geo, phi1, phi2, p).j).values
-    return Field(geo.grid, lhs - div)
-
-
-def adjointness_scale(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> float:
-    """Size of the quantities the identity cancels: the natural relative
-    yardstick for its residual."""
-    p1 = stability_operator_apply(geo, phi1, p).values
-    p2 = stability_operator_apply(geo, phi2, p).values
     act = geo.mask.active
-    a = masked_max_abs(np.einsum("...i,...i->...", phi1.values, p2), act)
-    b = masked_max_abs(np.einsum("...i,...i->...", p1, phi2.values), act)
-    d = masked_max_abs(
-        worldsheet_divergence(geo, bilinear_current(geo, phi1, phi2, p).j).values, act
+    scale = max(
+        masked_max_abs(left, act), masked_max_abs(right, act), masked_max_abs(div, act), 1e-30
     )
-    return max(a, b, d, 1e-30)
+    return Field(geo.grid, left - right - div), scale
 
 
 def conservation_residual(
@@ -234,8 +225,7 @@ def symplectic_form(
     future-pointing tau-covector, so the integrand is sqrt(-g) j^tau)."""
     if not geo.mask.row_active(tau_index):
         raise GridError(f"tau row {tau_index} intersects the masked region")
-    raw12 = _raw_slice_integral(geo, phi1, phi2, p, tau_index)
-    raw21 = _raw_slice_integral(geo, phi2, phi1, p, tau_index)
+    raw12, raw21 = raw_slice_integrals(geo, phi1, phi2, p, tau_index)
     return SymplecticForm(0.5 * (raw12 - raw21), tau_index, p, (phi1, phi2))
 
 
@@ -285,13 +275,11 @@ def potential_variation_current(
 
 def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.ndarray:
     """d/d eps of Psi^a[X + eps * n.probe](decomposition of n.decomp)."""
-    emb = geo.embedding
     frozen = np.einsum("...im,...i->...m", geo.n.values, decomp_phi.values)
-    probe = np.einsum("...im,...i->...m", geo.n.values, probe_phi.values)
+    probe = DeformationField.normal_only(probe_phi)
     psis = []
     for sgn in (+1.0, -1.0):
-        x2 = Field(emb.grid, emb.x.values + sgn * eps * probe, emb.x.indices)
-        geo2 = build_geometry(Embedding(emb.background, x2, emb.mask))
+        geo2 = build_geometry(deform_embedding(geo.embedding, probe, sgn * eps, geo=geo))
         phi_n = Field(
             geo2.grid, np.einsum("...im,...m->...i", geo2.n_low, frozen), (NORMAL,)
         )

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from stringlab import cli
+from stringlab import cli, experiments
+from stringlab.dynamics import ActionParams
 
 BASE = {
     "schema_version": 1,
@@ -89,6 +91,34 @@ def test_tolerance_failure_exit_code(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 1
     assert json.loads(out.read_text())["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "kind,options",
+    [
+        ("deform-check", {"epsilon": 0.5}),
+        ("linearize", {"epsilon": 0.0}),
+        ("convergence", {"quantity": "bogus"}),
+    ],
+)
+def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
+    path = write_config(tmp_path, kind=kind, options=options)
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert f"options.{next(iter(options))}" in capsys.readouterr().err
+
+
+def test_nan_discrepancy_fails_linearize():
+    # built directly, bypassing config validation: at epsilon 0 both sides
+    # of the central difference coincide and the oracle is 0/0
+    config = cli.ExperimentConfig(
+        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
+        ActionParams(1.0, 0.0), "linearize", {"epsilon": 0.0},
+    )
+    with np.errstate(invalid="ignore"):
+        results, _, passed = experiments.run_linearize(config)
+    assert np.isnan(results["fd_match"]["beta=0.0"])
+    assert passed is False
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -97,7 +97,7 @@ def test_zero_deformation_gives_zero_everywhere(pulsating_geo):
     dric, dscal = dfm.vary_ricci_scalar(geo, zero)
     assert np.abs(dric.values).max() == 0.0
     assert np.abs(dscal.values).max() == 0.0
-    oracle = dfm.fd_oracle(geo.embedding, zero, "volume", geo=geo)
+    oracle = dfm.fd_oracle(geo.embedding, zero, geo=geo)["volume"]
     assert np.abs(oracle.values).max() == 0.0
 
 
@@ -123,7 +123,7 @@ def test_oracle_matches_variation(pulsating, quantity):
         "volume": lambda: dfm.vary_volume(geo, d),
         "scalar_curvature": lambda: dfm.vary_ricci_scalar(geo, d)[1],
     }[quantity]()
-    oracle = dfm.fd_oracle(emb, d, quantity, eps=1e-4, geo=geo)
+    oracle = dfm.fd_oracle(emb, d, eps=1e-4, geo=geo)[quantity]
     scale = 1.0 + max(masked_max_abs(analytic.values, inner), masked_max_abs(oracle.values, inner))
     assert masked_max_abs(analytic.values - oracle.values, inner) / scale <= 1e-6
 
@@ -136,7 +136,7 @@ def test_oracle_quadratic_eps_convergence(pulsating, grid129):
     analytic = dfm.vary_metric(geo, d)[1].values
     gaps = []
     for eps in (4e-4, 2e-4):
-        oracle = dfm.fd_oracle(emb, d, "inverse_metric", eps=eps, geo=geo)
+        oracle = dfm.fd_oracle(emb, d, eps=eps, geo=geo)["inverse_metric"]
         gaps.append(masked_max_abs(analytic - oracle.values, inner))
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
@@ -146,11 +146,27 @@ def test_oracle_eps_range_enforced(pulsating, grid129):
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
     with pytest.raises(ValueError):
-        dfm.fd_oracle(emb, d, "volume", eps=1e-2, geo=geo)
+        dfm.fd_oracle(emb, d, eps=1e-2, geo=geo)
     with pytest.raises(ValueError):
-        dfm.fd_oracle(emb, d, "volume", eps=1e-8, geo=geo)
-    with pytest.raises(ValueError):
-        dfm.fd_oracle(emb, d, "torsion", geo=geo)
+        dfm.fd_oracle(emb, d, eps=1e-8, geo=geo)
+
+
+def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
+    emb = pulsating.embedding(grid129)
+    geo = pulsating.geometry(grid129)
+    d = dfm.random_deformation(grid129, geo.codim, seed=0)
+    builds = []
+
+    def counting_build(e):
+        builds.append(e)
+        return build_geometry(e)
+
+    monkeypatch.setattr(dfm, "build_geometry", counting_build)
+    oracles = dfm.fd_oracle(emb, d, geo=geo)
+    assert len(builds) == 2
+    assert set(oracles) == {
+        "metric", "inverse_metric", "volume", "connection", "ricci", "scalar_curvature",
+    }
 
 
 def test_curvature_variation_is_topological(pulsating_geo):

@@ -157,8 +157,7 @@ def test_self_adjointness_identity(pulsating_geo):
     inner = interior(geo)
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
-        res = sym.self_adjointness_residual(geo, phi1, phi2, p)
-        scale = sym.adjointness_scale(geo, phi1, phi2, p)
+        res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
         assert masked_max_abs(res.values, inner) / scale <= 1e-4
 
 
@@ -166,8 +165,22 @@ def test_identity_trivial_cases(pulsating_geo):
     geo = pulsating_geo
     phi, _ = _random_pair(geo.grid, geo.codim)
     zero = Field(geo.grid, np.zeros(geo.grid.shape + (geo.codim,)), (NORMAL,))
-    res = sym.self_adjointness_residual(geo, phi, zero, dyn.ActionParams(1.0, 0.3))
+    res, _ = sym.self_adjointness_residual(geo, phi, zero, dyn.ActionParams(1.0, 0.3))
     assert np.abs(res.values[geo.mask.active]).max() == 0.0
+
+
+def test_identity_applies_operator_once_per_field(pulsating_geo, monkeypatch):
+    geo = pulsating_geo
+    phi1, phi2 = _random_pair(geo.grid, geo.codim)
+    calls = []
+
+    def counting_apply(*args):
+        calls.append(args)
+        return dyn.stability_operator_apply(*args)
+
+    monkeypatch.setattr(sym, "stability_operator_apply", counting_apply)
+    sym.self_adjointness_residual(geo, phi1, phi2, dyn.ActionParams(1.0, 0.3))
+    assert len(calls) == 2
 
 
 def test_identity_residual_converges(pulsating):
@@ -180,8 +193,7 @@ def test_identity_residual_converges(pulsating):
         geo = pulsating.geometry(grid)
         phi1, phi2 = _random_pair(grid, geo.codim)
         p = dyn.ActionParams(1.0, 0.3)
-        res = sym.self_adjointness_residual(geo, phi1, phi2, p)
-        scale = sym.adjointness_scale(geo, phi1, phi2, p)
+        res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
         band.append(masked_max_abs(res.values, interior(geo)) / scale)
         deep.append(masked_max_abs(res.values, interior(geo, rows=6)) / scale)
     assert np.log2(band[0] / band[1]) >= 2.5
@@ -215,7 +227,8 @@ def test_conservation_beta_bounded_by_identity_contract(pulsating_geo, jacobi_pa
     p1 = dyn.stability_operator_apply(geo, jt, p).values
     p2 = dyn.stability_operator_apply(geo, jr, p).values
     lhs = np.einsum("...i,...i->...", jt.values, p2) - np.einsum("...i,...i->...", p1, jr.values)
-    contract = 2.0 * masked_max_abs(lhs, inner) + 1e-6 * sym.adjointness_scale(geo, jt, jr, p)
+    _, scale = sym.self_adjointness_residual(geo, jt, jr, p)
+    contract = 2.0 * masked_max_abs(lhs, inner) + 1e-6 * scale
     assert div <= contract
 
 
