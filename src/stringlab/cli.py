@@ -78,7 +78,7 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigError("solution.params must be an object")
         try:
-            make_solution(name, params)
+            solution = make_solution(name, params)
         except SolutionError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -111,7 +111,7 @@ class ExperimentConfig:
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
         _reject_unknown(options, _KIND_OPTIONS[kind], f"options for kind {kind!r}")
-        _check_option_values(kind, options)
+        _check_option_values(kind, options, grid_kwargs["n_tau"], solution.family_names())
         seed = raw.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
@@ -150,22 +150,51 @@ def _reject_unknown(raw: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _check_option_values(kind: str, options: dict) -> None:
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _list_of(test, min_len: int = 1):
+    return lambda val: isinstance(val, list) and len(val) >= min_len and all(map(test, val))
+
+
+def _check_option_values(kind: str, options: dict, n_tau: int, families: list[str]) -> None:
     """Reject option values the experiment drivers cannot run with."""
-    floors, quantity = experiments._CONVERGENCE_FLOORS, options.get("quantity", "einstein")
-    if kind == "convergence" and quantity not in list(floors):
-        raise ConfigError(f"options.quantity must be one of {sorted(floors)}, got {quantity!r}")
-    if kind not in ("deform-check", "linearize") or "epsilon" not in options:
-        return
-    eps = options["epsilon"]
-    number = isinstance(eps, (int, float))
-    if kind == "deform-check":
-        lo, hi = ORACLE_EPS_RANGE
-        ok, bounds = number and lo <= eps <= hi, f"[{lo}, {hi}]"
-    else:
-        ok, bounds = number and 0.0 < eps <= MAX_DEFORM_EPS, f"(0, {MAX_DEFORM_EPS}]"
-    if not ok:
-        raise ConfigError(f"options.epsilon for kind {kind!r} must lie in {bounds}, got {eps!r}")
+    floors = experiments._CONVERGENCE_FLOORS
+    lo, hi = ORACLE_EPS_RANGE
+
+    def is_row(val) -> bool:
+        return _is_int(val) and 0 <= val < n_tau
+
+    epsilon = {
+        "deform-check": (lambda v: _is_number(v) and lo <= v <= hi, f"a number in [{lo}, {hi}]"),
+        "linearize": (lambda v: _is_number(v) and 0.0 < v <= MAX_DEFORM_EPS,
+                      f"a number in (0, {MAX_DEFORM_EPS}]"),
+        "gauge-check": (_is_number, "a number"),
+    }
+    rules = {
+        "beta": (_is_number, "a number"),
+        "amplitude": (_is_number, "a number"),
+        "epsilon": epsilon.get(kind),
+        "betas": (_list_of(_is_number), "a non-empty list of numbers"),
+        "seeds": (_list_of(_is_int), "a non-empty list of integers"),
+        "levels": (_list_of(_is_int, 2), "a list of at least 2 integers"),
+        "slices": (_list_of(is_row), f"a non-empty list of tau rows in [0, {n_tau})"),
+        "slice": (is_row, f"a tau row in [0, {n_tau})"),
+        "jacobi": (lambda v: isinstance(v, list) and len(v) == 2 and all(n in families for n in v),
+                   f"two family directions from {families}"),
+        "quantity": (lambda v: v in list(floors), f"one of {sorted(floors)}"),
+    }
+    for name, val in options.items():
+        if name not in rules:  # csv: a free-form output path
+            continue
+        test, need = rules[name]
+        if not test(val):
+            raise ConfigError(f"options.{name} for kind {kind!r} must be {need}, got {val!r}")
 
 
 def _plain(obj):

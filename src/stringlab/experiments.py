@@ -161,9 +161,8 @@ def run_self_adjoint(config) -> tuple[dict, dict, bool]:
     p = dyn.ActionParams(config.action_params.tension, beta)
     phi1 = dfm.random_normal_components(grid, geo.codim, seed=config.seed)
     phi2 = dfm.random_normal_components(grid, geo.codim, seed=config.seed + 1)
-    res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
+    res, scale, direct = sym.self_adjointness_residual(geo, phi1, phi2, p)
     rel = masked_max_abs(res.values, interior) / scale
-    direct = sym.bilinear_current(geo, phi1, phi2, p).j
     summed = sym.sum_of_pieces(geo, phi1, phi2, p)
     jscale = max(masked_max_abs(direct.values, geo.mask.active), 1e-30)
     rel_sum = masked_max_abs(direct.values - summed.values, geo.mask.active) / jscale
@@ -280,7 +279,7 @@ def run_convergence(config) -> tuple[dict, dict, bool]:
             p = dyn.ActionParams(config.action_params.tension, config.action_params.gb_coupling)
             phi1 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed)
             phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed + 1)
-            res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
+            res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
             err = masked_max_abs(res.values, interior_active(geo, rows=6)) / scale
         errors.append(err)
     orders = observed_orders(levels, errors)

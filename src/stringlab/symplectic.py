@@ -21,6 +21,10 @@ covariantly conserved and omega is slice-independent.
 Six labelled pieces j1..j6 assemble the current; :func:`bilinear_current`
 also evaluates the algebraically simplified closed form directly, and the
 two must agree to roundoff (an independent check of the simplification).
+The closed form is a pointwise kernel in the cached operator coefficients
+and the fields' normal gradients: :func:`bilinear_current` runs it on the
+whole grid, while the two-form runs the same kernel on the requested tau
+row only.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .grid import (
     GridError,
     d_sigma,
     d_tau,
-    integrate_sigma_slice,
     masked_max_abs,
 )
 
@@ -135,32 +138,44 @@ def current_pieces(
     )
 
 
+def _current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p) -> np.ndarray:
+    """Pointwise kernel of the simplified current.  Every operand carries the
+    same leading point axes (the full grid or one tau row), so the caller
+    chooses where the current is evaluated."""
+    b = p.gb_coupling
+    j = p.tension * (
+        -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
+    )
+    if b != 0.0:
+        acc = 4 * np.einsum("...bci,...ae,...bcej,...i,...j->...a", k_upup, gi, gk, f1, f2)
+        acc = acc - 4 * np.einsum("...cdi,...ae,...ecdj,...i,...j->...a", k_upup, gi, gk, f1, f2)
+        acc = acc + 4 * np.einsum("...cbi,...ae,...cej,...i,...bj->...a", k_upup, gi, k_low, f1, g2)
+        gk_ca_up = np.einsum("...ce,...af,...befi->...bcai", gi, gi, gk)
+        acc = acc - 4 * np.einsum("...bcai,...bf,...cfj,...i,...j->...a", gk_ca_up, gi, k_low, f1, f2)
+        k_ca_up = np.einsum("...ce,...af,...efi->...cai", gi, gi, k_low)
+        acc = acc - 4 * np.einsum("...cai,...be,...cej,...bi,...j->...a", k_ca_up, gi, k_low, g1, f2)
+        acc = acc - 2 * np.einsum("...ij,...i,...aj->...a", kk, f1, up2)
+        grad_kk = np.einsum("...ae,...ecdi,...cdj->...aij", gi, gk, k_upup)
+        acc = acc + 2 * np.einsum("...aij,...i,...j->...a", grad_kk, f1, f2)
+        acc = acc + 2 * np.einsum("...aji,...i,...j->...a", grad_kk, f1, f2)
+        acc = acc + 2 * np.einsum("...ij,...ai,...j->...a", kk, up1, f2)
+        j = j + b * acc
+    return j
+
+
+def _current_coefficients(c) -> tuple[np.ndarray, ...]:
+    """The coefficient fields :func:`_current_values` takes, in its order."""
+    return c.gi, c.k_low, c.k_upup, c.gk, c.kk
+
+
 def bilinear_current(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams
 ) -> BilinearCurrent:
     """The total current in its simplified closed form (two of the piece
     terms cancel when everything is written out); evaluated directly, not
     by summing :func:`current_pieces`."""
-    c, f1, f2, g1, g2, up1, up2 = _pair_setup(geo, phi1, phi2)
-    gi, b = c.gi, p.gb_coupling
-
-    j = p.tension * (
-        -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
-    )
-    if b != 0.0:
-        acc = 4 * np.einsum("...bci,...ae,...bcej,...i,...j->...a", c.k_upup, gi, c.gk, f1, f2)
-        acc = acc - 4 * np.einsum("...cdi,...ae,...ecdj,...i,...j->...a", c.k_upup, gi, c.gk, f1, f2)
-        acc = acc + 4 * np.einsum("...cbi,...ae,...cej,...i,...bj->...a", c.k_upup, gi, c.k_low, f1, g2)
-        gk_ca_up = np.einsum("...ce,...af,...befi->...bcai", gi, gi, c.gk)
-        acc = acc - 4 * np.einsum("...bcai,...bf,...cfj,...i,...j->...a", gk_ca_up, gi, c.k_low, f1, f2)
-        k_ca_up = np.einsum("...ce,...af,...efi->...cai", gi, gi, c.k_low)
-        acc = acc - 4 * np.einsum("...cai,...be,...cej,...bi,...j->...a", k_ca_up, gi, c.k_low, g1, f2)
-        acc = acc - 2 * np.einsum("...ij,...i,...aj->...a", c.kk, f1, up2)
-        grad_kk = np.einsum("...ae,...ecdi,...cdj->...aij", gi, c.gk, c.k_upup)
-        acc = acc + 2 * np.einsum("...aij,...i,...j->...a", grad_kk, f1, f2)
-        acc = acc + 2 * np.einsum("...aji,...i,...j->...a", grad_kk, f1, f2)
-        acc = acc + 2 * np.einsum("...ij,...ai,...j->...a", c.kk, up1, f2)
-        j = j + b * acc
+    c, *operands = _pair_setup(geo, phi1, phi2)
+    j = _current_values(*_current_coefficients(c), *operands, p)
     return BilinearCurrent(Field(geo.grid, j, (WORLDSHEET_UPPER,)), p, (phi1, phi2))
 
 
@@ -188,9 +203,10 @@ def worldsheet_divergence(geo: GeometryBundle, j: Field) -> Field:
 
 def self_adjointness_residual(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams
-) -> tuple[Field, float]:
+) -> tuple[Field, float, Field]:
     """Pointwise defect of the self-adjointness identity,
-    phi1 . (P phi2) - (P phi1) . phi2 - div_a j^a, and its scale.
+    phi1 . (P phi2) - (P phi1) . phi2 - div_a j^a, its scale, and the
+    current j it was built from.
 
     The scale is the largest of the three cancelling terms' max |.| on
     active points (floored at 1e-30): the natural relative yardstick for
@@ -200,12 +216,13 @@ def self_adjointness_residual(
     p2 = stability_operator_apply(geo, phi2, p).values
     left = np.einsum("...i,...i->...", phi1.values, p2)
     right = np.einsum("...i,...i->...", p1, phi2.values)
-    div = worldsheet_divergence(geo, bilinear_current(geo, phi1, phi2, p).j).values
+    j = bilinear_current(geo, phi1, phi2, p).j
+    div = worldsheet_divergence(geo, j).values
     act = geo.mask.active
     scale = max(
         masked_max_abs(left, act), masked_max_abs(right, act), masked_max_abs(div, act), 1e-30
     )
-    return Field(geo.grid, left - right - div), scale
+    return Field(geo.grid, left - right - div), scale, j
 
 
 def conservation_residual(
@@ -222,27 +239,39 @@ def symplectic_form(
 ) -> SymplecticForm:
     """Antisymmetrized slice integral of the current at a fixed tau row
     (the sigma circle there is the Cauchy slice; the slice element is the
-    future-pointing tau-covector, so the integrand is sqrt(-g) j^tau)."""
-    if not geo.mask.row_active(tau_index):
-        raise GridError(f"tau row {tau_index} intersects the masked region")
+    future-pointing tau-covector, so the integrand is sqrt(-g) j^tau).
+
+    The current is evaluated with the same pointwise kernel as
+    :func:`bilinear_current`, on the requested row only."""
     raw12, raw21 = raw_slice_integrals(geo, phi1, phi2, p, tau_index)
     return SymplecticForm(0.5 * (raw12 - raw21), tau_index, p, (phi1, phi2))
-
-
-def _raw_slice_integral(geo, phi1, phi2, p, tau_index) -> float:
-    j = bilinear_current(geo, phi1, phi2, p).j
-    dens = Field(geo.grid, geo.vol.values * j.values[..., 0])
-    return integrate_sigma_slice(dens, tau_index)
 
 
 def raw_slice_integrals(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, tau_index: int
 ) -> tuple[float, float]:
     """Both orderings of the un-antisymmetrized slice integral (the
-    symmetric remainder is a diagnostic, not asserted to vanish)."""
+    symmetric remainder is a diagnostic, not asserted to vanish).
+
+    The row must lie in the grid and miss the masked region.  The gradients
+    of the fields are taken on the full grid (the tau stencil spans rows);
+    the current kernel then runs on the requested row only, once per
+    ordering, and the row is summed with the periodic trapezoid rule of
+    :func:`~stringlab.grid.integrate_sigma_slice`."""
+    grid = geo.grid
+    if not 0 <= tau_index < grid.n_tau:
+        raise GridError(f"tau_index {tau_index} out of range [0, {grid.n_tau})")
+    if not geo.mask.row_active(tau_index):
+        raise GridError(f"tau row {tau_index} intersects the masked region")
+    c, *operands = _pair_setup(geo, phi1, phi2)
+    coeffs = [a[tau_index] for a in _current_coefficients(c)]
+    f1, f2, g1, g2, up1, up2 = (a[tau_index] for a in operands)
+    vol = geo.vol.values[tau_index]
+    j12 = _current_values(*coeffs, f1, f2, g1, g2, up1, up2, p)
+    j21 = _current_values(*coeffs, f2, f1, g2, g1, up2, up1, p)
     return (
-        _raw_slice_integral(geo, phi1, phi2, p, tau_index),
-        _raw_slice_integral(geo, phi2, phi1, p, tau_index),
+        float((vol * j12[:, 0]).sum() * grid.h_sigma),
+        float((vol * j21[:, 0]).sum() * grid.h_sigma),
     )
 
 

@@ -156,7 +156,7 @@ def test_criterion_06_self_adjointness(pulsating):
         phi1 = dfm.random_normal_components(grid, geo.codim, seed=11)
         phi2 = dfm.random_normal_components(grid, geo.codim, seed=12)
         p = dyn.ActionParams(1.0, 0.3)
-        res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
+        res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
         residuals[n_tau] = {
             "band": masked_max_abs(res.values, interior(geo)) / scale,
             "deep": masked_max_abs(res.values, interior(geo, rows=6)) / scale,

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stringlab import cli, experiments
+from stringlab import cli, experiments, symplectic
 from stringlab.dynamics import ActionParams
 
 BASE = {
@@ -99,6 +103,21 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("deform-check", {"epsilon": 0.5}),
         ("linearize", {"epsilon": 0.0}),
         ("convergence", {"quantity": "bogus"}),
+        ("omega", {"slices": [65]}),
+        ("omega", {"slices": [-1]}),
+        ("omega", {"slices": [32.5]}),
+        ("gauge-check", {"slice": 65}),
+        ("self-adjoint", {"beta": "x"}),
+        ("conserve", {"beta": None}),
+        ("deform-check", {"amplitude": True}),
+        ("gauge-check", {"epsilon": "0.01"}),
+        ("omega", {"betas": []}),
+        ("eom", {"betas": ["0.5"]}),
+        ("deform-check", {"seeds": "ab"}),
+        ("omega", {"slices": []}),
+        ("convergence", {"levels": [65]}),
+        ("omega", {"jacobi": ["bogus", "radius"]}),
+        ("conserve", {"jacobi": ["translation_t"]}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -119,6 +138,34 @@ def test_nan_discrepancy_fails_linearize():
         results, _, passed = experiments.run_linearize(config)
     assert np.isnan(results["fd_match"]["beta=0.0"])
     assert passed is False
+
+
+def test_self_adjoint_builds_the_current_once(monkeypatch):
+    calls = []
+
+    def counting_current(*args):
+        calls.append(args)
+        return current(*args)
+
+    current = symplectic.bilinear_current
+    monkeypatch.setattr(symplectic, "bilinear_current", counting_current)
+    config = cli.ExperimentConfig(
+        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
+        ActionParams(1.0, 0.0), "self-adjoint",
+    )
+    experiments.run_self_adjoint(config)
+    assert len(calls) == 1
+
+
+def test_module_entry_point(tmp_path):
+    path = write_config(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringlab", "validate", "--config", path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "config ok" in proc.stdout
 
 
 def test_numerical_failure_exit_code(tmp_path):

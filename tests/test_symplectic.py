@@ -6,7 +6,7 @@ from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
 from stringlab import symplectic as sym
 from stringlab.background import minkowski
-from stringlab.geometry import Embedding, build_geometry
+from stringlab.geometry import Embedding, build_geometry, normal_gradient
 from stringlab.grid import (
     NORMAL,
     SPACETIME,
@@ -157,7 +157,7 @@ def test_self_adjointness_identity(pulsating_geo):
     inner = interior(geo)
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
-        res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
+        res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
         assert masked_max_abs(res.values, inner) / scale <= 1e-4
 
 
@@ -165,7 +165,7 @@ def test_identity_trivial_cases(pulsating_geo):
     geo = pulsating_geo
     phi, _ = _random_pair(geo.grid, geo.codim)
     zero = Field(geo.grid, np.zeros(geo.grid.shape + (geo.codim,)), (NORMAL,))
-    res, _ = sym.self_adjointness_residual(geo, phi, zero, dyn.ActionParams(1.0, 0.3))
+    res, _, _ = sym.self_adjointness_residual(geo, phi, zero, dyn.ActionParams(1.0, 0.3))
     assert np.abs(res.values[geo.mask.active]).max() == 0.0
 
 
@@ -193,7 +193,7 @@ def test_identity_residual_converges(pulsating):
         geo = pulsating.geometry(grid)
         phi1, phi2 = _random_pair(grid, geo.codim)
         p = dyn.ActionParams(1.0, 0.3)
-        res, scale = sym.self_adjointness_residual(geo, phi1, phi2, p)
+        res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
         band.append(masked_max_abs(res.values, interior(geo)) / scale)
         deep.append(masked_max_abs(res.values, interior(geo, rows=6)) / scale)
     assert np.log2(band[0] / band[1]) >= 2.5
@@ -227,7 +227,7 @@ def test_conservation_beta_bounded_by_identity_contract(pulsating_geo, jacobi_pa
     p1 = dyn.stability_operator_apply(geo, jt, p).values
     p2 = dyn.stability_operator_apply(geo, jr, p).values
     lhs = np.einsum("...i,...i->...", jt.values, p2) - np.einsum("...i,...i->...", p1, jr.values)
-    _, scale = sym.self_adjointness_residual(geo, jt, jr, p)
+    _, scale, _ = sym.self_adjointness_residual(geo, jt, jr, p)
     contract = 2.0 * masked_max_abs(lhs, inner) + 1e-6 * scale
     assert div <= contract
 
@@ -297,6 +297,67 @@ def test_masked_row_rejected(rotating, rotating_geo):
 
     with pytest.raises(GridError):
         sym.symplectic_form(geo, jt, jt, dyn.ActionParams(1.0, 0.0), geo.grid.n_tau // 2)
+
+
+def test_out_of_range_row_rejected(pulsating_geo, jacobi_pair):
+    geo = pulsating_geo
+    jt, jr = jacobi_pair
+    from stringlab.grid import GridError
+
+    for row in (geo.grid.n_tau, -1):
+        with pytest.raises(GridError, match="out of range"):
+            sym.symplectic_form(geo, jt, jr, dyn.ActionParams(1.0, 0.0), row)
+
+
+@pytest.mark.parametrize(
+    "solution,geometry,families",
+    [
+        ("pulsating", "pulsating_geo", ("translation_t", "radius")),
+        ("spinning", "spinning_geo", ("translation_t", "scale")),
+    ],
+)
+def test_omega_matches_full_grid_current(request, solution, geometry, families):
+    """The row-only two-form equals, bit for bit, the slice integral of the
+    full-grid current."""
+    from stringlab.grid import integrate_sigma_slice
+
+    sol = request.getfixturevalue(solution)
+    geo = request.getfixturevalue(geometry)
+    n_tau = geo.grid.n_tau
+    pairs = {
+        "jacobi": tuple(jacobi_from_family(sol, geo, name) for name in families),
+        "random": _random_pair(geo.grid, geo.codim),
+    }
+    for phi1, phi2 in pairs.values():
+        for beta in (0.0, 0.3):
+            p = dyn.ActionParams(1.0, beta)
+            dens12, dens21 = (
+                Field(geo.grid, geo.vol.values * sym.bilinear_current(geo, a, b, p).j.values[..., 0])
+                for a, b in ((phi1, phi2), (phi2, phi1))
+            )
+            for row in (2, n_tau // 2, n_tau - 3):
+                reference = 0.5 * (
+                    integrate_sigma_slice(dens12, row) - integrate_sigma_slice(dens21, row)
+                )
+                assert sym.symplectic_form(geo, phi1, phi2, p, row).value == reference
+
+
+def test_omega_evaluates_current_on_one_row(pulsating_geo, jacobi_pair, monkeypatch):
+    geo = pulsating_geo
+    jt, jr = jacobi_pair
+    calls = []
+
+    def counting_gradient(*args):
+        calls.append(args)
+        return normal_gradient(*args)
+
+    def no_full_grid_current(*args):
+        raise AssertionError("symplectic_form evaluated a full-grid current")
+
+    monkeypatch.setattr(sym, "normal_gradient", counting_gradient)
+    monkeypatch.setattr(sym, "bilinear_current", no_full_grid_current)
+    sym.symplectic_form(geo, jt, jr, dyn.ActionParams(1.0, 0.3), geo.grid.n_tau // 2)
+    assert len(calls) == 2
 
 
 def test_topological_term_shifts_current_not_form(spinning, spinning_geo):
