@@ -10,7 +10,7 @@ they take points of shape (..., N) and return (..., N, N), (..., N, N, N),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,8 @@ class BackgroundSpacetime:
 
     ``flat`` marks exactly-flat backgrounds; downstream code uses it to skip
     Christoffel/Riemann terms entirely so that flat runs are bit-identical
-    to code paths that omit those terms.
+    to code paths that omit those terms.  Every construction checks the
+    metric and Riemann evaluators at sampled points (:meth:`_check_samples`).
     """
 
     dim: int
@@ -39,15 +40,13 @@ class BackgroundSpacetime:
     riemann: Evaluator
     name: str = "custom"
     flat: bool = False
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if self.dim < 3:
             raise BackgroundError(
                 f"need dim >= 3 (a string worldsheet requires a normal direction), got {self.dim}"
             )
-        if self._validate:
-            self._check_samples()
+        self._check_samples()
 
     def _check_samples(self, tol: float = 1e-10) -> None:
         rng = np.random.default_rng(0)
@@ -102,7 +101,6 @@ def minkowski(n: int) -> BackgroundSpacetime:
         riemann=_const_evaluator(np.zeros((n, n, n, n))),
         name=f"minkowski{n}",
         flat=True,
-        _validate=False,
     )
 
 
@@ -126,7 +124,6 @@ def synthetic_constant_curvature(n: int, curvature: float) -> BackgroundSpacetim
         riemann=_const_evaluator(riem),
         name=f"space_form(k={curvature})",
         flat=False,
-        _validate=False,
     )
 
 
@@ -134,13 +131,14 @@ def riemann_slots(
     bg: BackgroundSpacetime,
     tangents: Field,
     normals: Field,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
 ) -> Field:
     """Untraced Riemann coupling M_{ab}^i_j = R(n_j, e_a, e_b, n^i) with the
     slot order R(Y1, Y2)Y3, Y4 |-> R_abgn Y2^a Y1^b Y3^g Y4^n (the second
     argument feeds the first tensor slot).  All slots take contravariant
-    vectors; the evaluator carries all-lower indices.  Output indices
-    (a, b, i, j).  Identically zero on flat backgrounds.
+    vectors; the evaluator carries all-lower indices, evaluated at
+    ``points`` (the embedding values, shape (n_tau, n_sigma, dim)).  Output
+    indices (a, b, i, j).  Identically zero on flat backgrounds.
     """
     from .grid import WORLDSHEET_LOWER
 
@@ -154,8 +152,6 @@ def riemann_slots(
     idx = (WORLDSHEET_LOWER, WORLDSHEET_LOWER, NORMAL, NORMAL)
     if bg.flat:
         return Field(tangents.grid, np.zeros(e.shape[:2] + (2, 2, k, k)), idx)
-    if points is None:
-        points = np.zeros(e.shape[:2] + (bg.dim,))
     riem = bg.riemann_at(points)
     m = np.einsum("...xbgn,...jx,...ab,...cg,...in->...acij", riem, n, e, e, n)
     return Field(tangents.grid, m, idx)
@@ -166,12 +162,12 @@ def riemann_contract(
     tangents: Field,
     normals: Field,
     gamma_inv: Field,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
 ) -> Field:
     """Tangent-traced Riemann coupling between normal directions:
     M^i_j = gamma^ab R(n_j, e_a, e_b, n^i).  See :func:`riemann_slots` for
     the slot convention.  Vanishes identically on flat backgrounds.
     """
-    slots = riemann_slots(bg, tangents, normals, points=points)
+    slots = riemann_slots(bg, tangents, normals, points)
     m = np.einsum("...ab,...abij->...ij", gamma_inv.values, slots.values)
     return Field(tangents.grid, m, (NORMAL, NORMAL))

@@ -29,7 +29,7 @@ from . import experiments
 from .deformation import MAX_DEFORM_EPS, ORACLE_EPS_RANGE
 from .dynamics import ActionParams, DynamicsError
 from .geometry import GeometryError
-from .grid import GridError
+from .grid import GridError, WorldsheetGrid
 from .solutions import SolutionError, make_solution, solution_names
 
 SCHEMA_VERSION = 1
@@ -90,6 +90,7 @@ class ExperimentConfig:
             "tau_min": float(_require(grid, "tau_min", (int, float))),
             "tau_max": float(_require(grid, "tau_max", (int, float))),
         }
+        _check_grid(grid_kwargs, "grid")
 
         action = _require(raw, "action", dict)
         _reject_unknown(action, {"tension", "gb_coupling", "worldsheet_dim"}, "action")
@@ -111,10 +112,10 @@ class ExperimentConfig:
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
         _reject_unknown(options, _KIND_OPTIONS[kind], f"options for kind {kind!r}")
-        _check_option_values(kind, options, grid_kwargs["n_tau"], solution.family_names())
+        _check_option_values(kind, options, grid_kwargs, solution.family_names())
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         return cls(name, params, grid_kwargs, action_params, kind, dict(options), seed)
 
     def resolved(self) -> dict:
@@ -158,14 +159,29 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _is_nonzero_number(val) -> bool:
+    return _is_number(val) and val != 0
+
+
 def _list_of(test, min_len: int = 1):
     return lambda val: isinstance(val, list) and len(val) >= min_len and all(map(test, val))
 
 
-def _check_option_values(kind: str, options: dict, n_tau: int, families: list[str]) -> None:
-    """Reject option values the experiment drivers cannot run with."""
+def _check_grid(grid_kwargs: dict, where: str) -> None:
+    """Reject grid parameters that ``WorldsheetGrid`` itself rejects."""
+    try:
+        WorldsheetGrid(**grid_kwargs)
+    except GridError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: list[str]) -> None:
+    """Reject option values the experiments cannot run with, or
+    with which a check would pass vacuously (a zero deformation amplitude
+    or reparametrization size)."""
     floors = experiments._CONVERGENCE_FLOORS
     lo, hi = ORACLE_EPS_RANGE
+    n_tau = grid_kwargs["n_tau"]
 
     def is_row(val) -> bool:
         return _is_int(val) and 0 <= val < n_tau
@@ -174,14 +190,15 @@ def _check_option_values(kind: str, options: dict, n_tau: int, families: list[st
         "deform-check": (lambda v: _is_number(v) and lo <= v <= hi, f"a number in [{lo}, {hi}]"),
         "linearize": (lambda v: _is_number(v) and 0.0 < v <= MAX_DEFORM_EPS,
                       f"a number in (0, {MAX_DEFORM_EPS}]"),
-        "gauge-check": (_is_number, "a number"),
+        "gauge-check": (_is_nonzero_number, "a nonzero number"),
     }
     rules = {
         "beta": (_is_number, "a number"),
-        "amplitude": (_is_number, "a number"),
+        "amplitude": (_is_nonzero_number, "a nonzero number"),
         "epsilon": epsilon.get(kind),
         "betas": (_list_of(_is_number), "a non-empty list of numbers"),
-        "seeds": (_list_of(_is_int), "a non-empty list of integers"),
+        "seeds": (_list_of(lambda v: _is_int(v) and v >= 0),
+                  "a non-empty list of non-negative integers"),
         "levels": (_list_of(_is_int, 2), "a list of at least 2 integers"),
         "slices": (_list_of(is_row), f"a non-empty list of tau rows in [0, {n_tau})"),
         "slice": (is_row, f"a tau row in [0, {n_tau})"),
@@ -195,6 +212,9 @@ def _check_option_values(kind: str, options: dict, n_tau: int, families: list[st
         test, need = rules[name]
         if not test(val):
             raise ConfigError(f"options.{name} for kind {kind!r} must be {need}, got {val!r}")
+    for level in options.get("levels", []):
+        _check_grid({**grid_kwargs, "n_tau": level},
+                    f"options.levels for kind {kind!r}, level {level}")
 
 
 def _plain(obj):
@@ -232,8 +252,6 @@ def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
 def _dump_csv(config: ExperimentConfig) -> None:
     """Per-point dump of the experiment's primary field over active points."""
     from .dynamics import eom_residual
-    from .grid import WorldsheetGrid
-    from .solutions import make_solution
 
     sol = make_solution(config.solution_name, config.solution_params)
     grid = WorldsheetGrid(**config.grid_kwargs)
@@ -287,6 +305,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if getattr(args, "seed", None) is not None and isinstance(raw, dict):
+            raw = {**raw, "seed": args.seed}
         config = ExperimentConfig.from_dict(raw)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -296,11 +316,6 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
 
-    if args.seed is not None:
-        config = ExperimentConfig(
-            config.solution_name, config.solution_params, config.grid_kwargs,
-            config.action_params, config.kind, config.options, int(args.seed),
-        )
     try:
         report = run(config, with_timings=args.timings)
     except (GridError, GeometryError, DynamicsError, SolutionError) as exc:

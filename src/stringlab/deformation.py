@@ -83,18 +83,15 @@ def displacement(geo: GeometryBundle, d: DeformationField) -> Field:
     return Field(geo.grid, v, (SPACETIME,))
 
 
-def deform_embedding(
-    emb: Embedding, d: DeformationField, eps: float, geo: GeometryBundle | None = None
-) -> Embedding:
-    """Displace the embedding by eps * (e_a phi^a + n_i phi^i).
+def deform_embedding(geo: GeometryBundle, d: DeformationField, eps: float) -> Embedding:
+    """Displace the geometry's embedding by eps * (e_a phi^a + n_i phi^i).
 
-    Frames are taken from the undeformed geometry; ``geo`` may be passed to
-    avoid a rebuild.  eps is restricted to the perturbative regime.
+    Frames are taken from the undeformed geometry.  eps is restricted to the
+    perturbative regime.
     """
     if abs(eps) > MAX_DEFORM_EPS:
         raise ValueError(f"|eps| = {abs(eps)} exceeds the perturbative bound {MAX_DEFORM_EPS}")
-    if geo is None:
-        geo = build_geometry(emb)
+    emb = geo.embedding
     if eps == 0.0:
         return Embedding(emb.background, Field(emb.grid, emb.x.values, (SPACETIME,)), emb.mask)
     delta = displacement(geo, d)
@@ -179,16 +176,11 @@ _EXTRACTORS = {
 }
 
 
-def fd_oracle(
-    emb: Embedding,
-    d: DeformationField,
-    eps: float = 1e-4,
-    geo: GeometryBundle | None = None,
-) -> dict[str, Field]:
+def fd_oracle(geo: GeometryBundle, d: DeformationField, eps: float = 1e-4) -> dict[str, Field]:
     """Brute-force central differences of every varied geometric quantity.
 
-    Recomputes the geometry from scratch once on each of the embeddings
-    displaced by +/- eps along the deformation and returns (Q+ - Q-)/(2 eps)
+    Recomputes the geometry from scratch once on each of the copies of
+    ``geo.embedding`` displaced by +/- eps along the deformation and returns (Q+ - Q-)/(2 eps)
     at fixed grid point for all six quantities, keyed ``metric``,
     ``inverse_metric``, ``volume``, ``connection``, ``ricci`` and
     ``scalar_curvature``.  Independent of the analytic variation formulas:
@@ -197,10 +189,8 @@ def fd_oracle(
     lo, hi = ORACLE_EPS_RANGE
     if not lo <= eps <= hi:
         raise ValueError(f"oracle eps {eps} outside the trusted range [{lo}, {hi}]")
-    if geo is None:
-        geo = build_geometry(emb)
-    plus = build_geometry(deform_embedding(emb, d, +eps, geo=geo))
-    minus = build_geometry(deform_embedding(emb, d, -eps, geo=geo))
+    plus = build_geometry(deform_embedding(geo, d, +eps))
+    minus = build_geometry(deform_embedding(geo, d, -eps))
     out = {}
     for name, extract in _EXTRACTORS.items():
         q_plus, q_minus = extract(plus), extract(minus)
@@ -212,16 +202,16 @@ def fd_oracle(
 # deterministic smooth test fields
 
 
-def _random_scalar(grid: WorldsheetGrid, rng, sigma_modes: int, tau_degree: int) -> np.ndarray:
-    """Band-limited random scalar: sigma modes <= sigma_modes, polynomial in
-    the rescaled tau coordinate up to ``tau_degree``."""
+def _random_scalar(grid: WorldsheetGrid, rng) -> np.ndarray:
+    """Band-limited random scalar: sigma modes <= n_sigma // 4, polynomial
+    of degree 3 in the rescaled tau coordinate."""
     tt, ss = grid.meshgrid()
     span = grid.tau_max - grid.tau_min
     that = 2.0 * (tt - grid.tau_min) / span - 1.0
     vals = np.zeros(grid.shape)
-    for m in range(tau_degree + 1):
+    for m in range(4):
         poly = that**m
-        for k in range(sigma_modes + 1):
+        for k in range(grid.n_sigma // 4 + 1):
             amp = 1.0 / ((1.0 + k) * (1.0 + m))
             a, b = rng.normal(size=2) * amp
             vals += (a * np.cos(k * ss) + (b * np.sin(k * ss) if k else 0.0)) * poly
@@ -229,26 +219,22 @@ def _random_scalar(grid: WorldsheetGrid, rng, sigma_modes: int, tau_degree: int)
     return vals / peak if peak > 0 else vals
 
 
-def random_normal_components(
-    grid: WorldsheetGrid, codim: int, seed: int, sigma_modes: int | None = None, tau_degree: int = 3
-) -> Field:
+def _random_components(grid: WorldsheetGrid, rng, count: int) -> np.ndarray:
+    """``count`` random scalars stacked on a trailing axis, drawn in order."""
+    return np.stack([_random_scalar(grid, rng) for _ in range(count)], axis=-1)
+
+
+def random_normal_components(grid: WorldsheetGrid, codim: int, seed: int) -> Field:
     """Deterministic band-limited normal-components field with unit sup norm
     per component."""
     rng = np.random.default_rng(seed)
-    modes = grid.n_sigma // 4 if sigma_modes is None else sigma_modes
-    vals = np.stack([_random_scalar(grid, rng, modes, tau_degree) for _ in range(codim)], axis=-1)
-    return Field(grid, vals, (NORMAL,))
+    return Field(grid, _random_components(grid, rng, codim), (NORMAL,))
 
 
-def random_deformation(
-    grid: WorldsheetGrid, codim: int, seed: int, sigma_modes: int | None = None, tau_degree: int = 3
-) -> DeformationField:
+def random_deformation(grid: WorldsheetGrid, codim: int, seed: int) -> DeformationField:
     """Deterministic band-limited deformation with both normal and
-    tangential parts."""
+    tangential parts (the normal block is drawn first)."""
     rng = np.random.default_rng(seed)
-    modes = grid.n_sigma // 4 if sigma_modes is None else sigma_modes
-    normal = np.stack(
-        [_random_scalar(grid, rng, modes, tau_degree) for _ in range(codim)], axis=-1
-    )
-    tangent = np.stack([_random_scalar(grid, rng, modes, tau_degree) for _ in range(2)], axis=-1)
+    normal = _random_components(grid, rng, codim)
+    tangent = _random_components(grid, rng, 2)
     return DeformationField(Field(grid, normal, (NORMAL,)), Field(grid, tangent, (WORLDSHEET_UPPER,)))

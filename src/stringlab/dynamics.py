@@ -36,7 +36,6 @@ from .grid import (
     NORMAL,
     WORLDSHEET_UPPER,
     Field,
-    Mask,
     integrate_patch,
     masked_max_abs,
 )
@@ -66,11 +65,10 @@ class ActionParams:
             raise DynamicsError("only two-dimensional worldsheets are supported")
 
 
-def action_value(geo: GeometryBundle, p: ActionParams, mask: Mask | None = None) -> float:
+def action_value(geo: GeometryBundle, p: ActionParams) -> float:
     """-tension * area + gb_coupling * curvature integral over active points."""
-    mask = geo.mask if mask is None else geo.mask.intersect(mask)
-    area = integrate_patch(geo.vol, mask)
-    curv = integrate_patch(Field(geo.grid, geo.vol.values * geo.scalar.values), mask)
+    area = integrate_patch(geo.vol, geo.mask)
+    curv = integrate_patch(Field(geo.grid, geo.vol.values * geo.scalar.values), geo.mask)
     return -p.tension * area + p.gb_coupling * curv
 
 
@@ -294,14 +292,14 @@ def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
 
 
 def linearized_residual_string(
-    geo: GeometryBundle, phi: Field, p: ActionParams, return_scale: bool = False
-):
+    geo: GeometryBundle, phi: Field, p: ActionParams
+) -> tuple[Field, float]:
     """String form of the linearized operator, written as explicit loops
-    over worldsheet indices.
+    over worldsheet indices, and its scale.
 
-    With ``return_scale`` also returns the largest single-term magnitude on
-    active points, the natural yardstick for cancellation-sensitive
-    comparisons against this operator.
+    The scale is the largest single-term magnitude on active points, the
+    natural yardstick for cancellation-sensitive comparisons against this
+    operator.
     """
     _check_normal_field(geo, phi)
     c = operator_coefficients(geo)
@@ -399,11 +397,8 @@ def linearized_residual_string(
     total = np.zeros(ph.shape)
     for t in terms:
         total = total + t
-    result = Field(geo.grid, total, (NORMAL,))
-    if return_scale:
-        scale = max(masked_max_abs(t, geo.mask.active) for t in terms)
-        return result, scale
-    return result
+    scale = max(masked_max_abs(t, geo.mask.active) for t in terms)
+    return Field(geo.grid, total, (NORMAL,)), scale
 
 
 def _ricci_up_component(geo: GeometryBundle, a: int, b: int) -> np.ndarray:
@@ -455,6 +450,6 @@ def linearized_fd_oracle(
     d = DeformationField.normal_only(phi)
     res = []
     for sgn in (+1.0, -1.0):
-        geo2 = build_geometry(deform_embedding(geo.embedding, d, sgn * eps, geo=geo))
+        geo2 = build_geometry(deform_embedding(geo, d, sgn * eps))
         res.append(eom_residual(geo2, p).values)
     return Field(geo.grid, (res[0] - res[1]) / (2.0 * eps), (NORMAL,))

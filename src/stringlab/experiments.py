@@ -60,7 +60,6 @@ def run_geometry(config) -> tuple[dict, dict, bool]:
 
 def run_deform_check(config) -> tuple[dict, dict, bool]:
     sol, grid = _setup(config)
-    emb = sol.embedding(grid)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
     eps = float(config.options.get("epsilon", 1e-4))
@@ -83,7 +82,7 @@ def run_deform_check(config) -> tuple[dict, dict, bool]:
             "ricci": dric,
             "scalar_curvature": dscal,
         }
-        oracles = dfm.fd_oracle(emb, d, eps=eps, geo=geo)
+        oracles = dfm.fd_oracle(geo, d, eps=eps)
         for name, analytic in checks.items():
             oracle = oracles[name]
             scale = 1.0 + max(
@@ -128,7 +127,7 @@ def run_linearize(config) -> tuple[dict, dict, bool]:
                      "potential_agreement": {}}
     for beta in betas:
         p = dyn.ActionParams(tension, float(beta))
-        string_form, scale = dyn.linearized_residual_string(geo, phi, p, return_scale=True)
+        string_form, scale = dyn.linearized_residual_string(geo, phi, p)
         fd = dyn.linearized_fd_oracle(geo, phi, p, eps=eps)
         rel_fd = masked_max_abs(string_form.values - fd.values, interior) / scale
         full = dyn.linearized_residual(geo, phi, p)
@@ -215,7 +214,7 @@ def run_omega(config) -> tuple[dict, dict, bool]:
     table = {}
     for beta in betas:
         p = dyn.ActionParams(config.action_params.tension, float(beta))
-        table[f"beta={beta}"] = {f"row={r}": symplectic_form(geo, f1, f2, p, int(r)).value
+        table[f"beta={beta}"] = {f"row={r}": symplectic_form(geo, f1, f2, p, int(r))
                                  for r in rows}
     base_vals = list(table[f"beta={betas[0]}"].values())
     base = base_vals[len(base_vals) // 2]
@@ -223,7 +222,7 @@ def run_omega(config) -> tuple[dict, dict, bool]:
     rel_spread = slice_spread / abs(base) if base else 0.0
     p0 = dyn.ActionParams(config.action_params.tension, float(betas[0]))
     mid = int(rows[len(rows) // 2])
-    antisym_zero = symplectic_form(geo, f1, f1, p0, mid).value
+    antisym_zero = symplectic_form(geo, f1, f1, p0, mid)
     delta = {f"beta={b}": abs(list(table[f"beta={b}"].values())[len(rows) // 2] - base)
              for b in betas}
     results = {"omega": table, "slice_relative_spread": rel_spread,

@@ -125,9 +125,6 @@ class Mask:
     def n_active(self) -> int:
         return int(self.active.sum())
 
-    def intersect(self, other: "Mask") -> "Mask":
-        return Mask(self.grid, self.active & other.active)
-
     def row_active(self, tau_index: int) -> bool:
         return bool(self.active[tau_index].all())
 

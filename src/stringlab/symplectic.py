@@ -29,8 +29,6 @@ row only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .deformation import DeformationField, deform_embedding
@@ -51,25 +49,6 @@ from .grid import (
     d_tau,
     masked_max_abs,
 )
-
-
-@dataclass(frozen=True)
-class BilinearCurrent:
-    """Worldsheet current j^a built from an ordered pair of normal fields."""
-
-    j: Field
-    params: ActionParams
-    pair: tuple[Field, Field]
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Antisymmetrized slice integral of the current at one tau row."""
-
-    value: float
-    tau_index: int
-    params: ActionParams
-    pair: tuple[Field, Field]
 
 
 def _pair_setup(geo: GeometryBundle, phi1: Field, phi2: Field):
@@ -168,15 +147,14 @@ def _current_coefficients(c) -> tuple[np.ndarray, ...]:
     return c.gi, c.k_low, c.k_upup, c.gk, c.kk
 
 
-def bilinear_current(
-    geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams
-) -> BilinearCurrent:
-    """The total current in its simplified closed form (two of the piece
-    terms cancel when everything is written out); evaluated directly, not
-    by summing :func:`current_pieces`."""
+def bilinear_current(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
+    """The worldsheet current j^a of the ordered pair (phi1, phi2) in its
+    simplified closed form (two of the piece terms cancel when everything
+    is written out); evaluated directly, not by summing
+    :func:`current_pieces`."""
     c, *operands = _pair_setup(geo, phi1, phi2)
     j = _current_values(*_current_coefficients(c), *operands, p)
-    return BilinearCurrent(Field(geo.grid, j, (WORLDSHEET_UPPER,)), p, (phi1, phi2))
+    return Field(geo.grid, j, (WORLDSHEET_UPPER,))
 
 
 def sum_of_pieces(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
@@ -216,7 +194,7 @@ def self_adjointness_residual(
     p2 = stability_operator_apply(geo, phi2, p).values
     left = np.einsum("...i,...i->...", phi1.values, p2)
     right = np.einsum("...i,...i->...", p1, phi2.values)
-    j = bilinear_current(geo, phi1, phi2, p).j
+    j = bilinear_current(geo, phi1, phi2, p)
     div = worldsheet_divergence(geo, j).values
     act = geo.mask.active
     scale = max(
@@ -231,20 +209,21 @@ def conservation_residual(
     """Covariant divergence of the current; bounded by the linearized
     residuals of the two arguments when they approximately solve the
     linearized equations."""
-    return worldsheet_divergence(geo, bilinear_current(geo, phi1, phi2, p).j)
+    return worldsheet_divergence(geo, bilinear_current(geo, phi1, phi2, p))
 
 
 def symplectic_form(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, tau_index: int
-) -> SymplecticForm:
-    """Antisymmetrized slice integral of the current at a fixed tau row
-    (the sigma circle there is the Cauchy slice; the slice element is the
-    future-pointing tau-covector, so the integrand is sqrt(-g) j^tau).
+) -> float:
+    """omega(phi1, phi2): the antisymmetrized slice integral of the current
+    at a fixed tau row (the sigma circle there is the Cauchy slice; the
+    slice element is the future-pointing tau-covector, so the integrand is
+    sqrt(-g) j^tau).
 
     The current is evaluated with the same pointwise kernel as
     :func:`bilinear_current`, on the requested row only."""
     raw12, raw21 = raw_slice_integrals(geo, phi1, phi2, p, tau_index)
-    return SymplecticForm(0.5 * (raw12 - raw21), tau_index, p, (phi1, phi2))
+    return 0.5 * (raw12 - raw21)
 
 
 def raw_slice_integrals(
@@ -308,7 +287,7 @@ def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.
     probe = DeformationField.normal_only(probe_phi)
     psis = []
     for sgn in (+1.0, -1.0):
-        geo2 = build_geometry(deform_embedding(geo.embedding, probe, sgn * eps, geo=geo))
+        geo2 = build_geometry(deform_embedding(geo, probe, sgn * eps))
         phi_n = Field(
             geo2.grid, np.einsum("...im,...m->...i", geo2.n_low, frozen), (NORMAL,)
         )
@@ -362,12 +341,12 @@ def gauge_invariance_check(
     wrapped = np.concatenate([s, [s[0] + 2.0 * np.pi]])
     if not (np.diff(wrapped) > 0).all():
         raise GridError("reparametrization is not invertible on the grid")
-    omega0 = symplectic_form(geo, phi1, phi2, p, tau_index).value
+    omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
     emb = geo.embedding
     x2 = Field(grid, resample_sigma(emb.x.values, s), emb.x.indices)
     geo2 = build_geometry(Embedding(emb.background, x2, emb.mask))
     f1 = Field(grid, resample_sigma(phi1.values, s), (NORMAL,))
     f2 = Field(grid, resample_sigma(phi2.values, s), (NORMAL,))
-    omega1 = symplectic_form(geo2, f1, f2, p, tau_index).value
+    omega1 = symplectic_form(geo2, f1, f2, p, tau_index)
     denom = abs(omega0) if omega0 != 0.0 else 1.0
     return abs(omega1 - omega0) / denom

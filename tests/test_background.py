@@ -57,8 +57,12 @@ def test_evaluator_validation_catches_bad_riemann():
 
 
 def _flat_sheet_frames(dim: int):
-    """Tangents/normals of the trivial flat sheet X = (tau, sigma-line, 0...)."""
+    """Tangents/normals of the trivial flat sheet X = (tau, sigma-line, 0...),
+    and its points."""
     grid = WorldsheetGrid(9, 8, 0.0, 1.0)
+    tt, ss = grid.meshgrid()
+    x = np.zeros(grid.shape + (dim,))
+    x[..., 0], x[..., 1] = tt, ss
     e = np.zeros(grid.shape + (2, dim))
     e[..., 0, 0] = 1.0  # e_tau = time direction
     e[..., 1, 1] = 1.0  # e_sigma = x direction
@@ -75,28 +79,29 @@ def _flat_sheet_frames(dim: int):
         Field(grid, e, (WORLDSHEET_LOWER, SPACETIME)),
         Field(grid, n, (NORMAL, SPACETIME)),
         Field(grid, gi, (WORLDSHEET_UPPER, WORLDSHEET_UPPER)),
+        x,
     )
 
 
 def test_riemann_contract_flat_is_zero():
-    grid, e, n, gi = _flat_sheet_frames(4)
-    m = riemann_contract(minkowski(4), e, n, gi)
+    grid, e, n, gi, x = _flat_sheet_frames(4)
+    m = riemann_contract(minkowski(4), e, n, gi, x)
     assert np.abs(m.values).max() == 0.0
 
 
 def test_riemann_contract_constant_curvature():
     # space-form tensor R_abcd = k (g_ac g_bd - g_ad g_bc) contracted with
     # orthonormal frames in the stated slot order gives -k * D * delta^i_j
-    grid, e, n, gi = _flat_sheet_frames(4)
-    m = riemann_contract(synthetic_constant_curvature(4, 1.0), e, n, gi)
+    grid, e, n, gi, x = _flat_sheet_frames(4)
+    m = riemann_contract(synthetic_constant_curvature(4, 1.0), e, n, gi, x)
     expected = -2.0 * np.eye(2)
     assert np.abs(m.values - expected).max() <= 1e-12
-    m0 = riemann_contract(synthetic_constant_curvature(4, 0.0), e, n, gi)
+    m0 = riemann_contract(synthetic_constant_curvature(4, 0.0), e, n, gi, x)
     assert np.abs(m0.values).max() == 0.0
 
 
 def test_riemann_contract_rotation_covariance():
-    grid, e, n, gi = _flat_sheet_frames(4)
+    grid, e, n, gi, x = _flat_sheet_frames(4)
     bg = synthetic_constant_curvature(4, 0.7)
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, 2 * np.pi)
@@ -104,7 +109,7 @@ def test_riemann_contract_rotation_covariance():
     from stringlab.grid import Field
 
     n_rot = Field(grid, np.einsum("ij,...jm->...im", rot, n.values), n.indices)
-    m = riemann_contract(bg, e, n, gi).values
-    m_rot = riemann_contract(bg, e, n_rot, gi).values
+    m = riemann_contract(bg, e, n, gi, x).values
+    m_rot = riemann_contract(bg, e, n_rot, gi, x).values
     back = np.einsum("ik,...kl,jl->...ij", rot, m, rot)
     assert np.abs(m_rot - back).max() <= 1e-10

@@ -118,6 +118,10 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("convergence", {"levels": [65]}),
         ("omega", {"jacobi": ["bogus", "radius"]}),
         ("conserve", {"jacobi": ["translation_t"]}),
+        ("deform-check", {"amplitude": 0}),
+        ("gauge-check", {"epsilon": 0.0}),
+        ("deform-check", {"seeds": [0, -1]}),
+        ("convergence", {"levels": [5, 7]}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -125,6 +129,28 @@ def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
     assert cli.main(["validate", "--config", path]) == 2
     assert cli.main(["run", "--config", path]) == 2
     assert f"options.{next(iter(options))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("seed", -1),
+        ("grid", {**BASE["grid"], "n_tau": 5}),
+        ("grid", {**BASE["grid"], "n_sigma": 31}),
+        ("grid", {**BASE["grid"], "tau_min": 0.9, "tau_max": 0.1}),
+    ],
+)
+def test_invalid_seed_or_grid_rejected(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, kind="self-adjoint", **{key: value})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, kind="self-adjoint")
+    assert cli.main(["run", "--config", path, "--seed", "-3"]) == 2
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_nan_discrepancy_fails_linearize():

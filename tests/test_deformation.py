@@ -27,16 +27,15 @@ def test_zero_eps_is_bit_exact(pulsating, grid129):
     emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
-    out = dfm.deform_embedding(emb, d, 0.0, geo=geo)
+    out = dfm.deform_embedding(geo, d, 0.0)
     assert np.array_equal(out.x.values, emb.x.values)
 
 
 def test_eps_bound_enforced(pulsating, grid129):
-    emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
     with pytest.raises(ValueError):
-        dfm.deform_embedding(emb, d, 0.5, geo=geo)
+        dfm.deform_embedding(geo, d, 0.5)
 
 
 def test_constant_normal_shift_displaces_along_normal(pulsating, grid129):
@@ -45,7 +44,7 @@ def test_constant_normal_shift_displaces_along_normal(pulsating, grid129):
     c, eps = 0.8, 1e-3
     phi = Field(grid129, np.stack([np.full(grid129.shape, c),
                                    np.zeros(grid129.shape)], axis=-1), (NORMAL,))
-    out = dfm.deform_embedding(emb, dfm.DeformationField.normal_only(phi), eps, geo=geo)
+    out = dfm.deform_embedding(geo, dfm.DeformationField.normal_only(phi), eps)
     delta = out.x.values - emb.x.values
     expected = eps * c * geo.n.values[..., 0, :]
     assert np.abs(delta - expected).max() <= 1e-12
@@ -54,14 +53,13 @@ def test_constant_normal_shift_displaces_along_normal(pulsating, grid129):
 def test_tangential_deformation_preserves_curvature(pulsating, grid129):
     """A tangential displacement is a reparametrization: comparing the scalar
     curvature at the shifted source point shows no change beyond O(eps^2)."""
-    emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     tt, ss = grid129.meshgrid()
     eps = 1e-4
     tangent = Field(grid129, np.stack([0.3 + 0.1 * np.cos(ss), np.sin(ss)], axis=-1),
                     (WORLDSHEET_UPPER,))
     d = dfm.DeformationField.tangent_only(tangent, geo.codim)
-    geo2 = build_geometry(dfm.deform_embedding(emb, d, eps, geo=geo))
+    geo2 = build_geometry(dfm.deform_embedding(geo, d, eps))
     shifted_tau = tt + eps * tangent.values[..., 0]
     r_expected = -2.0 / np.cos(shifted_tau) ** 4
     gap = masked_max_abs(geo2.scalar.values - r_expected, interior(geo))
@@ -97,7 +95,7 @@ def test_zero_deformation_gives_zero_everywhere(pulsating_geo):
     dric, dscal = dfm.vary_ricci_scalar(geo, zero)
     assert np.abs(dric.values).max() == 0.0
     assert np.abs(dscal.values).max() == 0.0
-    oracle = dfm.fd_oracle(geo.embedding, zero, geo=geo)["volume"]
+    oracle = dfm.fd_oracle(geo, zero)["volume"]
     assert np.abs(oracle.values).max() == 0.0
 
 
@@ -114,7 +112,6 @@ def test_onshell_volume_variation_small(pulsating, grid129):
 @pytest.mark.parametrize("quantity", ["metric", "volume", "scalar_curvature"])
 def test_oracle_matches_variation(pulsating, quantity):
     grid = WorldsheetGrid(193, 32, 0.1, 0.9)
-    emb = pulsating.embedding(grid)
     geo = pulsating.geometry(grid)
     inner = interior(geo)
     d = _scaled(dfm.random_deformation(grid, geo.codim, seed=1), 0.5)
@@ -123,36 +120,33 @@ def test_oracle_matches_variation(pulsating, quantity):
         "volume": lambda: dfm.vary_volume(geo, d),
         "scalar_curvature": lambda: dfm.vary_ricci_scalar(geo, d)[1],
     }[quantity]()
-    oracle = dfm.fd_oracle(emb, d, eps=1e-4, geo=geo)[quantity]
+    oracle = dfm.fd_oracle(geo, d, eps=1e-4)[quantity]
     scale = 1.0 + max(masked_max_abs(analytic.values, inner), masked_max_abs(oracle.values, inner))
     assert masked_max_abs(analytic.values - oracle.values, inner) / scale <= 1e-6
 
 
 def test_oracle_quadratic_eps_convergence(pulsating, grid129):
-    emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     inner = interior(geo)
     d = dfm.random_deformation(grid129, geo.codim, seed=2)
     analytic = dfm.vary_metric(geo, d)[1].values
     gaps = []
     for eps in (4e-4, 2e-4):
-        oracle = dfm.fd_oracle(emb, d, eps=eps, geo=geo)["inverse_metric"]
+        oracle = dfm.fd_oracle(geo, d, eps=eps)["inverse_metric"]
         gaps.append(masked_max_abs(analytic - oracle.values, inner))
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
 
 def test_oracle_eps_range_enforced(pulsating, grid129):
-    emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
     with pytest.raises(ValueError):
-        dfm.fd_oracle(emb, d, eps=1e-2, geo=geo)
+        dfm.fd_oracle(geo, d, eps=1e-2)
     with pytest.raises(ValueError):
-        dfm.fd_oracle(emb, d, eps=1e-8, geo=geo)
+        dfm.fd_oracle(geo, d, eps=1e-8)
 
 
 def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
-    emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
     builds = []
@@ -162,7 +156,7 @@ def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
         return build_geometry(e)
 
     monkeypatch.setattr(dfm, "build_geometry", counting_build)
-    oracles = dfm.fd_oracle(emb, d, geo=geo)
+    oracles = dfm.fd_oracle(geo, d)
     assert len(builds) == 2
     assert set(oracles) == {
         "metric", "inverse_metric", "volume", "connection", "ricci", "scalar_curvature",

@@ -101,7 +101,7 @@ def test_string_and_general_evaluators_agree(pulsating_geo):
     act = geo.mask.active
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
-        string_form, scale = dyn.linearized_residual_string(geo, phi, p, return_scale=True)
+        string_form, scale = dyn.linearized_residual_string(geo, phi, p)
         full = dyn.linearized_residual(geo, phi, p)
         blocks = dyn.einstein_block(geo, phi, p)
         shared_gap = masked_max_abs(full.values - blocks.values - string_form.values, act)
@@ -115,7 +115,7 @@ def test_linearization_matches_fd(pulsating_geo):
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
-        lin, scale = dyn.linearized_residual_string(geo, phi, p, return_scale=True)
+        lin, scale = dyn.linearized_residual_string(geo, phi, p)
         fd = dyn.linearized_fd_oracle(geo, phi, p, eps=1e-4)
         assert masked_max_abs(lin.values - fd.values, inner) / scale <= 1e-4
 
@@ -139,7 +139,7 @@ def test_onshell_operator_drops_only_mean_terms(pulsating_geo):
     geo = pulsating_geo
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=6)
     p = dyn.ActionParams(1.0, 0.4)
-    full, scale = dyn.linearized_residual_string(geo, phi, p, return_scale=True)
+    full, scale = dyn.linearized_residual_string(geo, phi, p)
     onshell = dyn.stability_operator_apply(geo, phi, p)
     gap = masked_max_abs(full.values - onshell.values, interior(geo))
     assert gap / scale <= 1e-3  # mean-curvature terms at the residual scale
@@ -156,7 +156,7 @@ def test_topological_term_inert_in_operator_on_shell(pulsating_geo, spinning_geo
         p1 = dyn.ActionParams(1.0, 1.0)
         a = dyn.stability_operator_apply(geo, phi, p0)
         b = dyn.stability_operator_apply(geo, phi, p1)
-        _, scale = dyn.linearized_residual_string(geo, phi, p1, return_scale=True)
+        _, scale = dyn.linearized_residual_string(geo, phi, p1)
         assert masked_max_abs(a.values - b.values, interior(geo)) / scale <= 1e-3
         d = dfm.DeformationField.normal_only(phi)
         psi0 = dyn.symplectic_potential(geo, d, p0)
@@ -169,7 +169,7 @@ def test_topological_term_inert_in_operator_on_shell(pulsating_geo, spinning_geo
 def test_action_variation_matches_eom(cylinder):
     """First variation of the action against the equations of motion, on an
     off-shell surface with a tau-compact window so boundary terms drop."""
-    emb, geo = cylinder
+    _, geo = cylinder
     grid = geo.grid
     tt, ss = grid.meshgrid()
     arg = 1 - ((tt - 0.5) / 0.35) ** 2
@@ -181,8 +181,8 @@ def test_action_variation_matches_eom(cylinder):
     results = {}
     for beta in (0.0, 0.7):
         p = dyn.ActionParams(1.0, beta)
-        plus = dyn.action_value(build_geometry(dfm.deform_embedding(emb, d, +eps, geo=geo)), p)
-        minus = dyn.action_value(build_geometry(dfm.deform_embedding(emb, d, -eps, geo=geo)), p)
+        plus = dyn.action_value(build_geometry(dfm.deform_embedding(geo, d, +eps)), p)
+        minus = dyn.action_value(build_geometry(dfm.deform_embedding(geo, d, -eps)), p)
         fd = (plus - minus) / (2 * eps)
         dens = geo.vol.values * np.einsum(
             "...i,...i->...", dyn.eom_residual(geo, p).values, phi_vals

@@ -46,7 +46,7 @@ def test_tension_only_keeps_first_piece(pulsating_geo):
     assert np.abs(pieces[0].values[geo.mask.active]).max() > 0.1
     for piece in pieces[1:]:
         assert np.abs(piece.values).max() == 0.0
-    j = sym.bilinear_current(geo, phi1, phi2, dyn.ActionParams(1.3, 0.0)).j
+    j = sym.bilinear_current(geo, phi1, phi2, dyn.ActionParams(1.3, 0.0))
     assert np.abs(j.values - pieces[0].values).max() <= 1e-14
 
 
@@ -57,7 +57,7 @@ def test_flat_cylinder_current_hand_value():
     geo = build_geometry(Embedding(minkowski(3), Field(grid, x, (SPACETIME,))))
     phi1 = Field(grid, np.sin(ss)[..., None], (NORMAL,))
     phi2 = Field(grid, np.cos(ss)[..., None], (NORMAL,))
-    j = sym.bilinear_current(geo, phi1, phi2, dyn.ActionParams(1.0, 0.0)).j
+    j = sym.bilinear_current(geo, phi1, phi2, dyn.ActionParams(1.0, 0.0))
     # sigma component: -sin s * (-sin s) + cos s * cos s = 1
     assert masked_max_abs(j.values[..., 1] - 1.0, geo.mask.active) <= 1e-10
     assert masked_max_abs(j.values[..., 0], geo.mask.active) <= 1e-10
@@ -67,7 +67,7 @@ def test_simplified_current_equals_sum_of_pieces(pulsating_geo, spinning_geo):
     for geo in (pulsating_geo, spinning_geo):
         phi1, phi2 = _random_pair(geo.grid, geo.codim)
         p = dyn.ActionParams(1.0, 0.3)
-        direct = sym.bilinear_current(geo, phi1, phi2, p).j
+        direct = sym.bilinear_current(geo, phi1, phi2, p)
         summed = sym.sum_of_pieces(geo, phi1, phi2, p)
         scale = max(masked_max_abs(direct.values, geo.mask.active), 1e-30)
         assert masked_max_abs(direct.values - summed.values, geo.mask.active) / scale <= 1e-9
@@ -81,9 +81,9 @@ def test_current_is_bilinear(pulsating_geo):
     rng = np.random.default_rng(7)
     a, b = rng.uniform(-2, 2, size=2)
     combo = Field(geo.grid, a * phi1.values + b * phi1b.values, (NORMAL,))
-    lhs = sym.bilinear_current(geo, combo, phi2, p).j.values
-    rhs = a * sym.bilinear_current(geo, phi1, phi2, p).j.values
-    rhs = rhs + b * sym.bilinear_current(geo, phi1b, phi2, p).j.values
+    lhs = sym.bilinear_current(geo, combo, phi2, p).values
+    rhs = a * sym.bilinear_current(geo, phi1, phi2, p).values
+    rhs = rhs + b * sym.bilinear_current(geo, phi1b, phi2, p).values
     scale = max(masked_max_abs(rhs, geo.mask.active), 1.0)
     assert masked_max_abs(lhs - rhs, geo.mask.active) / scale <= 1e-10
 
@@ -91,7 +91,7 @@ def test_current_is_bilinear(pulsating_geo):
 def test_tension_diagonal_current_vanishes(pulsating_geo):
     geo = pulsating_geo
     phi, _ = _random_pair(geo.grid, geo.codim)
-    j = sym.bilinear_current(geo, phi, phi, dyn.ActionParams(1.0, 0.0)).j
+    j = sym.bilinear_current(geo, phi, phi, dyn.ActionParams(1.0, 0.0))
     assert np.abs(j.values).max() == 0.0
 
 
@@ -99,8 +99,8 @@ def test_swap_sum_vanishes_at_zero_coupling(pulsating_geo):
     geo = pulsating_geo
     phi1, phi2 = _random_pair(geo.grid, geo.codim)
     p = dyn.ActionParams(1.0, 0.0)
-    j12 = sym.bilinear_current(geo, phi1, phi2, p).j.values
-    j21 = sym.bilinear_current(geo, phi2, phi1, p).j.values
+    j12 = sym.bilinear_current(geo, phi1, phi2, p).values
+    j21 = sym.bilinear_current(geo, phi2, phi1, p).values
     assert masked_max_abs(j12 + j21, geo.mask.active) <= 1e-12
 
 
@@ -237,14 +237,14 @@ def test_omega_antisymmetry_and_scaling(pulsating_geo, jacobi_pair):
     jt, jr = jacobi_pair
     p = dyn.ActionParams(1.0, 0.0)
     row = geo.grid.n_tau // 2
-    assert sym.symplectic_form(geo, jt, jt, p, row).value == 0.0
-    om12 = sym.symplectic_form(geo, jt, jr, p, row).value
-    om21 = sym.symplectic_form(geo, jr, jt, p, row).value
+    assert sym.symplectic_form(geo, jt, jt, p, row) == 0.0
+    om12 = sym.symplectic_form(geo, jt, jr, p, row)
+    om21 = sym.symplectic_form(geo, jr, jt, p, row)
     assert om12 == -om21
     # doubling both arguments scales the form by exactly four
     jt2 = Field(geo.grid, 2.0 * jt.values, (NORMAL,))
     jr2 = Field(geo.grid, 2.0 * jr.values, (NORMAL,))
-    om4 = sym.symplectic_form(geo, jt2, jr2, p, row).value
+    om4 = sym.symplectic_form(geo, jt2, jr2, p, row)
     assert om4 == 4.0 * om12
 
 
@@ -253,7 +253,7 @@ def test_omega_continuum_value_and_slice_independence(pulsating_geo, jacobi_pair
     jt, jr = jacobi_pair
     p = dyn.ActionParams(1.0, 0.0)
     rows = [geo.grid.n_tau // 4, geo.grid.n_tau // 2, (3 * geo.grid.n_tau) // 4]
-    vals = [sym.symplectic_form(geo, jt, jr, p, r).value for r in rows]
+    vals = [sym.symplectic_form(geo, jt, jr, p, r) for r in rows]
     # the time-translation x scale-modulus pairing integrates to -2 pi exactly
     assert vals[1] == pytest.approx(-2 * np.pi, rel=1e-7)
     spread = max(vals) - min(vals)
@@ -269,8 +269,8 @@ def test_slice_drift_bounded_by_divergence(pulsating_geo, jacobi_pair):
     from stringlab.grid import integrate_sigma_slice
 
     r1, r2 = geo.grid.n_tau // 4, (3 * geo.grid.n_tau) // 4
-    om1 = sym.symplectic_form(geo, jt, jr, p, r1).value
-    om2 = sym.symplectic_form(geo, jt, jr, p, r2).value
+    om1 = sym.symplectic_form(geo, jt, jr, p, r1)
+    om2 = sym.symplectic_form(geo, jt, jr, p, r2)
     div12 = sym.conservation_residual(geo, jt, jr, p)
     div21 = sym.conservation_residual(geo, jr, jt, p)
     dens = Field(geo.grid, geo.vol.values * 0.5 * (div12.values - div21.values))
@@ -287,7 +287,7 @@ def test_self_pairing_vanishes_for_many_fields(pulsating):
     row = geo.grid.n_tau // 2
     for seed in range(100):
         phi = dfm.random_normal_components(geo.grid, geo.codim, seed=seed)
-        assert sym.symplectic_form(geo, phi, phi, p, row).value == 0.0
+        assert sym.symplectic_form(geo, phi, phi, p, row) == 0.0
 
 
 def test_masked_row_rejected(rotating, rotating_geo):
@@ -332,14 +332,14 @@ def test_omega_matches_full_grid_current(request, solution, geometry, families):
         for beta in (0.0, 0.3):
             p = dyn.ActionParams(1.0, beta)
             dens12, dens21 = (
-                Field(geo.grid, geo.vol.values * sym.bilinear_current(geo, a, b, p).j.values[..., 0])
+                Field(geo.grid, geo.vol.values * sym.bilinear_current(geo, a, b, p).values[..., 0])
                 for a, b in ((phi1, phi2), (phi2, phi1))
             )
             for row in (2, n_tau // 2, n_tau - 3):
                 reference = 0.5 * (
                     integrate_sigma_slice(dens12, row) - integrate_sigma_slice(dens21, row)
                 )
-                assert sym.symplectic_form(geo, phi1, phi2, p, row).value == reference
+                assert sym.symplectic_form(geo, phi1, phi2, p, row) == reference
 
 
 def test_omega_evaluates_current_on_one_row(pulsating_geo, jacobi_pair, monkeypatch):
@@ -371,11 +371,11 @@ def test_topological_term_shifts_current_not_form(spinning, spinning_geo):
     p0 = dyn.ActionParams(1.0, 0.0)
     p1 = dyn.ActionParams(1.0, 0.5)
     act = geo.mask.active
-    dens0 = masked_max_abs(sym.bilinear_current(geo, jt, js, p0).j.values, act)
-    dens1 = masked_max_abs(sym.bilinear_current(geo, jt, js, p1).j.values, act)
+    dens0 = masked_max_abs(sym.bilinear_current(geo, jt, js, p0).values, act)
+    dens1 = masked_max_abs(sym.bilinear_current(geo, jt, js, p1).values, act)
     assert dens1 >= 2.0 * dens0  # the density change is order one
-    om0 = sym.symplectic_form(geo, jt, js, p0, row).value
-    om1 = sym.symplectic_form(geo, jt, js, p1, row).value
+    om0 = sym.symplectic_form(geo, jt, js, p0, row)
+    om1 = sym.symplectic_form(geo, jt, js, p1, row)
     assert om0 == pytest.approx(-4 * np.pi, rel=1e-7)
     assert abs(om1 - om0) <= 1e-7 * abs(om0)  # the integral does not move
     raw0 = sym.raw_slice_integrals(geo, jt, js, p0, row)
@@ -390,8 +390,8 @@ def test_potential_variation_matches_current(pulsating_geo, jacobi_pair):
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
         pvc = sym.potential_variation_current(geo, jt, jr, p)
-        j12 = sym.bilinear_current(geo, jt, jr, p).j.values
-        j21 = sym.bilinear_current(geo, jr, jt, p).j.values
+        j12 = sym.bilinear_current(geo, jt, jr, p).values
+        j21 = sym.bilinear_current(geo, jr, jt, p).values
         target = geo.vol.values[..., None] * 0.5 * (j12 - j21)
         scale = max(masked_max_abs(target, inner), 1e-30)
         assert masked_max_abs(pvc.values - target, inner) / scale <= 1e-3
