@@ -190,7 +190,9 @@ def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: 
         "deform-check": (lambda v: _is_number(v) and lo <= v <= hi, f"a number in [{lo}, {hi}]"),
         "linearize": (lambda v: _is_number(v) and 0.0 < v <= MAX_DEFORM_EPS,
                       f"a number in (0, {MAX_DEFORM_EPS}]"),
-        "gauge-check": (_is_nonzero_number, "a nonzero number"),
+        # s + epsilon sin(s) is invertible exactly when |epsilon| < 1
+        "gauge-check": (lambda v: _is_nonzero_number(v) and abs(v) < 1,
+                        "a nonzero number with |epsilon| < 1"),
     }
     rules = {
         "beta": (_is_number, "a number"),
@@ -237,8 +239,6 @@ def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
     start = time.perf_counter()
     results, tolerances, passed = experiments.EXPERIMENTS[config.kind](config)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    if config.options.get("csv"):
-        _dump_csv(config)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config.resolved(),
@@ -247,34 +247,6 @@ def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
         "pass": bool(passed),
         "timings_ms": {"experiment": elapsed_ms} if with_timings else None,
     }
-
-
-def _dump_csv(config: ExperimentConfig) -> None:
-    """Per-point dump of the experiment's primary field over active points."""
-    from .dynamics import eom_residual
-
-    sol = make_solution(config.solution_name, config.solution_params)
-    grid = WorldsheetGrid(**config.grid_kwargs)
-    geo = sol.geometry(grid)
-    if config.kind == "eom":
-        f = eom_residual(geo, config.action_params)
-        name = "eom_residual"
-    else:
-        f = geo.einstein
-        name = "einstein"
-    vals = f.values
-    dims = vals.shape[2:]
-    headers = ["tau", "sigma"]
-    idx = [()] if not dims else list(np.ndindex(*dims))
-    headers += [name + "".join(f"[{i}]" for i in comp) for comp in idx]
-    tt, ss = grid.meshgrid()
-    lines = [",".join(headers)]
-    for it, isig in np.argwhere(geo.mask.active):
-        row = [repr(tt[it, isig]), repr(ss[it, isig])]
-        row += [repr(float(vals[(it, isig) + comp])) for comp in idx]
-        lines.append(",".join(row))
-    with open(config.options["csv"], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def serialize_report(report: dict) -> str:

@@ -46,6 +46,11 @@ from .grid import (
 
 MAX_DEFORM_EPS = 1e-2
 ORACLE_EPS_RANGE = (1e-6, 1e-3)
+# contraction order of gamma^{ad} R^e_{fgd} phi_e: phi into the Riemann tensor
+# first.  Stored, so no call searches for it.  numpy runs each pairwise step as
+# a batched matmul, which here beats both the unplanned einsum and two plain
+# pairwise einsums (the output index order makes those slow)
+_RIEMANN_PHI_PATH = ["einsum_path", (1, 2), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,9 @@ def vary_connection(geo: GeometryBundle, d: DeformationField) -> Field:
     tang = np.einsum("...ad,...gfd->...agf", gi, hh) + np.einsum("...ad,...fgd->...agf", gi, hh)
     riem = geo.riem.values
     phi_e = phi_low.values
-    tang = tang - np.einsum("...ad,...efgd,...e->...agf", gi, riem, phi_e)
-    tang = tang - np.einsum("...ad,...egfd,...e->...agf", gi, riem, phi_e)
+    path = _RIEMANN_PHI_PATH
+    tang = tang - np.einsum("...ad,...efgd,...e->...agf", gi, riem, phi_e, optimize=path)
+    tang = tang - np.einsum("...ad,...egfd,...e->...agf", gi, riem, phi_e, optimize=path)
     return Field(geo.grid, normal_part + 0.5 * tang, geo.conn.indices)
 
 

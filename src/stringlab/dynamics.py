@@ -18,6 +18,7 @@ so neither is derived from the other.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,15 @@ def eom_residual(geo: GeometryBundle, p: ActionParams) -> Field:
     On two-dimensional worldsheets the Einstein-tensor term sits at the
     discretization floor, making the residual beta-independent; the term is
     evaluated anyway (it is the general form, and its smallness is tested).
+
+    K^{ab i} is raised here, with the same arithmetic as the linearized
+    operator's coefficients, rather than taken from them: building those
+    also computes curvature gradients and Riemann slots, which the
+    geometries :func:`linearized_fd_oracle` rebuilds never use.
     """
-    c = operator_coefficients(geo)
+    k_upup = raise_index(geo, raise_index(geo, geo.K, 0), 1).values
     gb_term = 2.0 * p.gb_coupling * np.einsum(
-        "...ab,...abi->...i", geo.einstein.values, c.k_upup
+        "...ab,...abi->...i", geo.einstein.values, k_upup
     )
     return Field(geo.grid, p.tension * geo.K_mean.values + gb_term, (NORMAL,))
 
@@ -206,34 +212,50 @@ def _beta_terms_einsum(geo, c, phi_vals, gphi, ggphi, lap, include_mean: bool) -
 
     ``include_mean`` keeps the mean-curvature-proportional terms (present in
     the full linearization, dropped in the on-shell operator where they
-    vanish identically)."""
+    vanish identically).
+
+    Every contraction is pairwise: on the full grid one three- to
+    four-operand einsum costs several times its pairwise steps.  The terms
+    that end in K^{ab i} are summed into one x_ab first, and those that end
+    in K^i into one scalar."""
     gi = c.gi
     ph = phi_vals
-    out = 4 * np.einsum("...abi,...ce,...cbaej,...j->...i", c.k_upup, gi, c.ggk, ph)
-    out = out + 4 * np.einsum("...abi,...ce,...baej,...cj->...i", c.k_upup, gi, c.gk, gphi)
-    out = out + 4 * np.einsum("...abi,...ce,...caej,...bj->...i", c.k_upup, gi, c.gk, gphi)
-    out = out + 4 * np.einsum("...abi,...ce,...aej,...cbj->...i", c.k_upup, gi, c.k_low, ggphi)
-    out = out - 2 * np.einsum("...abi,...abj,...j->...i", c.k_upup, c.lap_k, ph)
-    out = out - 4 * np.einsum("...abi,...cabj,...ce,...ej->...i", c.k_upup, c.gk, gi, gphi)
+    # x_ab = 4 grad^e grad_b K_ae.phi + 4 grad_b K_ae.grad^e phi + 4 grad^c K_ac.grad_b phi
+    #        + 4 K_a^c.grad_c grad_b phi - 2 lap K_ab.phi - 4 grad_c K_ab.grad^c phi
+    #        [- 2 grad_b grad_a K.phi - 4 grad_a K.grad_b phi - 2 K.grad_b grad_a phi],
+    # the bracket only with include_mean
+    grad_up_e = np.einsum("...ce,...cj->...ej", gi, gphi)     # gamma^{ce} grad_c phi^j
+    grad_up_c = np.einsum("...ce,...ej->...cj", gi, gphi)     # gamma^{ce} grad_e phi^j
+    ggk_phi = np.einsum("...cbaej,...j->...cbae", c.ggk, ph)
+    div_a = np.einsum("...ce,...caej->...aj", gi, c.gk)       # gamma^{ce} grad_c K_ae^j
+    k_mixed = np.einsum("...ce,...aej->...acj", gi, c.k_low)  # K_a^{c j}
+    x = 4 * np.einsum("...ce,...cbae->...ab", gi, ggk_phi)
+    x = x + 4 * np.einsum("...baej,...ej->...ab", c.gk, grad_up_e)
+    x = x + 4 * np.einsum("...aj,...bj->...ab", div_a, gphi)
+    x = x + 4 * np.einsum("...acj,...cbj->...ab", k_mixed, ggphi)
+    x = x - 2 * np.einsum("...abj,...j->...ab", c.lap_k, ph)
+    x = x - 4 * np.einsum("...cabj,...cj->...ab", c.gk, grad_up_c)
+    if include_mean:
+        km = c.k_mean
+        x = x - 2 * np.einsum("...baj,...j->...ab", c.gg_kmean, ph)
+        x = x - 4 * np.einsum("...aj,...bj->...ab", c.g_kmean, gphi)
+        x = x - 2 * np.einsum("...j,...baj->...ab", km, ggphi)
+    out = np.einsum("...abi,...ab->...i", c.k_upup, x)
     out = out - 2 * np.einsum("...ij,...j->...i", c.kk, lap)
     out = out - 2 * c.scalar[..., None] * np.einsum("...ij,...j->...i", c.kk, ph)
     if not include_mean:
         return out
-    km = c.k_mean
-    out = out - 2 * np.einsum("...abi,...baj,...j->...i", c.k_upup, c.gg_kmean, ph)
-    out = out - 4 * np.einsum("...abi,...aj,...bj->...i", c.k_upup, c.g_kmean, gphi)
-    out = out - 2 * np.einsum("...abi,...j,...baj->...i", c.k_upup, km, ggphi)
     ric_k = np.einsum("...cd,...cdj->...j", geo.ricci.values, c.k_upup)
-    out = out + 2 * np.einsum("...j,...j,...i->...i", ric_k, ph, km)
-    out = out + 2 * np.einsum("...i,...j,...j->...i", km, c.lap_kmean, ph)
-    out = out + 4 * np.einsum("...i,...cd,...cj,...dj->...i", km, gi, c.g_kmean, gphi)
-    out = out + 2 * np.einsum("...i,...j,...j->...i", km, km, lap)
-    div_div_k = np.einsum("...gf,...ce,...cgfej->...j", gi, gi, c.ggk)
-    out = out - 2 * np.einsum("...i,...j,...j->...i", km, div_div_k, ph)
     div_k = np.einsum("...gf,...gfej->...ej", gi, c.gk)
-    out = out - 4 * np.einsum("...i,...ce,...ej,...cj->...i", km, gi, div_k, gphi)
-    out = out - 2 * np.einsum("...i,...cgj,...cgj->...i", km, c.k_upup, ggphi)
-    return out
+    div_div_k = np.einsum("...ce,...cej->...j", gi, np.einsum("...gf,...cgfej->...cej", gi, c.ggk))
+    s = 2 * np.einsum("...j,...j->...", ric_k, ph)
+    s = s + 2 * np.einsum("...j,...j->...", c.lap_kmean, ph)
+    s = s + 4 * np.einsum("...cj,...cj->...", c.g_kmean, grad_up_c)
+    s = s + 2 * np.einsum("...j,...j->...", km, lap)
+    s = s - 2 * np.einsum("...j,...j->...", div_div_k, ph)
+    s = s - 4 * np.einsum("...ej,...ej->...", div_k, grad_up_e)
+    s = s - 2 * np.einsum("...cgj,...cgj->...", c.k_upup, ggphi)
+    return out + km * s[..., None]
 
 
 def linearized_residual(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
@@ -274,16 +296,22 @@ def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
     gi = c.gi
     ph = phi.values
     _, ggphi, _ = _phi_derivatives(geo, phi)
-    g_up = np.einsum("...ac,...bd,...cd->...ab", gi, gi, geo.einstein.values)
+    # contracted pairwise, as in _beta_terms_einsum
+    g_up = np.einsum("...ac,...cb->...ab", gi,
+                     np.einsum("...cd,...bd->...cb", geo.einstein.values, gi))
     term = -np.einsum("...ab,...abi->...i", g_up, ggphi)
-    term = term + np.einsum("...ab,...adi,...de,...ebj,...j->...i", g_up, c.k_low, gi, c.k_low, ph)
-    term = term + np.einsum("...ab,...abij,...j->...i", g_up, c.m_slots, ph)
-    out = 2.0 * beta * term
-    k_mixed = np.einsum("...be,...edi->...bdi", gi, c.k_low)           # K^b_d^i
-    k_up2 = np.einsum("...ae,...df,...efj->...adj", gi, gi, c.k_low)   # K^{adj}
-    out = out - 8.0 * beta * np.einsum(
-        "...ab,...bdi,...adj,...j->...i", geo.einstein.values, k_mixed, k_up2, ph
+    k_phi = np.einsum("...ebj,...j->...eb", c.k_low, ph)             # K_eb^j phi_j
+    k_phi_mixed = np.einsum("...de,...eb->...db", gi, k_phi)         # K^d_b^j phi_j
+    term = term + np.einsum(
+        "...adi,...ad->...i", c.k_low, np.einsum("...ab,...db->...ad", g_up, k_phi_mixed)
     )
+    m_up = np.einsum("...ab,...abij->...ij", g_up, c.m_slots)
+    term = term + np.einsum("...ij,...j->...i", m_up, ph)
+    out = 2.0 * beta * term
+    k_mixed = np.einsum("...be,...edi->...bdi", gi, c.k_low)        # K^b_d^i
+    k_phi_up = np.einsum("...adj,...j->...ad", c.k_upup, ph)        # K^{adj} phi_j
+    g_k_phi = np.einsum("...ab,...ad->...bd", geo.einstein.values, k_phi_up)
+    out = out - 8.0 * beta * np.einsum("...bdi,...bd->...i", k_mixed, g_k_phi)
     return Field(geo.grid, out, (NORMAL,))
 
 
@@ -437,19 +465,26 @@ def stability_operator_apply(geo: GeometryBundle, phi: Field, p: ActionParams) -
 
 
 def linearized_fd_oracle(
-    geo: GeometryBundle, phi: Field, p: ActionParams, eps: float = 1e-4
-) -> Field:
-    """Central difference of the equations-of-motion residual along a normal
-    deformation, rebuilding the geometry from scratch on both sides.
+    geo: GeometryBundle, phi: Field, params: Sequence[ActionParams], eps: float = 1e-4
+) -> list[Field]:
+    """Central differences of the equations-of-motion residual along a normal
+    deformation, one Field per entry of ``params``, in order.
 
-    Around on-shell geometries this independently checks the linearized
-    operator: frame-adjustment terms are proportional to the residual
-    itself and drop out at this order.
+    The displaced geometries do not depend on the couplings, so the geometry
+    is rebuilt from scratch once on each side (+/- eps) and every entry is
+    differenced on that one pair.  Around on-shell geometries this
+    independently checks the linearized operator: frame-adjustment terms are
+    proportional to the residual itself and drop out at this order.
     """
     _check_normal_field(geo, phi)
     d = DeformationField.normal_only(phi)
-    res = []
-    for sgn in (+1.0, -1.0):
-        geo2 = build_geometry(deform_embedding(geo, d, sgn * eps))
-        res.append(eom_residual(geo2, p).values)
-    return Field(geo.grid, (res[0] - res[1]) / (2.0 * eps), (NORMAL,))
+    plus = build_geometry(deform_embedding(geo, d, +eps))
+    minus = build_geometry(deform_embedding(geo, d, -eps))
+    return [
+        Field(
+            geo.grid,
+            (eom_residual(plus, p).values - eom_residual(minus, p).values) / (2.0 * eps),
+            (NORMAL,),
+        )
+        for p in params
+    ]

@@ -55,7 +55,27 @@ def run_geometry(config) -> tuple[dict, dict, bool]:
         results["max_abs_einstein"] <= tol["max_abs_einstein"]
         and results["gauss_relation_gap"] <= tol["gauss_relation_gap"]
     )
+    if config.options.get("csv"):
+        _dump_csv(config.options["csv"], geo, geo.einstein, "einstein")
     return results, tol, passed
+
+
+def _dump_csv(path: str, geo, f: Field, name: str) -> None:
+    """Write ``f`` at the active points of ``geo``, one row per point:
+    tau, sigma and every component, named ``name[i]...``."""
+    vals = f.values
+    dims = vals.shape[2:]
+    headers = ["tau", "sigma"]
+    idx = [()] if not dims else list(np.ndindex(*dims))
+    headers += [name + "".join(f"[{i}]" for i in comp) for comp in idx]
+    tt, ss = geo.grid.meshgrid()
+    lines = [",".join(headers)]
+    for it, isig in np.argwhere(geo.mask.active):
+        row = [repr(tt[it, isig]), repr(ss[it, isig])]
+        row += [repr(float(vals[(it, isig) + comp])) for comp in idx]
+        lines.append(",".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_deform_check(config) -> tuple[dict, dict, bool]:
@@ -111,6 +131,9 @@ def run_eom(config) -> tuple[dict, dict, bool]:
                "beta_spread": spread}
     tol = {"max_residual": 5e-5 * tension, "beta_spread": 1e-6}
     passed = results["max_residual"] <= tol["max_residual"] and spread <= tol["beta_spread"]
+    if config.options.get("csv"):
+        _dump_csv(config.options["csv"], geo, dyn.eom_residual(geo, config.action_params),
+                 "eom_residual")
     return results, tol, passed
 
 
@@ -125,10 +148,10 @@ def run_linearize(config) -> tuple[dict, dict, bool]:
     d = dfm.DeformationField.normal_only(phi)
     results: dict = {"fd_match": {}, "evaluator_agreement": {}, "einstein_blocks": {},
                      "potential_agreement": {}}
-    for beta in betas:
-        p = dyn.ActionParams(tension, float(beta))
+    params = [dyn.ActionParams(tension, float(beta)) for beta in betas]
+    fds = dyn.linearized_fd_oracle(geo, phi, params, eps=eps)
+    for beta, p, fd in zip(betas, params, fds):
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
-        fd = dyn.linearized_fd_oracle(geo, phi, p, eps=eps)
         rel_fd = masked_max_abs(string_form.values - fd.values, interior) / scale
         full = dyn.linearized_residual(geo, phi, p)
         blocks = dyn.einstein_block(geo, phi, p)

@@ -127,24 +127,27 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
 
     Used before feeding fields with masked singular points into the sigma
     spectral stencil, so pole values cannot poison the transform.  Rows with
-    no active point are left untouched.
+    no active point are left untouched; in a row with one active point every
+    masked point takes its value.  All masked points are filled in one
+    gather, with the same per-element arithmetic as a point-by-point loop.
     """
     if active.all():
         return values
     nt, ns = active.shape
     out = values.copy()
     flat = out.reshape(nt, ns, -1)
-    for t in range(nt):
-        row_act = active[t]
-        if row_act.all() or not row_act.any():
-            continue
-        idx = np.nonzero(row_act)[0]
-        for s in np.nonzero(~row_act)[0]:
-            right = idx[np.searchsorted(idx, s) % len(idx)]
-            left = idx[np.searchsorted(idx, s) - 1]
-            span = (right - left) % ns
-            wl = ((right - s) % ns) / span if span else 0.5
-            flat[t, s] = wl * flat[t, left] + (1.0 - wl) * flat[t, right]
+    cols = np.arange(ns)
+    # nearest active column at or before / at or after each point; -1 / ns if none
+    before = np.maximum.accumulate(np.where(active, cols, -1), axis=1)
+    after = np.minimum.accumulate(np.where(active, cols, ns)[:, ::-1], axis=1)[:, ::-1]
+    t, s = np.nonzero(~active & active.any(axis=1)[:, None])
+    # wrapping: before the row's first active column comes its last one
+    left = np.where(before[t, s] >= 0, before[t, s], before[t, -1])
+    right = np.where(after[t, s] < ns, after[t, s], after[t, 0])
+    span = (right - left) % ns
+    with np.errstate(divide="ignore", invalid="ignore"):  # span 0: one active point
+        wl = np.where(span > 0, ((right - s) % ns) / span, 0.5)[:, None]
+    flat[t, s] = wl * flat[t, left] + (1.0 - wl) * flat[t, right]
     return out
 
 
@@ -158,6 +161,12 @@ def _masked_field_derivatives(f: Field, active: np.ndarray) -> tuple[np.ndarray,
 
 # ---------------------------------------------------------------------------
 # normal frame
+
+
+def _tangent_part(gamma_inv, e, eb_dot_v):
+    """e_a^mu gamma^{ab} (e_b . v), contracted pairwise: one three-operand
+    einsum over the grid costs several times the two steps."""
+    return np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, eb_dot_v), e)
 
 
 def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL):
@@ -177,8 +186,7 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL)
             v = np.zeros((nt, ns, dim))
             v[..., s] = 1.0
             # remove the tangent span: v -= e_a gamma^{ab} (e_b . v)
-            eb_dot_v = e_low[..., :, s]
-            v = v - np.einsum("...ab,...b,...am->...m", gamma_inv, eb_dot_v, e)
+            v = v - _tangent_part(gamma_inv, e, e_low[..., :, s])
             # remove previously accepted normals (orthonormal, so no inverse)
             for m in range(slot):
                 nm = normals[..., m, :]
@@ -200,8 +208,7 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL)
     # norm lose digits to cancellation, one refinement restores them
     for slot in range(k_needed):
         v = normals[..., slot, :]
-        eb_dot_v = np.einsum("...am,...m->...a", e_low, v)
-        v = v - np.einsum("...ab,...b,...am->...m", gamma_inv, eb_dot_v, e)
+        v = v - _tangent_part(gamma_inv, e, np.einsum("...am,...m->...a", e_low, v))
         for m in range(slot):
             nm = normals[..., m, :]
             nm_low = np.einsum("...mn,...n->...m", g, nm)

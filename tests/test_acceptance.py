@@ -138,10 +138,10 @@ def test_criterion_05_linearization_consistency(pulsating_geo):
     inner = interior(geo)
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
     worst = 0.0
-    for beta in (0.0, 0.3):
-        p = dyn.ActionParams(1.0, beta)
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.3)]
+    fds = dyn.linearized_fd_oracle(geo, phi, params, eps=1e-4)
+    for p, fd in zip(params, fds):
         lin, scale = dyn.linearized_residual_string(geo, phi, p)
-        fd = dyn.linearized_fd_oracle(geo, phi, p, eps=1e-4)
         worst = max(worst, masked_max_abs(lin.values - fd.values, inner) / scale)
     ok = worst <= 1e-4
     assert _verdict(5, ok, f"finite-differenced EOM vs evaluator={worst:.2e} (<=1e-4, beta in {{0, 0.3}})")

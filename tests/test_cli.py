@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stringlab import cli, experiments, symplectic
+from stringlab import cli, dynamics, experiments, solutions, symplectic
 from stringlab.dynamics import ActionParams
+from stringlab.geometry import build_geometry
 
 BASE = {
     "schema_version": 1,
@@ -122,6 +123,8 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("gauge-check", {"epsilon": 0.0}),
         ("deform-check", {"seeds": [0, -1]}),
         ("convergence", {"levels": [5, 7]}),
+        ("gauge-check", {"epsilon": 1.5}),
+        ("gauge-check", {"epsilon": -1.0}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -226,6 +229,39 @@ def test_csv_dump(tmp_path):
     assert header[:2] == ["tau", "sigma"]
     assert header[2:] == ["eom_residual[0]", "eom_residual[1]"]
     assert len(lines) == 1 + 65 * 32
+
+
+def _count_builds(monkeypatch, *modules):
+    """Count build_geometry calls made through the given modules."""
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_geometry(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_geometry", counting_build)
+    return calls
+
+
+def test_csv_dump_reuses_the_experiment_geometry(tmp_path, monkeypatch):
+    csv_path = tmp_path / "dump.csv"
+    path = write_config(tmp_path, kind="eom", options={"csv": str(csv_path)})
+    calls = _count_builds(monkeypatch, solutions)
+    assert cli.main(["run", "--config", path]) == 0
+    assert len(calls) == 1
+    assert csv_path.read_text().startswith("tau,sigma,eom_residual[0],eom_residual[1]\n")
+
+
+def test_linearize_builds_one_displaced_pair(monkeypatch):
+    calls = _count_builds(monkeypatch, solutions, dynamics)
+    config = cli.ExperimentConfig(
+        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
+        ActionParams(1.0, 0.0), "linearize", {"betas": [0, 0.3, 1]},
+    )
+    results, _, _ = experiments.run_linearize(config)
+    assert len(calls) == 3
+    assert list(results["fd_match"]) == ["beta=0", "beta=0.3", "beta=1"]
 
 
 def test_list_solutions(capsys):

@@ -113,11 +113,34 @@ def test_linearization_matches_fd(pulsating_geo):
     geo = pulsating_geo
     inner = interior(geo)
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
-    for beta in (0.0, 0.3):
-        p = dyn.ActionParams(1.0, beta)
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.3)]
+    fds = dyn.linearized_fd_oracle(geo, phi, params, eps=1e-4)
+    for p, fd in zip(params, fds):
         lin, scale = dyn.linearized_residual_string(geo, phi, p)
-        fd = dyn.linearized_fd_oracle(geo, phi, p, eps=1e-4)
         assert masked_max_abs(lin.values - fd.values, inner) / scale <= 1e-4
+
+
+def test_fd_oracle_list_matches_single_calls(pulsating_geo):
+    geo = pulsating_geo
+    phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
+    p0, p1 = dyn.ActionParams(1.0, 0.0), dyn.ActionParams(1.0, 0.3)
+    both = dyn.linearized_fd_oracle(geo, phi, [p0, p1])
+    singles = dyn.linearized_fd_oracle(geo, phi, [p0]) + dyn.linearized_fd_oracle(geo, phi, [p1])
+    assert len(both) == 2
+    for pair, single in zip(both, singles):
+        assert np.array_equal(pair.values, single.values)
+
+
+def test_eom_residual_builds_no_operator_coefficients(pulsating_geo):
+    geo = build_geometry(pulsating_geo.embedding)
+    p = dyn.ActionParams(1.0, 0.3)
+    res = dyn.eom_residual(geo, p)
+    assert "linearized_coeffs" not in geo.cache
+    # the same K^{ab i} as the operator's coefficients: identical residual
+    c = dyn.operator_coefficients(geo)
+    gb_term = np.einsum("...ab,...abi->...i", geo.einstein.values, c.k_upup)
+    expected = 1.0 * geo.K_mean.values + 2.0 * 0.3 * gb_term
+    assert np.array_equal(res.values, expected)
 
 
 def test_tension_only_reduces_to_jacobi_operator(pulsating_geo):

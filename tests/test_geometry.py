@@ -8,6 +8,7 @@ from stringlab.geometry import (
     GeometryError,
     build_geometry,
     covariant_gradient,
+    fill_masked_along_sigma,
     gauss_scalar_curvature,
     normal_gradient,
     normal_laplacian,
@@ -137,6 +138,45 @@ def test_rotating_fold_masking(rotating_geo):
     assert not (geo.detected & geo.embedding.mask.active & geo.mask.active).any()
     assert not geo.mask.active[:, 0].any()
     assert not geo.mask.active[:, half].any()
+
+
+def _fill_masked_reference(values, active):
+    """Point-by-point form of fill_masked_along_sigma: the reference."""
+    if active.all():
+        return values
+    nt, ns = active.shape
+    out = values.copy()
+    flat = out.reshape(nt, ns, -1)
+    for t in range(nt):
+        row_act = active[t]
+        if row_act.all() or not row_act.any():
+            continue
+        idx = np.nonzero(row_act)[0]
+        for s in np.nonzero(~row_act)[0]:
+            right = idx[np.searchsorted(idx, s) % len(idx)]
+            left = idx[np.searchsorted(idx, s) - 1]
+            span = (right - left) % ns
+            wl = ((right - s) % ns) / span if span else 0.5
+            flat[t, s] = wl * flat[t, left] + (1.0 - wl) * flat[t, right]
+    return out
+
+
+@pytest.mark.parametrize("seed,masked_share", [(0, 0.2), (1, 0.5), (2, 0.8)])
+def test_fill_masked_matches_pointwise_reference(seed, masked_share):
+    rng = np.random.default_rng(seed)
+    nt, ns = 12, 16
+    active = rng.random((nt, ns)) >= masked_share
+    active[0] = True                       # fully active row
+    active[1] = False                      # no active point
+    active[2] = False
+    active[2, 5] = True                    # one active point
+    active[3] = True
+    active[3, [0, 1, ns - 2, ns - 1]] = False  # gap wrapping through sigma = 0
+    values = rng.normal(size=(nt, ns, 2, 3))
+    filled = fill_masked_along_sigma(values, active)
+    assert np.array_equal(filled, _fill_masked_reference(values, active))
+    assert np.array_equal(filled[active], values[active])
+    assert np.array_equal(filled[2], np.broadcast_to(values[2, 5], (ns, 2, 3)))
 
 
 def test_rotating_analytic_geometry(rotating_geo):
