@@ -46,11 +46,6 @@ from .grid import (
 
 MAX_DEFORM_EPS = 1e-2
 ORACLE_EPS_RANGE = (1e-6, 1e-3)
-# contraction order of gamma^{ad} R^e_{fgd} phi_e: phi into the Riemann tensor
-# first.  Stored, so no call searches for it.  numpy runs each pairwise step as
-# a batched matmul, which here beats both the unplanned einsum and two plain
-# pairwise einsums (the output index order makes those slow)
-_RIEMANN_PHI_PATH = ["einsum_path", (1, 2), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -150,9 +145,8 @@ def vary_connection(geo: GeometryBundle, d: DeformationField) -> Field:
     tang = np.einsum("...ad,...gfd->...agf", gi, hh) + np.einsum("...ad,...fgd->...agf", gi, hh)
     riem = geo.riem.values
     phi_e = phi_low.values
-    path = _RIEMANN_PHI_PATH
-    tang = tang - np.einsum("...ad,...efgd,...e->...agf", gi, riem, phi_e, optimize=path)
-    tang = tang - np.einsum("...ad,...egfd,...e->...agf", gi, riem, phi_e, optimize=path)
+    tang = tang - np.einsum("...ad,...efgd,...e->...agf", gi, riem, phi_e)
+    tang = tang - np.einsum("...ad,...egfd,...e->...agf", gi, riem, phi_e)
     return Field(geo.grid, normal_part + 0.5 * tang, geo.conn.indices)
 
 
@@ -210,10 +204,14 @@ def fd_oracle(geo: GeometryBundle, d: DeformationField, eps: float = 1e-4) -> di
 
 def _random_scalar(grid: WorldsheetGrid, rng) -> np.ndarray:
     """Band-limited random scalar: sigma modes <= n_sigma // 4, polynomial
-    of degree 3 in the rescaled tau coordinate."""
-    tt, ss = grid.meshgrid()
+    of degree 3 in the rescaled tau coordinate.
+
+    The trig factors are evaluated on the sigma axis and the polynomial on a
+    tau column, then broadcast: the same per-element arithmetic, in the same
+    order, as evaluating both on the full meshgrid."""
+    ss = grid.sigma
     span = grid.tau_max - grid.tau_min
-    that = 2.0 * (tt - grid.tau_min) / span - 1.0
+    that = (2.0 * (grid.tau - grid.tau_min) / span - 1.0)[:, None]
     vals = np.zeros(grid.shape)
     for m in range(4):
         poly = that**m

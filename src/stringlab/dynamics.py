@@ -278,7 +278,8 @@ def linearized_residual(geo: GeometryBundle, phi: Field, p: ActionParams) -> Fie
         out = out + p.gb_coupling * _beta_terms_einsum(
             geo, c, ph, gphi, ggphi, lap, include_mean=True
         )
-    return Field(geo.grid, out + einstein_block(geo, phi, p).values, (NORMAL,))
+        out = out + _einstein_block(geo, c, ph, ggphi, p.gb_coupling)
+    return Field(geo.grid, out, (NORMAL,))
 
 
 def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
@@ -289,13 +290,17 @@ def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
     - 8 beta K^b_d^i K^{adj} phi_j G_ab
     """
     _check_normal_field(geo, phi)
-    beta = p.gb_coupling
-    if beta == 0.0:
-        return Field(geo.grid, np.zeros(phi.values.shape), (NORMAL,))
-    c = operator_coefficients(geo)
+    if p.gb_coupling == 0.0:
+        return Field(geo.grid, np.zeros_like(phi.values), (NORMAL,))
+    ggphi = covariant_gradient(geo, normal_gradient(geo, phi)).values
+    out = _einstein_block(geo, operator_coefficients(geo), phi.values, ggphi, p.gb_coupling)
+    return Field(geo.grid, out, (NORMAL,))
+
+
+def _einstein_block(geo, c, ph, ggphi, beta: float) -> np.ndarray:
+    """Values of :func:`einstein_block` from grad grad phi (outer derivative
+    first), which :func:`linearized_residual` has already computed."""
     gi = c.gi
-    ph = phi.values
-    _, ggphi, _ = _phi_derivatives(geo, phi)
     # contracted pairwise, as in _beta_terms_einsum
     g_up = np.einsum("...ac,...cb->...ab", gi,
                      np.einsum("...cd,...bd->...cb", geo.einstein.values, gi))
@@ -311,8 +316,7 @@ def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
     k_mixed = np.einsum("...be,...edi->...bdi", gi, c.k_low)        # K^b_d^i
     k_phi_up = np.einsum("...adj,...j->...ad", c.k_upup, ph)        # K^{adj} phi_j
     g_k_phi = np.einsum("...ab,...ad->...bd", geo.einstein.values, k_phi_up)
-    out = out - 8.0 * beta * np.einsum("...bdi,...bd->...i", k_mixed, g_k_phi)
-    return Field(geo.grid, out, (NORMAL,))
+    return out - 8.0 * beta * np.einsum("...bdi,...bd->...i", k_mixed, g_k_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +349,12 @@ def linearized_residual_string(
         s * np.einsum("...ij,...j->...i", c.m_traced, ph),
     ]
     if b != 0.0:
-        sh = ph.shape
-        t_ggk = np.zeros(sh)       # K^{ab} grad grad K contracted against phi
-        t_gk_c = np.zeros(sh)      # K^{ab} grad_b K_a^c . grad_c phi
-        t_gk_b = np.zeros(sh)      # K^{ab} grad_c K_a^c . grad_b phi
-        t_k_ggphi = np.zeros(sh)   # K^{ab} K_a^c . grad_c grad_b phi
-        t_lapk = np.zeros(sh)
-        t_gk_up = np.zeros(sh)     # K^{ab} grad_c K_ab . grad^c phi
+        t_ggk = np.zeros_like(ph)       # K^{ab} grad grad K contracted against phi
+        t_gk_c = np.zeros_like(ph)      # K^{ab} grad_b K_a^c . grad_c phi
+        t_gk_b = np.zeros_like(ph)      # K^{ab} grad_c K_a^c . grad_b phi
+        t_k_ggphi = np.zeros_like(ph)   # K^{ab} K_a^c . grad_c grad_b phi
+        t_lapk = np.zeros_like(ph)
+        t_gk_up = np.zeros_like(ph)     # K^{ab} grad_c K_ab . grad^c phi
         for a in range(2):
             for bb in range(2):
                 kab = c.k_upup[..., a, bb, :]
@@ -376,16 +379,16 @@ def linearized_residual_string(
         ]
 
         km = c.k_mean
-        t_ggkm = np.zeros(sh)
-        t_gkm = np.zeros(sh)
-        t_km_ggphi = np.zeros(sh)
+        t_ggkm = np.zeros_like(ph)
+        t_gkm = np.zeros_like(ph)
+        t_km_ggphi = np.zeros_like(ph)
         for a in range(2):
             for bb in range(2):
                 kab = c.k_upup[..., a, bb, :]
                 t_ggkm += kab * dotj(c.gg_kmean[..., bb, a, :], ph)[..., None]
                 t_gkm += kab * dotj(c.g_kmean[..., a, :], gphi[..., bb, :])[..., None]
                 t_km_ggphi += kab * dotj(km, ggphi[..., bb, a, :])[..., None]
-        rk = np.zeros(sh)
+        rk = np.zeros_like(ph)
         for cc in range(2):
             for dd in range(2):
                 rk += _ricci_up_component(geo, cc, dd)[..., None] * c.k_low[..., cc, dd, :]
@@ -393,8 +396,8 @@ def linearized_residual_string(
         for cc in range(2):
             for dd in range(2):
                 grad_pair += gi[..., cc, dd] * dotj(c.g_kmean[..., cc, :], gphi[..., dd, :])
-        div_k = np.zeros(gphi.shape)       # (grad_g K^{g c j}) held at slot c
-        divdiv_j = np.zeros(sh)
+        div_k = np.zeros_like(gphi)       # (grad_g K^{g c j}) held at slot c
+        divdiv_j = np.zeros_like(ph)
         for cc in range(2):
             for g1 in range(2):
                 for f1 in range(2):
@@ -422,7 +425,7 @@ def linearized_residual_string(
             -2 * b * km * t_kup_ggphi[..., None],
         ]
 
-    total = np.zeros(ph.shape)
+    total = np.zeros_like(ph)
     for t in terms:
         total = total + t
     scale = max(masked_max_abs(t, geo.mask.active) for t in terms)

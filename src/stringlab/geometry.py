@@ -45,7 +45,10 @@ from .grid import (
     WorldsheetGrid,
     d_sigma,
     d_tau,
+    grid_full,
+    grid_innermost,
     masked_max_abs,
+    stack_index,
 )
 
 DEGENERACY_TOL = 1e-10
@@ -92,6 +95,7 @@ class GeometryBundle:
     background: BackgroundSpacetime
     mask: Mask                 # declared mask intersected with detected degeneracies
     detected: np.ndarray       # points auto-masked by the degeneracy scan
+    # arrays that are not Fields follow the Field storage rule (grid axes innermost)
     g: np.ndarray              # background metric along the embedding (nt, ns, N, N)
     e: Field                   # tangents e_a^mu, indices (a, mu)
     e_low: np.ndarray          # g_{mu nu} e_a^nu
@@ -134,8 +138,7 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
     if active.all():
         return values
     nt, ns = active.shape
-    out = values.copy()
-    flat = out.reshape(nt, ns, -1)
+    out = values.copy(order="K")
     cols = np.arange(ns)
     # nearest active column at or before / at or after each point; -1 / ns if none
     before = np.maximum.accumulate(np.where(active, cols, -1), axis=1)
@@ -146,8 +149,9 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
     right = np.where(after[t, s] < ns, after[t, s], after[t, 0])
     span = (right - left) % ns
     with np.errstate(divide="ignore", invalid="ignore"):  # span 0: one active point
-        wl = np.where(span > 0, ((right - s) % ns) / span, 0.5)[:, None]
-    flat[t, s] = wl * flat[t, left] + (1.0 - wl) * flat[t, right]
+        wl = np.where(span > 0, ((right - s) % ns) / span, 0.5)
+    wl = wl.reshape(wl.shape + (1,) * (values.ndim - 2))
+    out[t, s] = wl * out[t, left] + (1.0 - wl) * out[t, right]
     return out
 
 
@@ -176,14 +180,14 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL)
     """
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
     k_needed = dim - 2
-    normals = np.full((nt, ns, k_needed, dim), np.nan)
+    normals = grid_full((nt, ns, k_needed, dim), np.nan)
     for slot in range(k_needed):
         filled = np.zeros((nt, ns), dtype=bool)
         for s in range(dim):
             todo = ~filled
             if not todo.any():
                 break
-            v = np.zeros((nt, ns, dim))
+            v = grid_full((nt, ns, dim), 0.0)
             v[..., s] = 1.0
             # remove the tangent span: v -= e_a gamma^{ab} (e_b . v)
             v = v - _tangent_part(gamma_inv, e, e_low[..., :, s])
@@ -297,8 +301,8 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     dx_t = d_tau(x)
     dx_s = d_sigma(x)
     _require_periodic_chart(x, dx_s)
-    e_vals = np.stack([dx_t.values, dx_s.values], axis=2)  # (nt, ns, 2, N)
-    g = bg.metric_at(x.values)
+    e_vals = stack_index([dx_t.values, dx_s.values])  # (nt, ns, 2, N)
+    g = grid_innermost(bg.metric_at(x.values))
     e_low = np.einsum("...mn,...an->...am", g, e_vals)
     gamma = np.einsum("...am,...bm->...ab", e_vals, e_low)
     det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
@@ -337,12 +341,13 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         normals = np.asarray(frame, dtype=float)
         if normals.shape != (nt, ns, dim - 2, dim):
             raise GeometryError(f"frame override has shape {normals.shape}")
+        normals = grid_innermost(normals)
     else:
         normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active)
     n_low = np.einsum("...mn,...in->...im", g, normals)
 
     # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized
-    dd = np.empty((nt, ns, 2, 2, dim))
+    dd = grid_full((nt, ns, 2, 2, dim), 0.0)
     dd[..., 0, 0, :] = d_tau(dx_t).values
     dd[..., 0, 1, :] = d_sigma(dx_t).values
     dd[..., 1, 0, :] = d_tau(dx_s).values
@@ -357,7 +362,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
 
     # determinant-weighted Christoffel: Gamma^a_{bc} = P^a_{bc} / (-det)
     gamma_f = Field(grid, gamma, (WORLDSHEET_LOWER, WORLDSHEET_LOWER))
-    dgam = np.stack([d_tau(gamma_f).values, d_sigma(gamma_f).values], axis=2)  # (..., c, a, b)
+    dgam = stack_index([d_tau(gamma_f).values, d_sigma(gamma_f).values])  # (..., c, a, b)
     sym = (
         np.einsum("...bdc->...dbc", dgam)      # d_b gamma_dc
         + np.einsum("...cdb->...dbc", dgam)    # d_c gamma_db
@@ -370,9 +375,9 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     # Riemann from the weighted Christoffel; every stencil below acts on the
     # smooth numerator fields, divisions stay pointwise
     p_f = Field(grid, p_num, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER))
-    dp = np.stack([d_tau(p_f).values, d_sigma(p_f).values], axis=2)  # (..., e, a, b, c)
+    dp = stack_index([d_tau(p_f).values, d_sigma(p_f).values])  # (..., e, a, b, c)
     d_f = Field(grid, d)
-    dd_det = np.stack([d_tau(d_f).values, d_sigma(d_f).values], axis=2)  # (..., e)
+    dd_det = stack_index([d_tau(d_f).values, d_sigma(d_f).values])  # (..., e)
     num = (
         np.einsum("...cadb,...->...abcd", dp, d)
         - np.einsum("...adb,...c->...abcd", p_num, dd_det)
@@ -391,11 +396,11 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     # normal-bundle connection omega_a^{ij} = g(n^i, D_a n^j), antisymmetrized
     k_codim = dim - 2
     if k_codim == 1:
-        omega = np.zeros((nt, ns, 2, 1, 1))
+        omega = grid_full((nt, ns, 2, 1, 1), 0.0)
     else:
         n_f = Field(grid, normals, (NORMAL, SPACETIME))
         dn_t, dn_s = _masked_field_derivatives(n_f, active)
-        dn = np.stack([dn_t, dn_s], axis=2)  # (nt, ns, a, j, mu)
+        dn = stack_index([dn_t, dn_s])  # (nt, ns, a, j, mu)
         if not bg.flat:
             dn = dn + np.einsum("...mnl,...an,...jl->...ajm", gamma_bg, e_vals, normals)
         omega = np.einsum("...im,...ajm->...aij", n_low, dn)
@@ -454,13 +459,25 @@ def _validate_bundle(geo: GeometryBundle, tol: float = 1e-10) -> None:
 # index algebra and covariant derivatives
 
 
+# letters for the index axes a contraction leaves alone; upper case, so they
+# cannot meet the lower-case subscripts of the connections
+_SPECTATORS = "BCDEFG"
+
+
+def _subscripts(n_axes: int, pos: int, letter: str) -> str:
+    """einsum subscripts of ``n_axes`` index axes, ``letter`` at ``pos``."""
+    idx = _SPECTATORS[:n_axes]
+    return idx[:pos] + letter + idx[pos + 1:]
+
+
 def _contract_axis(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """Contract matrix[..., x, y] with values along ``axis`` (as index y)."""
-    moved = np.moveaxis(values, axis, 2)
-    rest = moved.shape[3:]
-    flat = moved.reshape(moved.shape[:3] + (-1,))
-    out = np.einsum("...xy,...yr->...xr", matrix, flat)
-    return np.moveaxis(out.reshape(out.shape[:3] + rest), 2, axis)
+    """Contract matrix[..., x, y] with values along ``axis`` (as index y).
+
+    One einsum with the position spelled out: moving the axis and flattening
+    the rest would copy the component-major values back to points-first."""
+    n, pos = values.ndim - 2, axis - 2
+    src, dst = _subscripts(n, pos, "y"), _subscripts(n, pos, "x")
+    return np.einsum(f"...xy,...{src}->...{dst}", matrix, values)
 
 
 def raise_index(geo: GeometryBundle, f: Field, pos: int) -> Field:
@@ -488,26 +505,25 @@ def covariant_gradient(geo: GeometryBundle, f: Field) -> Field:
     the normal-bundle connection; the result on a field with indices
     (i1, ..., ik) carries indices (a, i1, ..., ik).
     """
-    grid = f.grid
-    nt, ns = grid.shape
-    out = np.stack([d_tau(f).values, d_sigma(f).values], axis=2)
+    out = stack_index([d_tau(f).values, d_sigma(f).values])
     conn = geo.conn.values
     omega = geo.normal_conn.values
+    n = len(f.indices)
     for pos, label in enumerate(f.indices):
         if label == SPACETIME:
             raise GridError("covariant_gradient does not support spacetime indices")
-        src = np.moveaxis(f.values, 2 + pos, 2)
-        rest = src.shape[3:]
-        flat = src.reshape(nt, ns, src.shape[2], -1)
+        # one einsum per index position, contracting it where it stands
         if label == WORLDSHEET_LOWER:
-            corr = -np.einsum("...eca,...er->...car", conn, flat)
+            src, dst = _subscripts(n, pos, "e"), _subscripts(n, pos, "a")
+            corr = -np.einsum(f"...eca,...{src}->...c{dst}", conn, f.values)
         elif label == WORLDSHEET_UPPER:
-            corr = np.einsum("...ace,...er->...car", conn, flat)
+            src, dst = _subscripts(n, pos, "e"), _subscripts(n, pos, "a")
+            corr = np.einsum(f"...ace,...{src}->...c{dst}", conn, f.values)
         elif label == NORMAL:
-            corr = np.einsum("...cij,...jr->...cir", omega, flat)
-        corr = corr.reshape((nt, ns, 2, flat.shape[2]) + rest)
-        out = out + np.moveaxis(corr, 3, 3 + pos)
-    return Field(grid, out, (WORLDSHEET_LOWER,) + f.indices)
+            src, dst = _subscripts(n, pos, "j"), _subscripts(n, pos, "i")
+            corr = np.einsum(f"...cij,...{src}->...c{dst}", omega, f.values)
+        out = out + corr
+    return Field(f.grid, out, (WORLDSHEET_LOWER,) + f.indices)
 
 
 def normal_gradient(geo: GeometryBundle, phi: Field) -> Field:

@@ -13,6 +13,18 @@ Index labels carried by a :class:`Field`:
     ``'A'``  worldsheet contravariant index (dimension 2)
     ``'i'``  normal-frame index (dimension = spacetime dim - 2)
     ``'mu'`` spacetime index (dimension = background dim)
+
+Storage rule: a field's values have shape ``(n_tau, n_sigma, *dims)``
+(points first, so subscripts read ``...ab`` and a component is
+``values[..., i]``), but they are stored component-major, with the two grid
+axes innermost in memory: each component is one contiguous
+(n_tau, n_sigma) block.  The index axes are 2 to 4 long; contractions over
+them ran 5 to 20 times faster with the long grid axes inner (129x32 grid,
+numpy 2.4).  Keeping the shape and changing only the strides leaves every
+subscript as it is; einsum and ufunc outputs keep the layout of their
+inputs, so it carries through the arithmetic.  :class:`Field` enforces the
+rule, and :func:`grid_innermost`, :func:`grid_full` and :func:`stack_index`
+apply it to arrays that are not fields.
 """
 
 from __future__ import annotations
@@ -129,12 +141,44 @@ class Mask:
         return bool(self.active[tau_index].all())
 
 
+def _is_grid_innermost(values: np.ndarray) -> bool:
+    item = values.itemsize
+    return values.strides[1] == item and values.strides[0] == values.shape[1] * item
+
+
+def grid_innermost(values: np.ndarray) -> np.ndarray:
+    """The same array, stored with the grid axes (0 and 1) innermost.
+
+    Copies only when the two grid axes are not already one contiguous
+    (n_tau, n_sigma) block per component."""
+    if _is_grid_innermost(values):
+        return values
+    moved = np.ascontiguousarray(np.moveaxis(values, (0, 1), (-2, -1)))
+    return np.moveaxis(moved, (-2, -1), (0, 1))
+
+
+def grid_full(shape: tuple[int, ...], fill_value: float) -> np.ndarray:
+    """``np.full(shape, fill_value)`` stored with the grid axes innermost."""
+    shape = tuple(shape)
+    return np.moveaxis(np.full(shape[2:] + shape[:2], fill_value), (-2, -1), (0, 1))
+
+
+def stack_index(arrays) -> np.ndarray:
+    """``np.stack(arrays, axis=2)`` (a new leading index axis) stored with
+    the grid axes innermost."""
+    out = np.stack([np.moveaxis(a, (0, 1), (-2, -1)) for a in arrays])
+    return np.moveaxis(out, (-2, -1), (0, 1))
+
+
 class Field:
     """Dense real tensor field on a grid with labelled indices.
 
     ``values`` has shape ``(n_tau, n_sigma, *dims)`` with one trailing axis
-    per entry of ``indices``.  Fields are immutable by convention: operations
-    return new instances and never write into their inputs.
+    per entry of ``indices``, and is stored component-major: the grid axes
+    are innermost in memory (see the module docstring).  The constructor
+    copies an array stored any other way.  Fields are immutable by
+    convention: operations return new instances and never write into their
+    inputs.
     """
 
     __slots__ = ("grid", "indices", "values")
@@ -159,7 +203,7 @@ class Field:
                 )
         self.grid = grid
         self.indices = indices
-        self.values = values
+        self.values = grid_innermost(values)
 
     @property
     def is_scalar(self) -> bool:
@@ -168,7 +212,7 @@ class Field:
     def check_finite(self, mask: Mask | None = None, name: str = "field") -> None:
         """Raise if any active point holds a non-finite value."""
         vals = self.values
-        finite = np.isfinite(vals).reshape(vals.shape[0], vals.shape[1], -1).all(axis=-1)
+        finite = np.isfinite(vals).all(axis=tuple(range(2, vals.ndim)))
         if mask is not None:
             finite = finite | ~mask.active
         if not finite.all():
@@ -193,12 +237,12 @@ def d_sigma(f: Field) -> Field:
     n = f.grid.n_sigma
     if f.values.shape[1] != n:
         raise GridError(f"sigma extent {f.values.shape[1]} does not match grid n_sigma={n}")
-    spec = np.fft.rfft(f.values, axis=1)
-    k = np.arange(spec.shape[1], dtype=np.float64)
+    # sigma last: the contiguous axis, and the output comes back component-major
+    spec = np.fft.rfft(np.moveaxis(f.values, (0, 1), (-2, -1)), axis=-1)
+    k = np.arange(spec.shape[-1], dtype=np.float64)
     k[-1] = 0.0
-    k = k.reshape((1, -1) + (1,) * (f.values.ndim - 2))
-    out = np.fft.irfft(spec * (1j * k), n=n, axis=1)
-    return Field(f.grid, out, f.indices)
+    out = np.fft.irfft(spec * (1j * k), n=n, axis=-1)
+    return Field(f.grid, np.moveaxis(out, (-2, -1), (0, 1)), f.indices)
 
 
 # 6-point one-sided stencils (5th order, exact through degree 5) for the two
@@ -209,7 +253,7 @@ _EDGE1 = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
 
 
 def fd4_axis0(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative along axis 0 of a (n, m) float64 array.
+    """Fourth-order first derivative along axis 0 of a float64 array.
 
     Central 5-point stencil in the interior, one-sided 6-point stencils on
     the first and last two rows.  Requires n >= 9 so the one-sided rows do
@@ -219,9 +263,16 @@ def fd4_axis0(values: np.ndarray, h: float) -> np.ndarray:
     n = v.shape[0]
     if n < 9:
         raise ValueError(f"fd4_axis0 needs at least 9 rows, got {n}")
-    out = np.empty_like(v)
+    out = np.empty_like(v)  # keeps the input's memory layout
     inv12h = 1.0 / (12.0 * h)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) * inv12h
+    # (v[:-4] - 8 v[1:-3] + 8 v[3:-1] - v[4:]) / 12h, accumulated in the
+    # output: full-size temporaries cost more than the arithmetic
+    acc = out[2:-2]
+    np.multiply(v[1:-3], 8.0, out=acc)
+    np.subtract(v[:-4], acc, out=acc)
+    acc += 8.0 * v[3:-1]
+    acc -= v[4:]
+    acc *= inv12h
     for row, coeff in ((0, _EDGE0), (1, _EDGE1)):
         c = coeff / h
         out[row] = sum(c[m] * v[m] for m in range(6))
@@ -238,8 +289,7 @@ def d_tau(f: Field) -> Field:
     g = f.grid
     if g.n_tau < 9:
         raise GridError(f"n_tau={g.n_tau} too small for the 4th-order tau stencil")
-    out = fd4_axis0(f.values.reshape(g.n_tau, -1), g.h_tau)
-    return Field(g, out.reshape(f.values.shape), f.indices)
+    return Field(g, fd4_axis0(f.values, g.h_tau), f.indices)
 
 
 def integrate_sigma_slice(f: Field, tau_index: int) -> float:
@@ -273,6 +323,6 @@ def integrate_patch(f: Field, mask: Mask) -> float:
 
 def masked_max_abs(values: np.ndarray, active: np.ndarray) -> float:
     """max |values| over active grid points (extra trailing axes allowed)."""
-    flat = np.abs(values.reshape(values.shape[0], values.shape[1], -1)).max(axis=-1)
-    sel = flat[active]
+    per_point = np.abs(values).max(axis=tuple(range(2, values.ndim)))
+    sel = per_point[active]
     return float(sel.max()) if sel.size else 0.0

@@ -11,6 +11,13 @@ from stringlab.solutions import (
 ACCEPTANCE_GRID = dict(n_tau=129, n_sigma=32, tau_min=0.1, tau_max=0.9)
 
 
+def grid_axes_innermost(values: np.ndarray) -> bool:
+    """True when each component of a (n_tau, n_sigma, *dims) array is one
+    contiguous (n_tau, n_sigma) block in memory: the Field storage rule."""
+    item = values.itemsize
+    return values.strides[1] == item and values.strides[0] == values.shape[1] * item
+
+
 def interior(geo, rows: int = 2) -> np.ndarray:
     act = geo.mask.active.copy()
     act[:rows] = False

@@ -197,3 +197,28 @@ def test_random_fields_are_deterministic_and_bandlimited(grid129):
     kmax = grid129.n_sigma // 4
     assert spec[:, kmax + 1:, :].max() <= 1e-12 * spec.max()
     assert np.abs(a.values).max() == pytest.approx(1.0)
+
+
+def _random_scalar_meshgrid(grid, rng):
+    """Full-meshgrid form of the band-limited random scalar: the reference."""
+    tt, ss = grid.meshgrid()
+    span = grid.tau_max - grid.tau_min
+    that = 2.0 * (tt - grid.tau_min) / span - 1.0
+    vals = np.zeros(grid.shape)
+    for m in range(4):
+        poly = that**m
+        for k in range(grid.n_sigma // 4 + 1):
+            amp = 1.0 / ((1.0 + k) * (1.0 + m))
+            a, b = rng.normal(size=2) * amp
+            vals += (a * np.cos(k * ss) + (b * np.sin(k * ss) if k else 0.0)) * poly
+    peak = np.abs(vals).max()
+    return vals / peak if peak > 0 else vals
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (33, 32), (129, 32), (129, 64), (257, 64)])
+def test_random_scalar_matches_meshgrid_reference(shape):
+    grid = WorldsheetGrid(shape[0], shape[1], 0.1, 0.9)
+    for seed in range(5):
+        fast = dfm._random_scalar(grid, np.random.default_rng(seed))
+        reference = _random_scalar_meshgrid(grid, np.random.default_rng(seed))
+        assert np.array_equal(fast, reference)

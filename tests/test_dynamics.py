@@ -109,6 +109,23 @@ def test_string_and_general_evaluators_agree(pulsating_geo):
         assert masked_max_abs(blocks.values, act) / scale <= 1e-6
 
 
+def test_einstein_block_equals_helper_fed_outer_ggphi(pulsating_geo, monkeypatch):
+    geo = pulsating_geo
+    phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
+    p = dyn.ActionParams(1.0, 0.3)
+    _, ggphi, _ = dyn._phi_derivatives(geo, phi)
+    helper = dyn._einstein_block(geo, dyn.operator_coefficients(geo), phi.values, ggphi, 0.3)
+    laplacians = []
+    real_laplacian = dyn.normal_laplacian
+    monkeypatch.setattr(
+        dyn, "normal_laplacian", lambda *a: laplacians.append(1) or real_laplacian(*a)
+    )
+    assert (dyn.einstein_block(geo, phi, p).values == helper).all()
+    assert laplacians == []  # the block takes no Laplacian of phi
+    dyn.linearized_residual(geo, phi, p)
+    assert laplacians == [1]  # and the full residual takes one, not two
+
+
 def test_linearization_matches_fd(pulsating_geo):
     geo = pulsating_geo
     inner = interior(geo)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import interior
+from conftest import grid_axes_innermost, interior
 from stringlab.background import minkowski
+from stringlab.dynamics import operator_coefficients
 from stringlab.geometry import (
     Embedding,
     GeometryError,
@@ -294,3 +297,25 @@ def test_covariant_gradient_metric_compatible(pulsating_geo):
 def test_frame_override_shape_checked(pulsating_geo):
     with pytest.raises(GeometryError):
         build_geometry(pulsating_geo.embedding, frame=np.zeros((4, 4, 2, 4)))
+
+
+@pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
+def test_geometry_arrays_are_stored_component_major(fixture, request):
+    """Every grid array of a bundle and of its operator coefficients keeps
+    the grid axes innermost: one stray points-first array would bring back
+    the slow contractions without failing any other test."""
+    geo = request.getfixturevalue(fixture)
+    arrays = {"embedding.x": geo.embedding.x.values}
+    for f in dataclasses.fields(geo):
+        value = getattr(geo, f.name)
+        arr = value.values if isinstance(value, Field) else value
+        if isinstance(arr, np.ndarray):
+            arrays[f.name] = arr
+    for name, arr in vars(operator_coefficients(geo)).items():
+        if isinstance(arr, np.ndarray):
+            arrays[f"coefficients.{name}"] = arr
+    assert len(arrays) >= 30
+    assert all(arr.shape[:2] == geo.grid.shape for arr in arrays.values())
+    assert [name for name, arr in arrays.items() if not grid_axes_innermost(arr)] == []
+    filled = fill_masked_along_sigma(geo.K.values, geo.mask.active)
+    assert grid_axes_innermost(filled)

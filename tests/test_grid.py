@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import grid_axes_innermost
 from stringlab.grid import (
     Field,
     GridError,
@@ -8,6 +9,8 @@ from stringlab.grid import (
     WorldsheetGrid,
     d_sigma,
     d_tau,
+    fd4_axis0,
+    grid_innermost,
     integrate_patch,
     integrate_sigma_slice,
 )
@@ -146,3 +149,39 @@ def test_mask_validation(grid):
     assert not m2.active[5, 31]
     assert not m2.active[5, 1]
     assert m2.active[5, 10]
+
+
+def test_field_stores_values_component_major(grid):
+    c_order = np.random.default_rng(0).normal(size=grid.shape + (2, 3))
+    f = Field(grid, c_order, ("a", "i"))
+    assert not grid_axes_innermost(c_order)
+    assert grid_axes_innermost(f.values)
+    assert f.values.shape == c_order.shape
+    assert np.array_equal(f.values, c_order)
+    # values already stored that way are kept, not copied
+    assert Field(grid, f.values, f.indices).values is f.values
+    scalar = np.ones(grid.shape)
+    assert Field(grid, scalar).values is scalar
+
+
+def test_derivatives_do_not_depend_on_input_layout(grid):
+    c_order = np.random.default_rng(1).normal(size=grid.shape + (2, 3))
+    comp_major = grid_innermost(c_order)
+    assert grid_axes_innermost(comp_major) and np.array_equal(comp_major, c_order)
+    for op in (d_tau, d_sigma):
+        from_c = op(Field(grid, c_order, ("a", "i"))).values
+        from_cm = op(Field(grid, comp_major, ("a", "i"))).values
+        assert np.array_equal(from_c, from_cm)
+        assert grid_axes_innermost(from_c)
+    # and both match the points-first formulas on the C-order array
+    h = grid.h_tau
+    dt = d_tau(Field(grid, c_order, ("a", "i"))).values
+    v = c_order.reshape(grid.n_tau, -1)
+    assert np.array_equal(dt, fd4_axis0(v, h).reshape(c_order.shape))
+    interior = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) * (1.0 / (12.0 * h))
+    assert np.array_equal(dt[2:-2], interior.reshape(dt[2:-2].shape))
+    k = np.arange(grid.n_sigma // 2 + 1, dtype=np.float64)
+    k[-1] = 0.0
+    spec = np.fft.rfft(c_order, axis=1) * (1j * k)[None, :, None, None]
+    reference = np.fft.irfft(spec, n=grid.n_sigma, axis=1)
+    assert np.array_equal(d_sigma(Field(grid, c_order, ("a", "i"))).values, reference)
