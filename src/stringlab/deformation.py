@@ -184,13 +184,14 @@ def fd_oracle(geo: GeometryBundle, d: DeformationField, eps: float = 1e-4) -> di
     at fixed grid point for all six quantities, keyed ``metric``,
     ``inverse_metric``, ``volume``, ``connection``, ``ricci`` and
     ``scalar_curvature``.  Independent of the analytic variation formulas:
-    the only shared ingredient is the displacement vector itself.
+    the only shared ingredient is the displacement vector itself.  None of
+    the six reads the normal frame, which is seeded with ``geo``'s anyway.
     """
     lo, hi = ORACLE_EPS_RANGE
     if not lo <= eps <= hi:
         raise ValueError(f"oracle eps {eps} outside the trusted range [{lo}, {hi}]")
-    plus = build_geometry(deform_embedding(geo, d, +eps))
-    minus = build_geometry(deform_embedding(geo, d, -eps))
+    plus = build_geometry(deform_embedding(geo, d, +eps), frame=geo.n.values)
+    minus = build_geometry(deform_embedding(geo, d, -eps), frame=geo.n.values)
     out = {}
     for name, extract in _EXTRACTORS.items():
         q_plus, q_minus = extract(plus), extract(minus)

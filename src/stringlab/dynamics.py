@@ -474,15 +474,16 @@ def linearized_fd_oracle(
     deformation, one Field per entry of ``params``, in order.
 
     The displaced geometries do not depend on the couplings, so the geometry
-    is rebuilt from scratch once on each side (+/- eps) and every entry is
+    is rebuilt from scratch once on each side (+/- eps), seeded with ``geo``'s
+    normal frame so the residual keeps its basis, and every entry is
     differenced on that one pair.  Around on-shell geometries this
     independently checks the linearized operator: frame-adjustment terms are
     proportional to the residual itself and drop out at this order.
     """
     _check_normal_field(geo, phi)
     d = DeformationField.normal_only(phi)
-    plus = build_geometry(deform_embedding(geo, d, +eps))
-    minus = build_geometry(deform_embedding(geo, d, -eps))
+    plus = build_geometry(deform_embedding(geo, d, +eps), frame=geo.n.values)
+    minus = build_geometry(deform_embedding(geo, d, -eps), frame=geo.n.values)
     return [
         Field(
             geo.grid,

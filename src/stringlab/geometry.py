@@ -155,51 +155,49 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
     return out
 
 
-def _masked_field_derivatives(f: Field, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_tau, d_sigma) of a field after interpolating over masked points."""
-    if active.all():
-        return d_tau(f).values, d_sigma(f).values
-    filled = Field(f.grid, fill_masked_along_sigma(f.values, active), f.indices)
-    return d_tau(filled).values, d_sigma(filled).values
-
-
 # ---------------------------------------------------------------------------
 # normal frame
 
 
-def _tangent_part(gamma_inv, e, eb_dot_v):
-    """e_a^mu gamma^{ab} (e_b . v), contracted pairwise: one three-operand
-    einsum over the grid costs several times the two steps."""
-    return np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, eb_dot_v), e)
+def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, frame=None):
+    """Orthonormal normal frame by classical Gram-Schmidt, run twice.
 
-
-def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL):
-    """Deterministic normal frame: coordinate-basis seeds in fixed order,
-    tangent-span projection, Gram-Schmidt, then an orientation-continuation
-    pass so the frame cannot silently flip sign in the middle of the grid.
+    Slot k is the first of its seeds (``frame[..., k, :]``, else the
+    coordinate axes in order, point by point) whose projection off the
+    tangents and slots < k has norm above SEED_SKIP_TOL, normalized.  Only
+    coordinate seeds are oriented, so their frame cannot flip mid-grid.
     """
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
     k_needed = dim - 2
+    floor = SEED_SKIP_TOL * SEED_SKIP_TOL
     normals = grid_full((nt, ns, k_needed, dim), np.nan)
+
+    def project(v, e_dot_v, slot):
+        """v minus e_a gamma^{ab} (e_b . v), given e_b . v (contracted
+        pairwise, a fraction of one three-operand einsum), and minus its parts
+        along the (orthonormal) slots before ``slot``; and g(v, v)."""
+        v = v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
+        for m in range(slot):
+            nm = normals[..., m, :]
+            v = v - nm * np.einsum("...m,...m->...", np.einsum("...mn,...n->...m", g, nm), v)[..., None]
+        return v, np.einsum("...mn,...m,...n->...", g, v, v)
+
     for slot in range(k_needed):
+        if frame is None:  # the tangents' dots with axis s are e_low[..., s]
+            axes = enumerate(np.eye(dim))
+            seeds = ((grid_full((nt, ns, dim), 0.0) + u, e_low[..., :, s]) for s, u in axes)
+        else:
+            given = frame[..., slot, :]
+            seeds = [(given, np.einsum("...am,...m->...a", e_low, given))]
         filled = np.zeros((nt, ns), dtype=bool)
-        for s in range(dim):
+        for seed, e_dot_seed in seeds:
             todo = ~filled
             if not todo.any():
                 break
-            v = grid_full((nt, ns, dim), 0.0)
-            v[..., s] = 1.0
-            # remove the tangent span: v -= e_a gamma^{ab} (e_b . v)
-            v = v - _tangent_part(gamma_inv, e, e_low[..., :, s])
-            # remove previously accepted normals (orthonormal, so no inverse)
-            for m in range(slot):
-                nm = normals[..., m, :]
-                nm_low = np.einsum("...mn,...n->...m", g, nm)
-                v = v - nm * np.einsum("...m,...m->...", nm_low, v)[..., None]
-            norm2 = np.einsum("...mn,...m,...n->...", g, v, v)
-            ok = todo & (norm2 > tol * tol)
+            v, norm2 = project(seed, e_dot_seed, slot)
+            ok = todo & (norm2 > floor)
             with np.errstate(invalid="ignore"):
-                unit = v / np.sqrt(np.maximum(norm2, tol * tol))[..., None]
+                unit = v / np.sqrt(np.maximum(norm2, floor))[..., None]
             normals[ok, slot, :] = unit[ok]
             filled |= ok
         missing = active & ~filled
@@ -212,54 +210,53 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, tol=SEED_SKIP_TOL)
     # norm lose digits to cancellation, one refinement restores them
     for slot in range(k_needed):
         v = normals[..., slot, :]
-        v = v - _tangent_part(gamma_inv, e, np.einsum("...am,...m->...a", e_low, v))
-        for m in range(slot):
-            nm = normals[..., m, :]
-            nm_low = np.einsum("...mn,...n->...m", g, nm)
-            v = v - nm * np.einsum("...m,...m->...", nm_low, v)[..., None]
-        norm2 = np.einsum("...mn,...m,...n->...", g, v, v)
+        v, norm2 = project(v, np.einsum("...am,...m->...a", e_low, v), slot)
         with np.errstate(invalid="ignore"):
             normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
-    _orient_frame(normals, active)
+    if frame is None:
+        _orient_frame(normals, active)
     return normals
 
 
 def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
     """Fix the sign of each frame slot by continuation from an anchor point.
 
-    Signs propagate along the anchor column in tau and then along each row
-    in sigma (wrapping, skipping masked points), flipping whenever the
-    componentwise dot with the running reference turns negative.
+    The anchor, the first active point, gets a positive leading component;
+    signs propagate down its column in tau (no row above it is active), then
+    from it along each row in sigma (wrapping), skipping masked points.
     """
     nt, ns, k, _ = normals.shape
     if not active.any():
         return
     t0, s0 = map(int, np.argwhere(active)[0])
+    walk = (s0 + np.arange(ns)) % ns
     for slot in range(k):
         sl = normals[:, :, slot, :]
         anchor = sl[t0, s0]
-        lead = int(np.argmax(np.abs(anchor)))
-        if anchor[lead] < 0:
+        if anchor[np.argmax(np.abs(anchor))] < 0:
             sl[t0, s0] = -anchor
-        # anchor column, downward then upward in tau
-        for rows in (range(t0 + 1, nt), range(t0 - 1, -1, -1)):
-            ref = sl[t0, s0]
-            for t in rows:
-                if not active[t, s0]:
-                    continue
-                if np.dot(ref, sl[t, s0]) < 0:
-                    sl[t, s0] = -sl[t, s0]
-                ref = sl[t, s0]
-        # every row, walking the sigma circle from the anchor column
-        ref = sl[:, s0, :].copy()
-        for off in range(1, ns):
-            s = (s0 + off) % ns
-            col = active[:, s]
-            if col.any():
-                dots = np.einsum("tm,tm->t", ref, sl[:, s, :])
-                flip = col & (dots < 0)
-                sl[flip, s, :] = -sl[flip, s, :]
-                ref[col] = sl[col, s, :]
+        column = sl[t0:, s0]
+        column *= _walk_signs(column[None], active[t0:, s0][None])[0, :, None]
+        signs = np.empty((nt, ns))
+        signs[:, walk] = _walk_signs(sl[:, walk], active[:, walk])
+        sl *= signs[..., None]
+
+
+def _walk_signs(values: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Signs of the steps of walks along axis 1 of ``values`` (walks, steps,
+    dim) that start at step 0 and visit the steps where ``part`` is set: a
+    step flips when its dot with the previous one, as flipped, is negative,
+    so its sign counts negative dots since the last dot of 0 or NaN."""
+    n, steps, dim = values.shape
+    part = part.copy()
+    part[:, 0] = True
+    prev = np.maximum.accumulate(np.where(part, np.arange(steps), 0), axis=1)[:, :-1]
+    prev += steps * np.arange(n)[:, None]  # flat index of the previous step taking part
+    dots = np.einsum("...m,...m->...", values.reshape(n * steps, dim)[prev], values[:, 1:])
+    dots = np.pad(dots, ((0, 0), (1, 0)))  # a dot of 0 restarts every walk at step 0
+    count = np.cumsum(part & (dots < 0), axis=1)
+    count -= np.maximum.accumulate(np.where(part & ~(dots < 0) & ~(dots > 0), count, 0), axis=1)
+    return np.where(part, 1.0 - 2.0 * (count % 2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +285,11 @@ def _require_periodic_chart(x: Field, dx_s: Field) -> None:
 def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryBundle:
     """Compute the full geometry bundle of an embedding.
 
-    ``frame`` optionally overrides the normal frame with given values of
-    shape (n_tau, n_sigma, codim, dim); gauge-covariance tests use this to
-    rebuild the same geometry in a rotated frame.
+    ``frame`` (n_tau, n_sigma, codim, dim) optionally seeds the normal frame
+    in place of the coordinate axes: projected and orthonormalized like any
+    seed, not oriented.  Rebuilds pass the frame of the geometry they are
+    compared with (NaN allowed at masked points); gauge-covariance tests
+    pass a rotated one.
     """
     bg = emb.background
     grid = emb.grid
@@ -337,13 +336,9 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         gamma_inv = -adj / d[..., None, None]
         vol = np.sqrt(np.where(d > 0, d, np.nan))
 
-    if frame is not None:
-        normals = np.asarray(frame, dtype=float)
-        if normals.shape != (nt, ns, dim - 2, dim):
-            raise GeometryError(f"frame override has shape {normals.shape}")
-        normals = grid_innermost(normals)
-    else:
-        normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active)
+    if frame is not None and np.shape(frame) != (nt, ns, dim - 2, dim):
+        raise GeometryError(f"frame override has shape {np.shape(frame)}")
+    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active, frame)
     n_low = np.einsum("...mn,...in->...im", g, normals)
 
     # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized
@@ -356,6 +351,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         gamma_bg = bg.christoffel_at(x.values)
         dd = dd + np.einsum("...mnl,...an,...bl->...abm", gamma_bg, e_vals, e_vals)
     K = -np.einsum("...im,...abm->...abi", n_low, dd)
+    del dd  # each stage frees its stencil intermediates: the peak heap is what a build touches
     K = 0.5 * (K + np.swapaxes(K, 2, 3))
     with np.errstate(invalid="ignore"):
         K_mean = np.einsum("...ab,...abi->...i", gamma_inv, K)
@@ -369,6 +365,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         - np.einsum("...dbc->...dbc", dgam)    # d_d gamma_bc
     )
     p_num = -0.5 * np.einsum("...ad,...dbc->...abc", adj, sym)
+    del dgam, sym
     with np.errstate(divide="ignore", invalid="ignore"):
         conn = p_num / d[..., None, None, None]
 
@@ -388,6 +385,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         riem = num / (d * d)[..., None, None, None, None]
+    del dp, dd_det, num
     ricci = np.einsum("...abad->...bd", riem)
     with np.errstate(invalid="ignore"):
         scal = np.einsum("...bd,...bd->...", gamma_inv, ricci)
@@ -398,9 +396,9 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     if k_codim == 1:
         omega = grid_full((nt, ns, 2, 1, 1), 0.0)
     else:
-        n_f = Field(grid, normals, (NORMAL, SPACETIME))
-        dn_t, dn_s = _masked_field_derivatives(n_f, active)
-        dn = stack_index([dn_t, dn_s])  # (nt, ns, a, j, mu)
+        # differentiate after interpolating over masked points
+        n_f = Field(grid, fill_masked_along_sigma(normals, active), (NORMAL, SPACETIME))
+        dn = stack_index([d_tau(n_f).values, d_sigma(n_f).values])  # (nt, ns, a, j, mu)
         if not bg.flat:
             dn = dn + np.einsum("...mnl,...an,...jl->...ajm", gamma_bg, e_vals, normals)
         omega = np.einsum("...im,...ajm->...aij", n_low, dn)
@@ -438,11 +436,11 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     return geo
 
 
-def _validate_bundle(geo: GeometryBundle, tol: float = 1e-10) -> None:
+def _validate_bundle(geo: GeometryBundle) -> None:
     act = geo.mask.active
     ident = np.einsum("...ab,...bc->...ac", geo.gamma_inv.values, geo.gamma.values)
     eye = np.eye(2)
-    if masked_max_abs(ident - eye, act) > tol:
+    if masked_max_abs(ident - eye, act) > 1e-10:
         raise GeometryError("gamma_inv . gamma deviates from the identity")
     ndotn = np.einsum("...im,...jm->...ij", geo.n_low, geo.n.values)
     k = geo.codim

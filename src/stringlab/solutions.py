@@ -36,11 +36,12 @@ class SolutionError(ValueError):
 class ExactSolution:
     """An exact worldsheet: analytic chart, family derivatives, known masks.
 
-    ``frame`` optionally supplies an analytic orthonormal normal frame; the
-    default coordinate-seeded construction in the geometry builder can spin
-    at sub-grid scales on worldsheets whose tangent planes sweep past the
-    coordinate axes, and a solution that knows its own smooth frame avoids
-    that entirely.
+    ``frame`` optionally supplies an analytic orthonormal normal frame as
+    the geometry builder's seeds.  The default coordinate seeds can spin at
+    sub-grid scales on worldsheets whose tangent planes sweep past the
+    coordinate axes: on the spinning string (129x64) they send deform-check
+    to O(1) discrepancies and conserve to a relative divergence of 15, so
+    that family keeps its analytic frame.
     """
 
     name: str
@@ -62,11 +63,8 @@ class ExactSolution:
         )
 
     def geometry(self, grid: WorldsheetGrid) -> GeometryBundle:
-        frame_vals = None
-        if self.frame is not None:
-            tt, ss = grid.meshgrid()
-            frame_vals = self.frame(tt, ss)
-        return build_geometry(self.embedding(grid), frame=frame_vals)
+        frame = None if self.frame is None else self.frame(*grid.meshgrid())
+        return build_geometry(self.embedding(grid), frame=frame)
 
     def family_names(self) -> list[str]:
         return sorted(self.family)

@@ -287,7 +287,7 @@ def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.
     probe = DeformationField.normal_only(probe_phi)
     psis = []
     for sgn in (+1.0, -1.0):
-        geo2 = build_geometry(deform_embedding(geo, probe, sgn * eps))
+        geo2 = build_geometry(deform_embedding(geo, probe, sgn * eps), frame=geo.n.values)
         phi_n = Field(
             geo2.grid, np.einsum("...im,...m->...i", geo2.n_low, frozen), (NORMAL,)
         )
@@ -332,9 +332,10 @@ def gauge_invariance_check(
     """Relative change of the two-form under a circle reparametrization.
 
     ``sigma_map`` sends the grid sigma values to new source points s(sigma)
-    (orientation preserving); the embedding and the field components are
-    pulled back through the trigonometric interpolant, the geometry is
-    rebuilt from scratch, and the two-form is recomputed on the same row.
+    (orientation preserving); the embedding, the normal frame and the field
+    components are pulled back through the trigonometric interpolant, the
+    geometry is rebuilt from scratch seeded with that frame (the components'
+    basis), and the two-form is recomputed on the same row.
     """
     grid = geo.grid
     s = np.asarray(sigma_map(grid.sigma), dtype=float)
@@ -344,7 +345,7 @@ def gauge_invariance_check(
     omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
     emb = geo.embedding
     x2 = Field(grid, resample_sigma(emb.x.values, s), emb.x.indices)
-    geo2 = build_geometry(Embedding(emb.background, x2, emb.mask))
+    geo2 = build_geometry(Embedding(emb.background, x2, emb.mask), frame=resample_sigma(geo.n.values, s))
     f1 = Field(grid, resample_sigma(phi1.values, s), (NORMAL,))
     f2 = Field(grid, resample_sigma(phi2.values, s), (NORMAL,))
     omega1 = symplectic_form(geo2, f1, f2, p, tau_index)

@@ -24,6 +24,19 @@ def _verdict(num, ok, detail):
     return ok
 
 
+# families of the criteria that run on more than one, each with the modulus
+# paired against translation_t; the spinning string's normal connection is
+# nonzero, the pulsating string's is not
+MODULUS = {"pulsating": "radius", "spinning": "scale"}
+
+
+@pytest.fixture(params=list(MODULUS))
+def family(request):
+    """(solution, geometry on its acceptance grid, modulus) of one family."""
+    name = request.param
+    return request.getfixturevalue(name), request.getfixturevalue(f"{name}_geo"), MODULUS[name]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -133,8 +146,8 @@ def test_criterion_04_dimension_two_reduction(pulsating, pulsating_geo):
     )
 
 
-def test_criterion_05_linearization_consistency(pulsating_geo):
-    geo = pulsating_geo
+def test_criterion_05_linearization_consistency(family):
+    _, geo, _ = family
     inner = interior(geo)
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
     worst = 0.0
@@ -182,11 +195,11 @@ def test_criterion_06_self_adjointness(pulsating):
     )
 
 
-def test_criterion_07_conservation(pulsating, pulsating_geo):
-    geo = pulsating_geo
+def test_criterion_07_conservation(family):
+    sol, geo, _ = family
     inner = interior(geo)
-    jx = jacobi_from_family(pulsating, geo, "translation_x")
-    jt = jacobi_from_family(pulsating, geo, "translation_t")
+    jx = jacobi_from_family(sol, geo, "translation_x")
+    jt = jacobi_from_family(sol, geo, "translation_t")
     scale = (1 + masked_max_abs(jx.values, geo.mask.active)) * (
         1 + masked_max_abs(jt.values, geo.mask.active)
     )
@@ -210,10 +223,10 @@ def test_criterion_07_conservation(pulsating, pulsating_geo):
     )
 
 
-def test_criterion_08_symplectic_form(pulsating, pulsating_geo):
-    geo = pulsating_geo
-    jt = jacobi_from_family(pulsating, geo, "translation_t")
-    jr = jacobi_from_family(pulsating, geo, "radius")
+def test_criterion_08_symplectic_form(family):
+    sol, geo, modulus = family
+    jt = jacobi_from_family(sol, geo, "translation_t")
+    jr = jacobi_from_family(sol, geo, modulus)
     p = dyn.ActionParams(1.0, 0.0)
     rows = [geo.grid.n_tau // 4, geo.grid.n_tau // 2, (3 * geo.grid.n_tau) // 4]
     vals = [sym.symplectic_form(geo, jt, jr, p, r) for r in rows]
@@ -323,10 +336,10 @@ def test_criterion_10_topological_contribution_to_form(spinning, spinning_geo):
     assert _verdict(10, ok, "; ".join(details))
 
 
-def test_criterion_11_gauge_invariance(pulsating, pulsating_geo):
-    geo = pulsating_geo
-    jt = jacobi_from_family(pulsating, geo, "translation_t")
-    jr = jacobi_from_family(pulsating, geo, "radius")
+def test_criterion_11_gauge_invariance(family):
+    sol, geo, modulus = family
+    jt = jacobi_from_family(sol, geo, "translation_t")
+    jr = jacobi_from_family(sol, geo, modulus)
     p = dyn.ActionParams(1.0, 0.0)
     row = geo.grid.n_tau // 2
     smooth = sym.gauge_invariance_check(geo, jt, jr, p, lambda s: s + 1e-2 * np.sin(s), row)

@@ -284,6 +284,19 @@ def test_convergence_experiment(tmp_path):
     assert len(report["results"]["observed_orders"]) == 1
 
 
+def test_spinning_convergence_passes(tmp_path):
+    # the 65-row level builds because the analytic frame is projected onto
+    # the discrete normal space
+    path = write_config(
+        tmp_path,
+        solution={"name": "spinning_two_plane_string", "params": {"scale": 1.0}},
+        grid={"n_tau": 129, "n_sigma": 64, "tau_min": 0.1, "tau_max": 0.9},
+        action={"tension": 1.0, "gb_coupling": 0.3},
+        kind="convergence",
+    )
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize(
     "kind,n_tau,options",
     [

@@ -151,13 +151,15 @@ def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
     builds = []
 
-    def counting_build(e):
-        builds.append(e)
-        return build_geometry(e)
+    def counting_build(e, **kwargs):
+        builds.append(kwargs)
+        return build_geometry(e, **kwargs)
 
     monkeypatch.setattr(dfm, "build_geometry", counting_build)
     oracles = dfm.fd_oracle(geo, d)
     assert len(builds) == 2
+    # each rebuild is seeded with the frame it is compared against
+    assert all(np.array_equal(b["frame"], geo.n.values, equal_nan=True) for b in builds)
     assert set(oracles) == {
         "metric", "inverse_metric", "volume", "connection", "ricci", "scalar_curvature",
     }

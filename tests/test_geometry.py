@@ -9,6 +9,7 @@ from stringlab.dynamics import operator_coefficients
 from stringlab.geometry import (
     Embedding,
     GeometryError,
+    _orient_frame,
     build_geometry,
     covariant_gradient,
     fill_masked_along_sigma,
@@ -182,6 +183,52 @@ def test_fill_masked_matches_pointwise_reference(seed, masked_share):
     assert np.array_equal(filled[2], np.broadcast_to(values[2, 5], (ns, 2, 3)))
 
 
+def _orient_frame_reference(normals, active):
+    """Point-by-point form of the orientation pass: the reference."""
+    nt, ns, k, _ = normals.shape
+    if not active.any():
+        return
+    t0, s0 = map(int, np.argwhere(active)[0])
+    for slot in range(k):
+        sl = normals[:, :, slot, :]
+        anchor = sl[t0, s0]
+        if anchor[np.argmax(np.abs(anchor))] < 0:
+            sl[t0, s0] = -anchor
+        ref = sl[t0, s0]
+        for t in range(t0 + 1, nt):  # no row above t0 has an active point
+            if active[t, s0]:
+                if np.dot(ref, sl[t, s0]) < 0:
+                    sl[t, s0] = -sl[t, s0]
+                ref = sl[t, s0]
+        for t in range(nt):
+            ref = sl[t, s0].copy()
+            for off in range(1, ns):
+                s = (s0 + off) % ns
+                if active[t, s]:
+                    if np.dot(ref, sl[t, s]) < 0:
+                        sl[t, s] = -sl[t, s]
+                    ref = sl[t, s].copy()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orient_frame_matches_pointwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    nt, ns, k, dim = 9, 7, 2, 4
+    # a smooth frame with random sign flips, so the walks have work to do
+    normals = rng.normal(size=(k, dim)) + 0.3 * rng.normal(size=(nt, ns, k, dim))
+    normals *= rng.choice([-1.0, 1.0], size=(nt, ns, k, 1))
+    active = rng.random((nt, ns)) >= 0.3
+    active[0] = False                       # the anchor is not on the first row
+    active[4, 2] = False                    # a gap in the anchor column
+    normals[~active & (rng.random((nt, ns)) < 0.5)] = np.nan  # unfilled masked points
+    normals[5, 3] = 0.0                     # a zero dot restarts the walk
+    expected = normals.copy()
+    _orient_frame_reference(expected, active)
+    _orient_frame(normals, active)
+    assert np.array_equal(normals, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(normals), np.signbit(expected))
+
+
 def test_rotating_analytic_geometry(rotating_geo):
     geo = rotating_geo
     act = geo.mask.active
@@ -297,6 +344,22 @@ def test_covariant_gradient_metric_compatible(pulsating_geo):
 def test_frame_override_shape_checked(pulsating_geo):
     with pytest.raises(GeometryError):
         build_geometry(pulsating_geo.embedding, frame=np.zeros((4, 4, 2, 4)))
+
+
+def test_supplied_frame_is_projected(spinning):
+    """A supplied frame seeds Gram-Schmidt: at 65 rows the analytic spinning
+    frame is further from the discrete normal space than the 1e-9 frame
+    checks allow, and the build projects it there."""
+    grid = WorldsheetGrid(65, 64, 0.1, 0.9)
+    geo = spinning.geometry(grid)
+    tt, ss = grid.meshgrid()
+    assert masked_max_abs(geo.n.values - spinning.frame(tt, ss), geo.mask.active) <= 1e-8
+
+
+def test_supplied_frame_is_not_reoriented(pulsating_geo):
+    # the orientation pass would turn the flipped seeds back
+    flipped = build_geometry(pulsating_geo.embedding, frame=-pulsating_geo.n.values)
+    assert masked_max_abs(flipped.n.values + pulsating_geo.n.values, pulsating_geo.mask.active) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
