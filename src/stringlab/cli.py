@@ -18,6 +18,7 @@ Exit codes: 0 all tolerances met; 1 tolerance failure; 2 invalid config;
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -34,17 +35,12 @@ from .solutions import SolutionError, make_solution, solution_names
 
 SCHEMA_VERSION = 1
 
-_KIND_OPTIONS = {
-    "geometry": {"csv"},
-    "deform-check": {"epsilon", "amplitude", "seeds"},
-    "eom": {"betas", "csv"},
-    "linearize": {"betas", "epsilon"},
-    "self-adjoint": {"beta"},
-    "conserve": {"jacobi", "beta"},
-    "omega": {"jacobi", "betas", "slices"},
-    "gauge-check": {"jacobi", "beta", "epsilon", "slice"},
-    "convergence": {"quantity", "levels"},
-}
+
+def option_defaults(kind: str) -> dict:
+    """The options of ``kind`` and their defaults: the keyword-only
+    parameters of its driver."""
+    params = inspect.signature(experiments.EXPERIMENTS[kind]).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 class ConfigError(ValueError):
@@ -111,7 +107,7 @@ class ExperimentConfig:
         options = raw.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
-        _reject_unknown(options, _KIND_OPTIONS[kind], f"options for kind {kind!r}")
+        _reject_unknown(options, set(option_defaults(kind)), f"options for kind {kind!r}")
         _check_option_values(kind, options, grid_kwargs, solution.family_names())
         seed = raw.get("seed", 0)
         if not (_is_int(seed) and seed >= 0):
@@ -237,7 +233,7 @@ def _plain(obj):
 def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
     """Execute one experiment and assemble the report dictionary."""
     start = time.perf_counter()
-    results, tolerances, passed = experiments.EXPERIMENTS[config.kind](config)
+    results, tolerances, passed = experiments.EXPERIMENTS[config.kind](config, **config.options)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -133,20 +133,21 @@ def symplectic_potential(geo: GeometryBundle, d: DeformationField, p: ActionPara
 def symplectic_potential_string(geo: GeometryBundle, d: DeformationField, p: ActionParams) -> Field:
     """String-specialized potential (no Einstein term), coded independently
     with explicit index loops."""
-    dconn = vary_connection(geo, d).values
+    beta = p.gb_coupling
+    dconn = vary_connection(geo, d).values if beta != 0.0 else None
     gi = geo.gamma_inv.values
     vol = geo.vol.values
     out = np.zeros(geo.grid.shape + (2,))
     for a in range(2):
         acc = -p.tension * d.phi_tangent.values[..., a]
-        if p.gb_coupling != 0.0:
+        if beta != 0.0:
             trace = np.zeros(geo.grid.shape)
             mixed = np.zeros(geo.grid.shape)
             for cc in range(2):
                 for dd in range(2):
                     trace = trace + gi[..., cc, dd] * dconn[..., a, cc, dd]
                 mixed = mixed + gi[..., a, cc] * (dconn[..., 0, 0, cc] + dconn[..., 1, 1, cc])
-            acc = acc + p.gb_coupling * (trace - mixed)
+            acc = acc + beta * (trace - mixed)
         out[..., a] = vol * acc
     return Field(geo.grid, out, (WORLDSHEET_UPPER,))
 

@@ -3,6 +3,9 @@
 Each driver composes the library modules into one named experiment, returns
 a results dictionary plus the tolerance table it asserted against, and a
 pass flag.  Everything is deterministic for a fixed config and seed.
+
+A driver's keyword-only parameters are the options of its kind, with their
+defaults; a default of ``None`` depends on the config and is resolved there.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .solutions import ExactSolution, jacobi_from_family, make_solution
 from .symplectic import symplectic_form
 
 INTERIOR_ROWS = 2  # tau rows per boundary excluded from stencil-sensitive norms
+Outcome = tuple[dict, dict, bool]  # results, tolerance table, pass flag
 
 
 def interior_active(geo, rows: int = INTERIOR_ROWS) -> np.ndarray:
@@ -33,7 +37,7 @@ def _setup(config) -> tuple[ExactSolution, WorldsheetGrid]:
     return sol, grid
 
 
-def run_geometry(config) -> tuple[dict, dict, bool]:
+def run_geometry(config, *, csv=None) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     act = geo.mask.active
@@ -55,8 +59,8 @@ def run_geometry(config) -> tuple[dict, dict, bool]:
         results["max_abs_einstein"] <= tol["max_abs_einstein"]
         and results["gauss_relation_gap"] <= tol["gauss_relation_gap"]
     )
-    if config.options.get("csv"):
-        _dump_csv(config.options["csv"], geo, geo.einstein, "einstein")
+    if csv:
+        _dump_csv(csv, geo, geo.einstein, "einstein")
     return results, tol, passed
 
 
@@ -78,19 +82,16 @@ def _dump_csv(path: str, geo, f: Field, name: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_deform_check(config) -> tuple[dict, dict, bool]:
+def run_deform_check(config, *, epsilon=1e-4, amplitude=0.5, seeds=(0, 1, 2)) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    eps = float(config.options.get("epsilon", 1e-4))
-    amp = float(config.options.get("amplitude", 0.5))
-    seeds = config.options.get("seeds", [0, 1, 2])
     worst: dict[str, float] = {}
     for seed in seeds:
         d0 = dfm.random_deformation(grid, geo.codim, seed=int(seed) + config.seed)
         d = dfm.DeformationField(
-            Field(grid, amp * d0.phi_normal.values, d0.phi_normal.indices),
-            Field(grid, amp * d0.phi_tangent.values, d0.phi_tangent.indices),
+            Field(grid, amplitude * d0.phi_normal.values, d0.phi_normal.indices),
+            Field(grid, amplitude * d0.phi_tangent.values, d0.phi_tangent.indices),
         )
         dg, dginv = dfm.vary_metric(geo, d)
         dric, dscal = dfm.vary_ricci_scalar(geo, d)
@@ -102,7 +103,7 @@ def run_deform_check(config) -> tuple[dict, dict, bool]:
             "ricci": dric,
             "scalar_curvature": dscal,
         }
-        oracles = dfm.fd_oracle(geo, d, eps=eps)
+        oracles = dfm.fd_oracle(geo, d, eps=epsilon)
         for name, analytic in checks.items():
             oracle = oracles[name]
             scale = 1.0 + max(
@@ -116,11 +117,10 @@ def run_deform_check(config) -> tuple[dict, dict, bool]:
     return {"max_relative_discrepancy": worst}, tol, passed
 
 
-def run_eom(config) -> tuple[dict, dict, bool]:
+def run_eom(config, *, betas=(0.0, 0.5, 1.0), csv=None) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     tension = config.action_params.tension
-    betas = config.options.get("betas", [0.0, 0.5, 1.0])
     residuals = {}
     for beta in betas:
         p = dyn.ActionParams(tension, float(beta))
@@ -131,25 +131,22 @@ def run_eom(config) -> tuple[dict, dict, bool]:
                "beta_spread": spread}
     tol = {"max_residual": 5e-5 * tension, "beta_spread": 1e-6}
     passed = results["max_residual"] <= tol["max_residual"] and spread <= tol["beta_spread"]
-    if config.options.get("csv"):
-        _dump_csv(config.options["csv"], geo, dyn.eom_residual(geo, config.action_params),
-                 "eom_residual")
+    if csv:
+        _dump_csv(csv, geo, dyn.eom_residual(geo, config.action_params), "eom_residual")
     return results, tol, passed
 
 
-def run_linearize(config) -> tuple[dict, dict, bool]:
+def run_linearize(config, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
     tension = config.action_params.tension
-    betas = config.options.get("betas", [0.0, 0.3])
-    eps = float(config.options.get("epsilon", 1e-4))
     phi = dfm.random_normal_components(grid, geo.codim, seed=config.seed)
     d = dfm.DeformationField.normal_only(phi)
     results: dict = {"fd_match": {}, "evaluator_agreement": {}, "einstein_blocks": {},
                      "potential_agreement": {}}
     params = [dyn.ActionParams(tension, float(beta)) for beta in betas]
-    fds = dyn.linearized_fd_oracle(geo, phi, params, eps=eps)
+    fds = dyn.linearized_fd_oracle(geo, phi, params, eps=epsilon)
     for beta, p, fd in zip(betas, params, fds):
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
         rel_fd = masked_max_abs(string_form.values - fd.values, interior) / scale
@@ -175,12 +172,11 @@ def run_linearize(config) -> tuple[dict, dict, bool]:
     return results, tol, passed
 
 
-def run_self_adjoint(config) -> tuple[dict, dict, bool]:
+def run_self_adjoint(config, *, beta=0.3) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    beta = float(config.options.get("beta", 0.3))
-    p = dyn.ActionParams(config.action_params.tension, beta)
+    p = dyn.ActionParams(config.action_params.tension, float(beta))
     phi1 = dfm.random_normal_components(grid, geo.codim, seed=config.seed)
     phi2 = dfm.random_normal_components(grid, geo.codim, seed=config.seed + 1)
     res, scale, direct = sym.self_adjointness_residual(geo, phi1, phi2, p)
@@ -194,15 +190,12 @@ def run_self_adjoint(config) -> tuple[dict, dict, bool]:
     return results, tol, passed
 
 
-def run_conserve(config) -> tuple[dict, dict, bool]:
+def run_conserve(config, *, jacobi=("translation_x", "translation_t"), beta=0.0) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    pair = config.options.get("jacobi", ["translation_x", "translation_t"])
-    beta = float(config.options.get("beta", 0.0))
-    p = dyn.ActionParams(config.action_params.tension, beta)
-    f1 = jacobi_from_family(sol, geo, pair[0])
-    f2 = jacobi_from_family(sol, geo, pair[1])
+    p = dyn.ActionParams(config.action_params.tension, float(beta))
+    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
     div = sym.conservation_residual(geo, f1, f2, p)
     worst = masked_max_abs(div.values, interior)
     scale = _conservation_scale(geo, f1, f2, p)
@@ -224,16 +217,12 @@ def _conservation_scale(geo, f1, f2, p) -> float:
     return (p.tension + abs(p.gb_coupling) * kk) * n1 * n2
 
 
-def run_omega(config) -> tuple[dict, dict, bool]:
+def run_omega(config, *, jacobi=None, betas=(0.0, 0.25, 0.5), slices=None) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
-    pair = config.options.get("jacobi", ["translation_t", "radius"])
-    betas = config.options.get("betas", [0.0, 0.25, 0.5])
-    rows = config.options.get(
-        "slices", [grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4]
-    )
-    f1 = jacobi_from_family(sol, geo, pair[0])
-    f2 = jacobi_from_family(sol, geo, pair[1])
+    rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
+    jacobi = jacobi or ("translation_t", sol.modulus)
+    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
     table = {}
     for beta in betas:
         p = dyn.ActionParams(config.action_params.tension, float(beta))
@@ -255,18 +244,15 @@ def run_omega(config) -> tuple[dict, dict, bool]:
     return results, tol, passed
 
 
-def run_gauge_check(config) -> tuple[dict, dict, bool]:
+def run_gauge_check(config, *, jacobi=None, beta=0.0, epsilon=1e-2, slice=None) -> Outcome:
     sol, grid = _setup(config)
     geo = sol.geometry(grid)
-    pair = config.options.get("jacobi", ["translation_t", "radius"])
-    beta = float(config.options.get("beta", 0.0))
-    eps = float(config.options.get("epsilon", 1e-2))
-    p = dyn.ActionParams(config.action_params.tension, beta)
-    f1 = jacobi_from_family(sol, geo, pair[0])
-    f2 = jacobi_from_family(sol, geo, pair[1])
-    row = int(config.options.get("slice", grid.n_tau // 2))
+    p = dyn.ActionParams(config.action_params.tension, float(beta))
+    jacobi = jacobi or ("translation_t", sol.modulus)
+    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
+    row = grid.n_tau // 2 if slice is None else int(slice)
     smooth = sym.gauge_invariance_check(
-        geo, f1, f2, p, lambda s: s + eps * np.sin(s), row
+        geo, f1, f2, p, lambda s: s + epsilon * np.sin(s), row
     )
     shift = 3 * grid.h_sigma
     rigid = sym.gauge_invariance_check(geo, f1, f2, p, lambda s: s + shift, row)
@@ -282,12 +268,8 @@ def run_gauge_check(config) -> tuple[dict, dict, bool]:
 _CONVERGENCE_FLOORS = {"einstein": 2.5e-8, "eom": 1e-7, "self-adjoint": 1e-9}
 
 
-def run_convergence(config) -> tuple[dict, dict, bool]:
+def run_convergence(config, *, quantity="einstein", levels=(65, 129, 257)) -> Outcome:
     sol, grid = _setup(config)
-    quantity = config.options.get("quantity", "einstein")
-    if quantity not in _CONVERGENCE_FLOORS:
-        raise ValueError(f"unknown convergence quantity {quantity!r}")
-    levels = config.options.get("levels", [65, 129, 257])
     errors = []
     for n_tau in levels:
         lvl_grid = WorldsheetGrid(int(n_tau), grid.n_sigma, grid.tau_min, grid.tau_max)

@@ -43,12 +43,11 @@ from .grid import (
     GridError,
     Mask,
     WorldsheetGrid,
-    d_sigma,
-    d_tau,
+    divergence,
+    gradient,
     grid_full,
     grid_innermost,
     masked_max_abs,
-    stack_index,
 )
 
 DEGENERACY_TOL = 1e-10
@@ -263,7 +262,7 @@ def _walk_signs(values: np.ndarray, part: np.ndarray) -> np.ndarray:
 # geometry build
 
 
-def _require_periodic_chart(x: Field, dx_s: Field) -> None:
+def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
     """Reject charts that are not genuinely periodic in sigma.
 
     Sampling a non-periodic map (a straight segment, say) on the circle
@@ -274,12 +273,21 @@ def _require_periodic_chart(x: Field, dx_s: Field) -> None:
     h = x.grid.h_sigma
     local = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * h)
     scale = 1.0 + np.abs(local).max()
-    gap = np.abs(dx_s.values - local).max()
+    gap = np.abs(dx_s - local).max()
     if gap > 0.5 * scale:
         raise GeometryError(
             "chart is not periodic in sigma (spectral and local derivatives "
             f"disagree by {gap:.2e}); embed the closed string, not a segment"
         )
+
+
+def _dilate(points: np.ndarray) -> np.ndarray:
+    """``points`` grown by one grid step in every direction (the 3x3 block
+    around each): clipped at the tau edges, wrapping in sigma."""
+    rows = points.copy()
+    rows[1:] |= points[:-1]
+    rows[:-1] |= points[1:]
+    return rows | np.roll(rows, 1, axis=1) | np.roll(rows, -1, axis=1)
 
 
 def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryBundle:
@@ -297,10 +305,9 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     dim = bg.dim
 
     x = emb.x
-    dx_t = d_tau(x)
-    dx_s = d_sigma(x)
-    _require_periodic_chart(x, dx_s)
-    e_vals = stack_index([dx_t.values, dx_s.values])  # (nt, ns, 2, N)
+    e = gradient(x)  # tangents e_a^mu
+    e_vals = e.values
+    _require_periodic_chart(x, e_vals[:, :, 1])
     g = grid_innermost(bg.metric_at(x.values))
     e_low = np.einsum("...mn,...an->...am", g, e_vals)
     gamma = np.einsum("...am,...bm->...ab", e_vals, e_low)
@@ -308,15 +315,8 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
 
     # degeneracy scan: points where the tangent Gram matrix collapses get a
     # 3x3 rectangle masked around them (folds, collapse instants)
-    degenerate = np.abs(det) < DEGENERACY_TOL
-    active = emb.mask.active.copy()
-    detected = np.zeros_like(degenerate)
-    if degenerate.any():
-        for it, isig in np.argwhere(degenerate):
-            tt = slice(max(0, it - 1), min(nt, it + 2))
-            ss = np.arange(isig - 1, isig + 2) % ns
-            detected[tt, ss] = True
-        active &= ~detected
+    detected = _dilate(np.abs(det) < DEGENERACY_TOL)
+    active = emb.mask.active & ~detected
     mask = Mask(grid, active)  # re-validates the 50% active floor
 
     bad = active & (det > -DEGENERACY_TOL)
@@ -342,11 +342,8 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     n_low = np.einsum("...mn,...in->...im", g, normals)
 
     # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized
-    dd = grid_full((nt, ns, 2, 2, dim), 0.0)
-    dd[..., 0, 0, :] = d_tau(dx_t).values
-    dd[..., 0, 1, :] = d_sigma(dx_t).values
-    dd[..., 1, 0, :] = d_tau(dx_s).values
-    dd[..., 1, 1, :] = d_sigma(dx_s).values
+    # (dd is d_b e_a, in (b, a) order: the symmetrization makes the order moot)
+    dd = gradient(e).values
     if not bg.flat:
         gamma_bg = bg.christoffel_at(x.values)
         dd = dd + np.einsum("...mnl,...an,...bl->...abm", gamma_bg, e_vals, e_vals)
@@ -358,7 +355,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
 
     # determinant-weighted Christoffel: Gamma^a_{bc} = P^a_{bc} / (-det)
     gamma_f = Field(grid, gamma, (WORLDSHEET_LOWER, WORLDSHEET_LOWER))
-    dgam = stack_index([d_tau(gamma_f).values, d_sigma(gamma_f).values])  # (..., c, a, b)
+    dgam = gradient(gamma_f).values  # (..., c, a, b)
     sym = (
         np.einsum("...bdc->...dbc", dgam)      # d_b gamma_dc
         + np.einsum("...cdb->...dbc", dgam)    # d_c gamma_db
@@ -372,9 +369,8 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     # Riemann from the weighted Christoffel; every stencil below acts on the
     # smooth numerator fields, divisions stay pointwise
     p_f = Field(grid, p_num, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER))
-    dp = stack_index([d_tau(p_f).values, d_sigma(p_f).values])  # (..., e, a, b, c)
-    d_f = Field(grid, d)
-    dd_det = stack_index([d_tau(d_f).values, d_sigma(d_f).values])  # (..., e)
+    dp = gradient(p_f).values  # (..., e, a, b, c)
+    dd_det = gradient(Field(grid, d)).values  # (..., e)
     num = (
         np.einsum("...cadb,...->...abcd", dp, d)
         - np.einsum("...adb,...c->...abcd", p_num, dd_det)
@@ -398,7 +394,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     else:
         # differentiate after interpolating over masked points
         n_f = Field(grid, fill_masked_along_sigma(normals, active), (NORMAL, SPACETIME))
-        dn = stack_index([d_tau(n_f).values, d_sigma(n_f).values])  # (nt, ns, a, j, mu)
+        dn = gradient(n_f).values  # (nt, ns, a, j, mu)
         if not bg.flat:
             dn = dn + np.einsum("...mnl,...an,...jl->...ajm", gamma_bg, e_vals, normals)
         omega = np.einsum("...im,...ajm->...aij", n_low, dn)
@@ -411,7 +407,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         mask=mask,
         detected=detected,
         g=g,
-        e=Field(grid, e_vals, (WORLDSHEET_LOWER, SPACETIME)),
+        e=e,
         e_low=e_low,
         gamma=gamma_f,
         gamma_inv=Field(grid, gamma_inv, (WORLDSHEET_UPPER, WORLDSHEET_UPPER)),
@@ -503,7 +499,7 @@ def covariant_gradient(geo: GeometryBundle, f: Field) -> Field:
     the normal-bundle connection; the result on a field with indices
     (i1, ..., ik) carries indices (a, i1, ..., ik).
     """
-    out = stack_index([d_tau(f).values, d_sigma(f).values])
+    out = gradient(f).values
     conn = geo.conn.values
     omega = geo.normal_conn.values
     n = len(f.indices)
@@ -549,10 +545,7 @@ def normal_laplacian(geo: GeometryBundle, phi: Field) -> Field:
         weight = -geo.adjugate / geo.vol.values[..., None, None]
     v = np.einsum("...ab,...bi->...ai", weight, w.values)
     v = fill_masked_along_sigma(v, act)
-    div = (
-        d_tau(Field(geo.grid, v[..., 0, :], (NORMAL,))).values
-        + d_sigma(Field(geo.grid, v[..., 1, :], (NORMAL,))).values
-    )
+    div = divergence(Field(geo.grid, v, (WORLDSHEET_UPPER, NORMAL))).values
     rot = np.einsum("...ab,...aij,...bj->...i", geo.gamma_inv.values, geo.normal_conn.values, w.values)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = div / geo.vol.values[..., None] + rot

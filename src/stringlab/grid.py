@@ -23,8 +23,12 @@ them ran 5 to 20 times faster with the long grid axes inner (129x32 grid,
 numpy 2.4).  Keeping the shape and changing only the strides leaves every
 subscript as it is; einsum and ufunc outputs keep the layout of their
 inputs, so it carries through the arithmetic.  :class:`Field` enforces the
-rule, and :func:`grid_innermost`, :func:`grid_full` and :func:`stack_index`
-apply it to arrays that are not fields.
+rule, and :func:`grid_innermost` and :func:`grid_full` apply it to arrays
+that are not fields.
+
+The stencils :func:`d_tau` and :func:`d_sigma` reach the rest of the
+package through :func:`gradient` (both stacked on a new leading index) and
+:func:`divergence`, not through stencils stacked by hand.
 """
 
 from __future__ import annotations
@@ -163,13 +167,6 @@ def grid_full(shape: tuple[int, ...], fill_value: float) -> np.ndarray:
     return np.moveaxis(np.full(shape[2:] + shape[:2], fill_value), (-2, -1), (0, 1))
 
 
-def stack_index(arrays) -> np.ndarray:
-    """``np.stack(arrays, axis=2)`` (a new leading index axis) stored with
-    the grid axes innermost."""
-    out = np.stack([np.moveaxis(a, (0, 1), (-2, -1)) for a in arrays])
-    return np.moveaxis(out, (-2, -1), (0, 1))
-
-
 class Field:
     """Dense real tensor field on a grid with labelled indices.
 
@@ -246,10 +243,12 @@ def d_sigma(f: Field) -> Field:
 
 
 # 6-point one-sided stencils (5th order, exact through degree 5) for the two
-# rows at each tau boundary; the smaller error constant keeps boundary rows
-# from dominating curvature errors where the metric steepens.
-_EDGE0 = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
-_EDGE1 = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
+# rows at each tau boundary, one row each; the smaller error constant keeps
+# boundary rows from dominating curvature errors where the metric steepens.
+_EDGES = np.array([
+    [-137.0, 300.0, -300.0, 200.0, -75.0, 12.0],
+    [-12.0, -65.0, 120.0, -60.0, 20.0, -3.0],
+]) / 60.0
 
 
 def fd4_axis0(values: np.ndarray, h: float) -> np.ndarray:
@@ -273,10 +272,11 @@ def fd4_axis0(values: np.ndarray, h: float) -> np.ndarray:
     acc += 8.0 * v[3:-1]
     acc -= v[4:]
     acc *= inv12h
-    for row, coeff in ((0, _EDGE0), (1, _EDGE1)):
-        c = coeff / h
-        out[row] = sum(c[m] * v[m] for m in range(6))
-        out[-1 - row] = -sum(c[m] * v[-1 - m] for m in range(6))
+    # both edge rows of a side in one contraction; the last rows mirror the
+    # first, on the reversed rows and with the opposite sign
+    edges = _EDGES / h
+    out[:2] = np.einsum("rm,m...->r...", edges, v[:6])
+    out[:-3:-1] = -np.einsum("rm,m...->r...", edges, v[:-7:-1])
     return out
 
 
@@ -290,6 +290,23 @@ def d_tau(f: Field) -> Field:
     if g.n_tau < 9:
         raise GridError(f"n_tau={g.n_tau} too small for the 4th-order tau stencil")
     return Field(g, fd4_axis0(f.values, g.h_tau), f.indices)
+
+
+def gradient(f: Field) -> Field:
+    """Worldsheet gradient: d_tau f and d_sigma f stacked on a new leading
+    lower index, stored with the grid axes innermost."""
+    out = np.stack([np.moveaxis(d(f).values, (0, 1), (-2, -1)) for d in (d_tau, d_sigma)])
+    return Field(f.grid, np.moveaxis(out, (-2, -1), (0, 1)), (WORLDSHEET_LOWER,) + f.indices)
+
+
+def divergence(v: Field) -> Field:
+    """d_a v^a, contracting the derivative with the first index of ``v``."""
+    if not v.indices or v.indices[0] != WORLDSHEET_UPPER:
+        raise GridError(f"divergence expects a leading upper worldsheet index, got {v.indices}")
+    rest = v.indices[1:]
+    dt = d_tau(Field(v.grid, v.values[:, :, 0], rest))
+    ds = d_sigma(Field(v.grid, v.values[:, :, 1], rest))
+    return Field(v.grid, dt.values + ds.values, rest)
 
 
 def integrate_sigma_slice(f: Field, tau_index: int) -> float:

@@ -36,6 +36,9 @@ class SolutionError(ValueError):
 class ExactSolution:
     """An exact worldsheet: analytic chart, family derivatives, known masks.
 
+    ``modulus`` names the family direction that changes the solution's
+    parameter, not an isometry: the second field of the default Jacobi pair.
+
     ``frame`` optionally supplies an analytic orthonormal normal frame as
     the geometry builder's seeds.  The default coordinate seeds can spin at
     sub-grid scales on worldsheets whose tangent planes sweep past the
@@ -49,6 +52,7 @@ class ExactSolution:
     background: BackgroundSpacetime
     chart: ChartFn
     family: dict[str, ChartFn] = field(repr=False)
+    modulus: str
     masked_rectangles: Callable[[WorldsheetGrid], list] = field(repr=False, default=lambda g: [])
     frame: ChartFn | None = field(repr=False, default=None)
 
@@ -176,6 +180,7 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
         background=minkowski(dim),
         chart=chart,
         family=family,
+        modulus="radius",
         masked_rectangles=masked_rectangles,
     )
 
@@ -221,6 +226,7 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
         background=minkowski(3),
         chart=chart,
         family=family,
+        modulus="amplitude",
         masked_rectangles=masked_rectangles,
     )
 
@@ -308,6 +314,7 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         background=minkowski(4),
         chart=chart,
         family=family,
+        modulus="scale",
         masked_rectangles=masked_rectangles,
         frame=frame,
     )

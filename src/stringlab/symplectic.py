@@ -45,8 +45,7 @@ from .grid import (
     WORLDSHEET_UPPER,
     Field,
     GridError,
-    d_sigma,
-    d_tau,
+    divergence,
     masked_max_abs,
 )
 
@@ -170,11 +169,8 @@ def worldsheet_divergence(geo: GeometryBundle, j: Field) -> Field:
     (1/sqrt(-g)) d_a (sqrt(-g) j^a)."""
     if j.indices != (WORLDSHEET_UPPER,):
         raise GridError(f"divergence expects an upper worldsheet vector, got {j.indices}")
-    dens = geo.vol.values[..., None] * j.values
-    div = (
-        d_tau(Field(geo.grid, dens[..., 0])).values
-        + d_sigma(Field(geo.grid, dens[..., 1])).values
-    )
+    dens = Field(geo.grid, geo.vol.values[..., None] * j.values, j.indices)
+    div = divergence(dens).values
     with np.errstate(divide="ignore", invalid="ignore"):
         return Field(geo.grid, div / geo.vol.values)
 

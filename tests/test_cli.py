@@ -156,6 +156,64 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     assert "config error: seed" in capsys.readouterr().err
 
 
+# the option names of each kind, pinned: they are the drivers' keyword-only
+# parameters, so renaming a parameter would silently rename a config key
+KIND_OPTIONS = {
+    "geometry": {"csv"},
+    "deform-check": {"epsilon", "amplitude", "seeds"},
+    "eom": {"betas", "csv"},
+    "linearize": {"betas", "epsilon"},
+    "self-adjoint": {"beta"},
+    "conserve": {"jacobi", "beta"},
+    "omega": {"jacobi", "betas", "slices"},
+    "gauge-check": {"jacobi", "beta", "epsilon", "slice"},
+    "convergence": {"quantity", "levels"},
+}
+
+
+def test_kind_options_are_the_driver_parameters():
+    assert set(experiments.EXPERIMENTS) == set(KIND_OPTIONS)
+    for kind, names in KIND_OPTIONS.items():
+        assert set(cli.option_defaults(kind)) == names
+
+
+def test_option_defaults_pass_validation():
+    grid = {"n_tau": 129, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9}
+    families = solutions.make_solution(BASE["solution"]["name"], {}).family_names()
+    checked = 0
+    for kind in KIND_OPTIONS:
+        for name, default in cli.option_defaults(kind).items():
+            if default is None:
+                continue
+            # as JSON would carry it: tuples become lists
+            value = json.loads(json.dumps(default))
+            cli._check_option_values(kind, {name: value}, grid, families)
+            checked += 1
+    assert checked == 14
+
+
+@pytest.mark.parametrize(
+    "solution,n_sigma,code,message",
+    [
+        ({"name": "pulsating_circular_string", "params": {"radius": 1.0}}, 32, 0, ""),
+        ({"name": "spinning_two_plane_string", "params": {"scale": 1.0}}, 64, 0, ""),
+        # every row of the folded string meets a fold column
+        ({"name": "rotating_folded_string", "params": {"amplitude": 1.0}}, 32, 3,
+         "intersects the masked region"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["omega", "gauge-check"])
+def test_default_jacobi_pair_is_the_family_modulus(
+    tmp_path, capsys, kind, solution, n_sigma, code, message
+):
+    path = write_config(
+        tmp_path, kind=kind, solution=solution, grid={**BASE["grid"], "n_sigma": n_sigma}
+    )
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r.json")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "family direction" not in err
+
+
 def test_nan_discrepancy_fails_linearize():
     # built directly, bypassing config validation: at epsilon 0 both sides
     # of the central difference coincide and the oracle is 0/0
@@ -164,7 +222,7 @@ def test_nan_discrepancy_fails_linearize():
         ActionParams(1.0, 0.0), "linearize", {"epsilon": 0.0},
     )
     with np.errstate(invalid="ignore"):
-        results, _, passed = experiments.run_linearize(config)
+        results, _, passed = experiments.run_linearize(config, **config.options)
     assert np.isnan(results["fd_match"]["beta=0.0"])
     assert passed is False
 
@@ -182,7 +240,7 @@ def test_self_adjoint_builds_the_current_once(monkeypatch):
         BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
         ActionParams(1.0, 0.0), "self-adjoint",
     )
-    experiments.run_self_adjoint(config)
+    experiments.run_self_adjoint(config, **config.options)
     assert len(calls) == 1
 
 
@@ -259,7 +317,7 @@ def test_linearize_builds_one_displaced_pair(monkeypatch):
         BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
         ActionParams(1.0, 0.0), "linearize", {"betas": [0, 0.3, 1]},
     )
-    results, _, _ = experiments.run_linearize(config)
+    results, _, _ = experiments.run_linearize(config, **config.options)
     assert len(calls) == 3
     assert list(results["fd_match"]) == ["beta=0", "beta=0.3", "beta=1"]
 

@@ -8,7 +8,9 @@ from stringlab.background import minkowski
 from stringlab.dynamics import operator_coefficients
 from stringlab.geometry import (
     Embedding,
+    DEGENERACY_TOL,
     GeometryError,
+    _dilate,
     _orient_frame,
     build_geometry,
     covariant_gradient,
@@ -227,6 +229,27 @@ def test_orient_frame_matches_pointwise_reference(seed):
     _orient_frame(normals, active)
     assert np.array_equal(normals, expected, equal_nan=True)
     assert np.array_equal(np.signbit(normals), np.signbit(expected))
+
+
+def _dilate_reference(points):
+    """Point-by-point 3x3 dilation, clipped in tau and wrapping in sigma:
+    the reference."""
+    nt, ns = points.shape
+    out = np.zeros_like(points)
+    for it, isig in np.argwhere(points):
+        out[max(0, it - 1):min(nt, it + 2), np.arange(isig - 1, isig + 2) % ns] = True
+    return out
+
+
+def test_dilation_matches_pointwise_reference(rotating_geo):
+    degenerate = np.abs(rotating_geo.gamma_det) < DEGENERACY_TOL
+    assert degenerate.any()
+    assert np.array_equal(_dilate(degenerate), _dilate_reference(degenerate))
+    assert np.array_equal(rotating_geo.detected, _dilate(degenerate))
+    points = np.random.default_rng(0).random((12, 16)) < 0.1
+    points[0, 3] = points[-1, 9] = True    # on both tau edges
+    points[5, 0] = points[7, -1] = True    # wrapping through sigma = 0
+    assert np.array_equal(_dilate(points), _dilate_reference(points))
 
 
 def test_rotating_analytic_geometry(rotating_geo):

@@ -9,7 +9,9 @@ from stringlab.grid import (
     WorldsheetGrid,
     d_sigma,
     d_tau,
+    divergence,
     fd4_axis0,
+    gradient,
     grid_innermost,
     integrate_patch,
     integrate_sigma_slice,
@@ -185,3 +187,44 @@ def test_derivatives_do_not_depend_on_input_layout(grid):
     spec = np.fft.rfft(c_order, axis=1) * (1j * k)[None, :, None, None]
     reference = np.fft.irfft(spec, n=grid.n_sigma, axis=1)
     assert np.array_equal(d_sigma(Field(grid, c_order, ("a", "i"))).values, reference)
+
+
+# the 6-point edge stencils, one row each, as fd4_axis0 had them per row
+_EDGE0 = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
+_EDGE1 = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
+
+
+def _edge_rows_reference(v, h):
+    """Rows 0, 1, -2, -1 of the tau stencil, summed term by term: the reference."""
+    rows = {}
+    for row, coeff in ((0, _EDGE0), (1, _EDGE1)):
+        c = coeff / h
+        rows[row] = sum(c[m] * v[m] for m in range(6))
+        rows[-1 - row] = -sum(c[m] * v[-1 - m] for m in range(6))
+    return np.stack([rows[0], rows[1], rows[-2], rows[-1]])
+
+
+@pytest.mark.parametrize("dims", [(), (2,), (2, 3), (2, 2, 4)])
+def test_fd4_edges_match_termwise_reference(dims):
+    grid = WorldsheetGrid(129, 32, 0.1, 0.9)
+    c_order = np.random.default_rng(len(dims)).normal(size=grid.shape + dims)
+    for v in (c_order, grid_innermost(c_order)):
+        out = fd4_axis0(v, grid.h_tau)
+        assert np.array_equal(out[[0, 1, -2, -1]], _edge_rows_reference(v, grid.h_tau))
+
+
+def test_gradient_and_divergence_stack_the_stencils(grid):
+    vals = np.random.default_rng(2).normal(size=grid.shape + (2, 3))
+    f = Field(grid, vals, ("A", "i"))
+    grad = gradient(f)
+    assert grad.indices == ("a", "A", "i")
+    assert grid_axes_innermost(grad.values)
+    assert np.array_equal(grad.values[:, :, 0], d_tau(f).values)
+    assert np.array_equal(grad.values[:, :, 1], d_sigma(f).values)
+    div = divergence(f)
+    assert div.indices == ("i",)
+    expected = d_tau(Field(grid, vals[:, :, 0], ("i",))).values
+    expected = expected + d_sigma(Field(grid, vals[:, :, 1], ("i",))).values
+    assert np.array_equal(div.values, expected)
+    with pytest.raises(GridError):
+        divergence(Field(grid, vals, ("a", "i")))
