@@ -203,10 +203,9 @@ def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: 
         "jacobi": (lambda v: isinstance(v, list) and len(v) == 2 and all(n in families for n in v),
                    f"two family directions from {families}"),
         "quantity": (lambda v: v in list(floors), f"one of {sorted(floors)}"),
+        "csv": (lambda v: isinstance(v, str) and v != "", "a non-empty string (an output path)"),
     }
     for name, val in options.items():
-        if name not in rules:  # csv: a free-form output path
-            continue
         test, need = rules[name]
         if not test(val):
             raise ConfigError(f"options.{name} for kind {kind!r} must be {need}, got {val!r}")

@@ -15,10 +15,10 @@ at the same (tau, sigma).  Analytic variation formulas:
     D R          = (D gamma^ab) R_ab + gamma^ab (D R_ab)
 
 Every formula has a brute-force central-difference oracle: :func:`fd_oracle`
-rebuilds the geometry from scratch once on each of the two displaced
-embeddings and differences all six quantities from that one pair; the
-deformation tests hold the two within 1e-6 of each other on smooth
-band-limited inputs.
+rebuilds the intrinsic geometry (tangents through the Einstein tensor, no
+normal frame) from scratch once on each of the two displaced embeddings and
+differences all six quantities from that one pair; the deformation tests
+hold the two within 1e-6 of each other on smooth band-limited inputs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .geometry import (
     Embedding,
     GeometryBundle,
-    build_geometry,
     covariant_gradient,
+    intrinsic_geometry,
     lower_index,
     raise_index,
 )
@@ -179,19 +179,20 @@ _EXTRACTORS = {
 def fd_oracle(geo: GeometryBundle, d: DeformationField, eps: float = 1e-4) -> dict[str, Field]:
     """Brute-force central differences of every varied geometric quantity.
 
-    Recomputes the geometry from scratch once on each of the copies of
-    ``geo.embedding`` displaced by +/- eps along the deformation and returns (Q+ - Q-)/(2 eps)
-    at fixed grid point for all six quantities, keyed ``metric``,
-    ``inverse_metric``, ``volume``, ``connection``, ``ricci`` and
-    ``scalar_curvature``.  Independent of the analytic variation formulas:
-    the only shared ingredient is the displacement vector itself.  None of
-    the six reads the normal frame, which is seeded with ``geo``'s anyway.
+    Recomputes the intrinsic geometry from scratch once on each of the
+    copies of ``geo.embedding`` displaced by +/- eps along the deformation
+    and returns (Q+ - Q-)/(2 eps) at fixed grid point for all six
+    quantities, keyed ``metric``, ``inverse_metric``, ``volume``,
+    ``connection``, ``ricci`` and ``scalar_curvature``.  Independent of the
+    analytic variation formulas: the only shared ingredient is the
+    displacement vector itself.  None of the six reads the normal frame, so
+    the rebuilds stop at the Einstein tensor and build none.
     """
     lo, hi = ORACLE_EPS_RANGE
     if not lo <= eps <= hi:
         raise ValueError(f"oracle eps {eps} outside the trusted range [{lo}, {hi}]")
-    plus = build_geometry(deform_embedding(geo, d, +eps), frame=geo.n.values)
-    minus = build_geometry(deform_embedding(geo, d, -eps), frame=geo.n.values)
+    plus = intrinsic_geometry(deform_embedding(geo, d, +eps))
+    minus = intrinsic_geometry(deform_embedding(geo, d, -eps))
     out = {}
     for name, extract in _EXTRACTORS.items():
         q_plus, q_minus = extract(plus), extract(minus)

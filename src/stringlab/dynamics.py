@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .geometry import (
 )
 from .grid import (
     NORMAL,
+    WORLDSHEET_LOWER,
     WORLDSHEET_UPPER,
     Field,
     integrate_patch,
@@ -156,21 +158,43 @@ def symplectic_potential_string(geo: GeometryBundle, d: DeformationField, p: Act
 # linearized dynamics: coefficient cache
 
 
+class CurrentCoefficients(NamedTuple):
+    """The coefficient fields the bilinear current reads, in the order its
+    pointwise kernel takes them; the operator's coefficients extend them."""
+
+    gi: np.ndarray       # gamma^{ab}
+    k_low: np.ndarray    # K_ab^i       (a, b, i)
+    k_upup: np.ndarray   # K^{ab i}
+    gk: np.ndarray       # grad_c K_ab^i (c, a, b, i)
+    kk: np.ndarray       # K^{ab i} K_ab^j
+
+
+def current_coefficients(geo: GeometryBundle) -> CurrentCoefficients:
+    """The current's coefficients, computed once per geometry."""
+    if "current_coeffs" not in geo.cache:
+        k = geo.K
+        k_upup = raise_index(geo, raise_index(geo, k, 0), 1).values
+        geo.cache["current_coeffs"] = CurrentCoefficients(
+            gi=geo.gamma_inv.values,
+            k_low=k.values,
+            k_upup=k_upup,
+            gk=covariant_gradient(geo, k).values,
+            kk=np.einsum("...abi,...abj->...ij", k_upup, k.values),
+        )
+    return geo.cache["current_coeffs"]
+
+
 class _LinearizedCoefficients:
     """Geometry-dependent coefficient fields of the linearized operator,
-    computed once per geometry and reused across operator applications."""
+    computed once per geometry and reused across operator applications:
+    the current's coefficients and the fourth-derivative ones on top."""
 
     def __init__(self, geo: GeometryBundle):
-        k = geo.K
-        self.k_low = k.values                                  # K_ab^i       (a, b, i)
-        self.k_upup = raise_index(geo, raise_index(geo, k, 0), 1).values  # K^{ab i}
-        self.kk = np.einsum("...abi,...abj->...ij", self.k_upup, self.k_low)
+        self.gi, self.k_low, self.k_upup, self.gk, self.kk = current_coefficients(geo)
+        gi = self.gi
         self.k_mean = geo.K_mean.values
-        gk_f = covariant_gradient(geo, k)
-        self.gk = gk_f.values                                  # grad_c K_ab^i (c, a, b, i)
+        gk_f = Field(geo.grid, self.gk, (WORLDSHEET_LOWER,) + geo.K.indices)
         self.ggk = covariant_gradient(geo, gk_f).values        # grad_d grad_c K_ab^i
-        gi = geo.gamma_inv.values
-        self.gi = gi
         self.lap_k = np.einsum("...dc,...dcabi->...abi", gi, self.ggk)
         gkm_f = covariant_gradient(geo, geo.K_mean)
         self.g_kmean = gkm_f.values                            # (c, i)

@@ -15,7 +15,7 @@ import numpy as np
 from . import deformation as dfm
 from . import dynamics as dyn
 from . import symplectic as sym
-from .geometry import gauss_scalar_curvature
+from .geometry import gauss_scalar_curvature, intrinsic_geometry
 from .grid import Field, WorldsheetGrid, masked_max_abs
 from .solutions import ExactSolution, jacobi_from_family, make_solution
 from .symplectic import symplectic_form
@@ -75,7 +75,7 @@ def _dump_csv(path: str, geo, f: Field, name: str) -> None:
     tt, ss = geo.grid.meshgrid()
     lines = [",".join(headers)]
     for it, isig in np.argwhere(geo.mask.active):
-        row = [repr(tt[it, isig]), repr(ss[it, isig])]
+        row = [repr(float(tt[it, isig])), repr(float(ss[it, isig]))]
         row += [repr(float(vals[(it, isig) + comp])) for comp in idx]
         lines.append(",".join(row))
     with open(path, "w") as fh:
@@ -210,8 +210,7 @@ def run_conserve(config, *, jacobi=("translation_x", "translation_t"), beta=0.0)
 
 
 def _conservation_scale(geo, f1, f2, p) -> float:
-    c = dyn.operator_coefficients(geo)
-    kk = masked_max_abs(c.kk, geo.mask.active)
+    kk = masked_max_abs(dyn.current_coefficients(geo).kk, geo.mask.active)
     n1 = max(1.0, masked_max_abs(f1.values, geo.mask.active))
     n2 = max(1.0, masked_max_abs(f2.values, geo.mask.active))
     return (p.tension + abs(p.gb_coupling) * kk) * n1 * n2
@@ -270,17 +269,18 @@ _CONVERGENCE_FLOORS = {"einstein": 2.5e-8, "eom": 1e-7, "self-adjoint": 1e-9}
 
 def run_convergence(config, *, quantity="einstein", levels=(65, 129, 257)) -> Outcome:
     sol, grid = _setup(config)
+    p = config.action_params
     errors = []
     for n_tau in levels:
         lvl_grid = WorldsheetGrid(int(n_tau), grid.n_sigma, grid.tau_min, grid.tau_max)
-        geo = sol.geometry(lvl_grid)
-        if quantity == "einstein":
+        if quantity == "einstein":  # an intrinsic field: no normal frame is built
+            geo = intrinsic_geometry(sol.embedding(lvl_grid))
             err = masked_max_abs(geo.einstein.values, geo.mask.active)
         elif quantity == "eom":
-            p = dyn.ActionParams(config.action_params.tension, config.action_params.gb_coupling)
+            geo = sol.geometry(lvl_grid)
             err = masked_max_abs(dyn.eom_residual(geo, p).values, geo.mask.active)
         else:
-            p = dyn.ActionParams(config.action_params.tension, config.action_params.gb_coupling)
+            geo = sol.geometry(lvl_grid)
             phi1 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed)
             phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed + 1)
             res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)

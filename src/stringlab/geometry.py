@@ -6,6 +6,12 @@ metric, worldsheet Christoffel/Riemann/Ricci/Einstein tensors, an
 orthonormal normal frame, extrinsic curvature, and the normal-bundle
 connection, plus the covariant derivative machinery on top of them.
 
+A build has two stages.  :func:`intrinsic_geometry` runs from the embedding
+to the Einstein tensor and builds no normal frame; :func:`frame_geometry`
+adds the frame, the extrinsic curvature and the normal connection.
+:func:`build_geometry` runs both, and comparisons that read only intrinsic
+fields run the first alone.
+
 Two conventions that everything downstream relies on:
 
 * Extrinsic curvature sign: K_ab^i = -n^i . (d_a d_b X + Gamma(bg) e_a e_b).
@@ -86,8 +92,9 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class GeometryBundle:
-    """Immutable bundle of every derived geometric field of one embedding."""
+class IntrinsicGeometry:
+    """The fields of an embedding up to the Einstein tensor: everything built
+    from the tangents and the induced metric, nothing from the normal frame."""
 
     embedding: Embedding
     grid: WorldsheetGrid
@@ -108,6 +115,13 @@ class GeometryBundle:
     ricci: Field               # (a, a)
     scalar: Field              # scalar curvature
     einstein: Field            # (a, a)
+
+
+@dataclass(frozen=True)
+class GeometryBundle(IntrinsicGeometry):
+    """Immutable bundle of every derived geometric field of one embedding:
+    the intrinsic fields, then the normal frame and what is built on it."""
+
     n: Field                   # orthonormal normal frame n_i^mu, indices (i, mu)
     n_low: np.ndarray
     K: Field                   # extrinsic curvature K_ab^i, indices (a, a, i)
@@ -291,7 +305,8 @@ def _dilate(points: np.ndarray) -> np.ndarray:
 
 
 def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryBundle:
-    """Compute the full geometry bundle of an embedding.
+    """Compute the full geometry bundle of an embedding: the intrinsic stage,
+    then the frame stage on top of it.
 
     ``frame`` (n_tau, n_sigma, codim, dim) optionally seeds the normal frame
     in place of the coordinate axes: projected and orthonormalized like any
@@ -299,10 +314,16 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     compared with (NaN allowed at masked points); gauge-covariance tests
     pass a rotated one.
     """
+    return frame_geometry(intrinsic_geometry(emb), frame)
+
+
+def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
+    """The intrinsic stage of a build: tangents, induced metric, its inverse
+    and determinant, the degeneracy mask, and the curvature chain from the
+    Christoffel symbols to the Einstein tensor.  No normal frame is built,
+    so a comparison that reads only these fields stops here."""
     bg = emb.background
     grid = emb.grid
-    nt, ns = grid.shape
-    dim = bg.dim
 
     x = emb.x
     e = gradient(x)  # tangents e_a^mu
@@ -336,23 +357,6 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         gamma_inv = -adj / d[..., None, None]
         vol = np.sqrt(np.where(d > 0, d, np.nan))
 
-    if frame is not None and np.shape(frame) != (nt, ns, dim - 2, dim):
-        raise GeometryError(f"frame override has shape {np.shape(frame)}")
-    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active, frame)
-    n_low = np.einsum("...mn,...in->...im", g, normals)
-
-    # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized
-    # (dd is d_b e_a, in (b, a) order: the symmetrization makes the order moot)
-    dd = gradient(e).values
-    if not bg.flat:
-        gamma_bg = bg.christoffel_at(x.values)
-        dd = dd + np.einsum("...mnl,...an,...bl->...abm", gamma_bg, e_vals, e_vals)
-    K = -np.einsum("...im,...abm->...abi", n_low, dd)
-    del dd  # each stage frees its stencil intermediates: the peak heap is what a build touches
-    K = 0.5 * (K + np.swapaxes(K, 2, 3))
-    with np.errstate(invalid="ignore"):
-        K_mean = np.einsum("...ab,...abi->...i", gamma_inv, K)
-
     # determinant-weighted Christoffel: Gamma^a_{bc} = P^a_{bc} / (-det)
     gamma_f = Field(grid, gamma, (WORLDSHEET_LOWER, WORLDSHEET_LOWER))
     dgam = gradient(gamma_f).values  # (..., c, a, b)
@@ -362,7 +366,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         - np.einsum("...dbc->...dbc", dgam)    # d_d gamma_bc
     )
     p_num = -0.5 * np.einsum("...ad,...dbc->...abc", adj, sym)
-    del dgam, sym
+    del dgam, sym  # each stage frees its stencil intermediates: the peak heap is what a build touches
     with np.errstate(divide="ignore", invalid="ignore"):
         conn = p_num / d[..., None, None, None]
 
@@ -387,20 +391,7 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         scal = np.einsum("...bd,...bd->...", gamma_inv, ricci)
     einstein = ricci - 0.5 * gamma * scal[..., None, None]
 
-    # normal-bundle connection omega_a^{ij} = g(n^i, D_a n^j), antisymmetrized
-    k_codim = dim - 2
-    if k_codim == 1:
-        omega = grid_full((nt, ns, 2, 1, 1), 0.0)
-    else:
-        # differentiate after interpolating over masked points
-        n_f = Field(grid, fill_masked_along_sigma(normals, active), (NORMAL, SPACETIME))
-        dn = gradient(n_f).values  # (nt, ns, a, j, mu)
-        if not bg.flat:
-            dn = dn + np.einsum("...mnl,...an,...jl->...ajm", gamma_bg, e_vals, normals)
-        omega = np.einsum("...im,...ajm->...aij", n_low, dn)
-        omega = 0.5 * (omega - np.swapaxes(omega, -1, -2))
-
-    geo = GeometryBundle(
+    intrinsic = IntrinsicGeometry(
         embedding=emb,
         grid=grid,
         background=bg,
@@ -422,22 +413,78 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
         ricci=Field(grid, ricci, (WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
         scalar=Field(grid, scal),
         einstein=Field(grid, einstein, (WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
+    )
+    _validate_intrinsic(intrinsic)
+    return intrinsic
+
+
+def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None) -> GeometryBundle:
+    """The frame stage of a build: the normal frame (seeded as in
+    :func:`build_geometry`), extrinsic curvature, its trace and the
+    normal-bundle connection, bundled with the intrinsic fields."""
+    bg = intrinsic.background
+    grid = intrinsic.grid
+    nt, ns = grid.shape
+    dim = bg.dim
+    x = intrinsic.embedding.x
+    g, e_vals, e_low = intrinsic.g, intrinsic.e.values, intrinsic.e_low
+    gamma_inv = intrinsic.gamma_inv.values
+    active = intrinsic.mask.active
+
+    if frame is not None and np.shape(frame) != (nt, ns, dim - 2, dim):
+        raise GeometryError(f"frame override has shape {np.shape(frame)}")
+    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active, frame)
+    n_low = np.einsum("...mn,...in->...im", g, normals)
+
+    # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized
+    # (dd is d_b e_a, in (b, a) order: the symmetrization makes the order moot)
+    dd = gradient(intrinsic.e).values
+    if not bg.flat:
+        gamma_bg = bg.christoffel_at(x.values)
+        dd = dd + np.einsum("...mnl,...an,...bl->...abm", gamma_bg, e_vals, e_vals)
+    K = -np.einsum("...im,...abm->...abi", n_low, dd)
+    del dd
+    K = 0.5 * (K + np.swapaxes(K, 2, 3))
+    with np.errstate(invalid="ignore"):
+        K_mean = np.einsum("...ab,...abi->...i", gamma_inv, K)
+
+    # normal-bundle connection omega_a^{ij} = g(n^i, D_a n^j), antisymmetrized
+    k_codim = dim - 2
+    if k_codim == 1:
+        omega = grid_full((nt, ns, 2, 1, 1), 0.0)
+    else:
+        # differentiate after interpolating over masked points
+        n_f = Field(grid, fill_masked_along_sigma(normals, active), (NORMAL, SPACETIME))
+        dn = gradient(n_f).values  # (nt, ns, a, j, mu)
+        if not bg.flat:
+            dn = dn + np.einsum("...mnl,...an,...jl->...ajm", gamma_bg, e_vals, normals)
+        omega = np.einsum("...im,...ajm->...aij", n_low, dn)
+        omega = 0.5 * (omega - np.swapaxes(omega, -1, -2))
+
+    geo = GeometryBundle(
+        **vars(intrinsic),
         n=Field(grid, normals, (NORMAL, SPACETIME)),
         n_low=n_low,
         K=Field(grid, K, (WORLDSHEET_LOWER, WORLDSHEET_LOWER, NORMAL)),
         K_mean=Field(grid, K_mean, (NORMAL,)),
         normal_conn=Field(grid, omega, (WORLDSHEET_LOWER, NORMAL, NORMAL)),
     )
-    _validate_bundle(geo)
+    _validate_frame(geo)
     return geo
 
 
-def _validate_bundle(geo: GeometryBundle) -> None:
+def _validate_intrinsic(geo: IntrinsicGeometry) -> None:
     act = geo.mask.active
     ident = np.einsum("...ab,...bc->...ac", geo.gamma_inv.values, geo.gamma.values)
     eye = np.eye(2)
     if masked_max_abs(ident - eye, act) > 1e-10:
         raise GeometryError("gamma_inv . gamma deviates from the identity")
+    for name in ("vol", "conn", "riem", "scalar"):
+        getattr(geo, name).check_finite(geo.mask, name=name)
+
+
+def _validate_frame(geo: GeometryBundle) -> None:
+    act = geo.mask.active
     ndotn = np.einsum("...im,...jm->...ij", geo.n_low, geo.n.values)
     k = geo.codim
     if masked_max_abs(ndotn - np.eye(k), act) > 1e-9:
@@ -445,7 +492,7 @@ def _validate_bundle(geo: GeometryBundle) -> None:
     ndote = np.einsum("...im,...am->...ia", geo.n_low, geo.e.values)
     if masked_max_abs(ndote, act) > 1e-9:
         raise GeometryError("normal frame is not orthogonal to the tangents")
-    for name in ("vol", "conn", "riem", "scalar", "K", "K_mean", "normal_conn"):
+    for name in ("K", "K_mean", "normal_conn"):
         getattr(geo, name).check_finite(geo.mask, name=name)
 
 

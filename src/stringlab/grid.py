@@ -98,6 +98,27 @@ class WorldsheetGrid:
         """(tau, sigma) coordinate arrays of shape (n_tau, n_sigma)."""
         return np.meshgrid(self.tau, self.sigma, indexing="ij")
 
+    def rows(self, band: slice) -> "RowBand":
+        """The grid of the consecutive tau rows ``band`` (step 1) of this one."""
+        tau = self.tau[band]
+        return RowBand(len(tau), self.n_sigma, float(tau[0]), float(tau[-1]), self.h_tau)
+
+
+@dataclass(frozen=True)
+class RowBand(WorldsheetGrid):
+    """Consecutive tau rows of a grid, as a grid of their own.
+
+    The tau spacing is the full grid's, to the last bit.  Recomputed from the
+    band's own window it can differ in the last bit, and the nested one-sided
+    edge stencils amplify that a millionfold; with the same spacing, the
+    stencils repeat the full grid's arithmetic on every row they share."""
+
+    spacing: float
+
+    @property
+    def h_tau(self) -> float:
+        return self.spacing
+
 
 @dataclass(frozen=True)
 class Mask:

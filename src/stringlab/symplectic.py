@@ -21,10 +21,12 @@ covariantly conserved and omega is slice-independent.
 Six labelled pieces j1..j6 assemble the current; :func:`bilinear_current`
 also evaluates the algebraically simplified closed form directly, and the
 two must agree to roundoff (an independent check of the simplification).
-The closed form is a pointwise kernel in the cached operator coefficients
-and the fields' normal gradients: :func:`bilinear_current` runs it on the
-whole grid, while the two-form runs the same kernel on the requested tau
-row only.
+The closed form is a pointwise kernel in the current's cached coefficients
+(:func:`~stringlab.dynamics.current_coefficients`, not the operator's
+fourth-derivative ones) and the fields' normal gradients:
+:func:`bilinear_current` runs it on the whole grid, while the two-form runs
+the same kernel on the requested tau row only.  The gauge check rebuilds
+the reparametrized geometry on a band of rows around that row only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .deformation import DeformationField, deform_embedding
 from .dynamics import (
     ActionParams,
-    operator_coefficients,
+    current_coefficients,
     require_onshell,
     stability_operator_apply,
     symplectic_potential,
@@ -45,13 +47,14 @@ from .grid import (
     WORLDSHEET_UPPER,
     Field,
     GridError,
+    Mask,
     divergence,
     masked_max_abs,
 )
 
 
 def _pair_setup(geo: GeometryBundle, phi1: Field, phi2: Field):
-    c = operator_coefficients(geo)
+    c = current_coefficients(geo)
     g1 = normal_gradient(geo, phi1).values
     g2 = normal_gradient(geo, phi2).values
     gi = c.gi
@@ -141,18 +144,13 @@ def _current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p) -> n
     return j
 
 
-def _current_coefficients(c) -> tuple[np.ndarray, ...]:
-    """The coefficient fields :func:`_current_values` takes, in its order."""
-    return c.gi, c.k_low, c.k_upup, c.gk, c.kk
-
-
 def bilinear_current(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
     """The worldsheet current j^a of the ordered pair (phi1, phi2) in its
     simplified closed form (two of the piece terms cancel when everything
     is written out); evaluated directly, not by summing
     :func:`current_pieces`."""
     c, *operands = _pair_setup(geo, phi1, phi2)
-    j = _current_values(*_current_coefficients(c), *operands, p)
+    j = _current_values(*c, *operands, p)
     return Field(geo.grid, j, (WORLDSHEET_UPPER,))
 
 
@@ -239,7 +237,7 @@ def raw_slice_integrals(
     if not geo.mask.row_active(tau_index):
         raise GridError(f"tau row {tau_index} intersects the masked region")
     c, *operands = _pair_setup(geo, phi1, phi2)
-    coeffs = [a[tau_index] for a in _current_coefficients(c)]
+    coeffs = [a[tau_index] for a in c]
     f1, f2, g1, g2, up1, up2 = (a[tau_index] for a in operands)
     vol = geo.vol.values[tau_index]
     j12 = _current_values(*coeffs, f1, f2, g1, g2, up1, up2, p)
@@ -317,6 +315,42 @@ def resample_sigma(values: np.ndarray, new_sigma: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape[:1] + new_sigma.shape + rest)
 
 
+# tau rows kept on each side of the slice by a reparametrized rebuild: 2 rows
+# per nested tau stencil (the central stencil's half-width), times the 3
+# nested derivatives the current reads (x -> e -> d e -> grad K).  At this
+# radius no tau stencil that reaches the slice row's current reads a
+# one-sided edge row of the band that the full grid reads centrally.
+BAND_RADIUS = 2 * 3
+
+
+def slice_band(n_tau: int, tau_index: int) -> slice:
+    """The rows [tau_index - BAND_RADIUS, tau_index + BAND_RADIUS], shifted to
+    stay inside a grid of ``n_tau`` rows (the whole grid if it is smaller)."""
+    width = 2 * BAND_RADIUS + 1
+    lo = max(0, min(tau_index - BAND_RADIUS, n_tau - width))
+    return slice(lo, min(n_tau, lo + width))
+
+
+def reparametrized_form(
+    geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, s: np.ndarray, tau_index: int
+) -> float:
+    """The two-form on row ``tau_index`` after pulling the embedding, the
+    normal frame and the field components back through the new source points
+    ``s`` of the grid sigma values.  The geometry is rebuilt from scratch,
+    seeded with the pulled-back frame (the components' basis), on the band
+    of rows :func:`slice_band` only, as a sub-grid with the full grid's tau
+    spacing."""
+    grid, emb = geo.grid, geo.embedding
+    band = slice_band(grid.n_tau, tau_index)
+    sub = grid.rows(band)
+    x2 = Field(sub, resample_sigma(emb.x.values[band], s), emb.x.indices)
+    emb2 = Embedding(emb.background, x2, Mask(sub, emb.mask.active[band]))
+    geo2 = build_geometry(emb2, frame=resample_sigma(geo.n.values[band], s))
+    f1 = Field(sub, resample_sigma(phi1.values[band], s), (NORMAL,))
+    f2 = Field(sub, resample_sigma(phi2.values[band], s), (NORMAL,))
+    return symplectic_form(geo2, f1, f2, p, tau_index - band.start)
+
+
 def gauge_invariance_check(
     geo: GeometryBundle,
     phi1: Field,
@@ -328,10 +362,9 @@ def gauge_invariance_check(
     """Relative change of the two-form under a circle reparametrization.
 
     ``sigma_map`` sends the grid sigma values to new source points s(sigma)
-    (orientation preserving); the embedding, the normal frame and the field
-    components are pulled back through the trigonometric interpolant, the
-    geometry is rebuilt from scratch seeded with that frame (the components'
-    basis), and the two-form is recomputed on the same row.
+    (orientation preserving).  The two-form on the full geometry is compared
+    with :func:`reparametrized_form` on the same row, whose rebuild covers
+    only the band of 2 * BAND_RADIUS + 1 rows around it.
     """
     grid = geo.grid
     s = np.asarray(sigma_map(grid.sigma), dtype=float)
@@ -339,11 +372,6 @@ def gauge_invariance_check(
     if not (np.diff(wrapped) > 0).all():
         raise GridError("reparametrization is not invertible on the grid")
     omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
-    emb = geo.embedding
-    x2 = Field(grid, resample_sigma(emb.x.values, s), emb.x.indices)
-    geo2 = build_geometry(Embedding(emb.background, x2, emb.mask), frame=resample_sigma(geo.n.values, s))
-    f1 = Field(grid, resample_sigma(phi1.values, s), (NORMAL,))
-    f2 = Field(grid, resample_sigma(phi2.values, s), (NORMAL,))
-    omega1 = symplectic_form(geo2, f1, f2, p, tau_index)
+    omega1 = reparametrized_form(geo, phi1, phi2, p, s, tau_index)
     denom = abs(omega0) if omega0 != 0.0 else 1.0
     return abs(omega1 - omega0) / denom

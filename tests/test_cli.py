@@ -10,6 +10,7 @@ import pytest
 from stringlab import cli, dynamics, experiments, solutions, symplectic
 from stringlab.dynamics import ActionParams
 from stringlab.geometry import build_geometry
+from stringlab.grid import WorldsheetGrid
 
 BASE = {
     "schema_version": 1,
@@ -125,6 +126,8 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("convergence", {"levels": [5, 7]}),
         ("gauge-check", {"epsilon": 1.5}),
         ("gauge-check", {"epsilon": -1.0}),
+        ("eom", {"csv": True}),
+        ("geometry", {"csv": ""}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -287,6 +290,10 @@ def test_csv_dump(tmp_path):
     assert header[:2] == ["tau", "sigma"]
     assert header[2:] == ["eom_residual[0]", "eom_residual[1]"]
     assert len(lines) == 1 + 65 * 32
+    # the second point of the first row, written as plain floats
+    tau, sigma, *_ = map(float, lines[2].split(","))
+    grid = WorldsheetGrid(**BASE["grid"])
+    assert (tau, sigma) == (grid.tau[0], grid.sigma[1])
 
 
 def _count_builds(monkeypatch, *modules):

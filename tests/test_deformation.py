@@ -3,6 +3,7 @@ import pytest
 
 from conftest import interior
 from stringlab import deformation as dfm
+from stringlab import geometry
 from stringlab.background import minkowski
 from stringlab.geometry import Embedding, build_geometry
 from stringlab.grid import (
@@ -147,19 +148,28 @@ def test_oracle_eps_range_enforced(pulsating, grid129):
 
 
 def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
+    """The oracle rebuilds the intrinsic stage once per displaced embedding
+    and never runs the frame stage: none of its six quantities reads it."""
     geo = pulsating.geometry(grid129)
     d = dfm.random_deformation(grid129, geo.codim, seed=0)
-    builds = []
+    intrinsic, frames = [], []
+    real_intrinsic, real_frame = geometry.intrinsic_geometry, geometry.frame_geometry
 
-    def counting_build(e, **kwargs):
-        builds.append(kwargs)
-        return build_geometry(e, **kwargs)
+    def counting_intrinsic(emb):
+        intrinsic.append(emb)
+        return real_intrinsic(emb)
 
-    monkeypatch.setattr(dfm, "build_geometry", counting_build)
+    def counting_frame(*args):
+        frames.append(args)
+        return real_frame(*args)
+
+    # a full build would reach both stages through the geometry module
+    monkeypatch.setattr(dfm, "intrinsic_geometry", counting_intrinsic)
+    monkeypatch.setattr(geometry, "intrinsic_geometry", counting_intrinsic)
+    monkeypatch.setattr(geometry, "frame_geometry", counting_frame)
     oracles = dfm.fd_oracle(geo, d)
-    assert len(builds) == 2
-    # each rebuild is seeded with the frame it is compared against
-    assert all(np.array_equal(b["frame"], geo.n.values, equal_nan=True) for b in builds)
+    assert len(intrinsic) == 2
+    assert frames == []
     assert set(oracles) == {
         "metric", "inverse_metric", "volume", "connection", "ricci", "scalar_curvature",
     }

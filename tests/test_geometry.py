@@ -5,7 +5,7 @@ import pytest
 
 from conftest import grid_axes_innermost, interior
 from stringlab.background import minkowski
-from stringlab.dynamics import operator_coefficients
+from stringlab.dynamics import current_coefficients, operator_coefficients
 from stringlab.geometry import (
     Embedding,
     DEGENERACY_TOL,
@@ -16,6 +16,7 @@ from stringlab.geometry import (
     covariant_gradient,
     fill_masked_along_sigma,
     gauss_scalar_curvature,
+    intrinsic_geometry,
     normal_gradient,
     normal_laplacian,
     normal_laplacian_double_trace,
@@ -24,6 +25,7 @@ from stringlab.grid import (
     NORMAL,
     SPACETIME,
     Field,
+    Mask,
     WorldsheetGrid,
     masked_max_abs,
 )
@@ -387,8 +389,8 @@ def test_supplied_frame_is_not_reoriented(pulsating_geo):
 
 @pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
 def test_geometry_arrays_are_stored_component_major(fixture, request):
-    """Every grid array of a bundle and of its operator coefficients keeps
-    the grid axes innermost: one stray points-first array would bring back
+    """Every grid array of a bundle, of the current's coefficients and of
+    the operator's keeps the grid axes innermost: one stray points-first array would bring back
     the slow contractions without failing any other test."""
     geo = request.getfixturevalue(fixture)
     arrays = {"embedding.x": geo.embedding.x.values}
@@ -397,6 +399,8 @@ def test_geometry_arrays_are_stored_component_major(fixture, request):
         arr = value.values if isinstance(value, Field) else value
         if isinstance(arr, np.ndarray):
             arrays[f.name] = arr
+    for name, arr in current_coefficients(geo)._asdict().items():
+        arrays[f"current_coefficients.{name}"] = arr
     for name, arr in vars(operator_coefficients(geo)).items():
         if isinstance(arr, np.ndarray):
             arrays[f"coefficients.{name}"] = arr
@@ -405,3 +409,24 @@ def test_geometry_arrays_are_stored_component_major(fixture, request):
     assert [name for name, arr in arrays.items() if not grid_axes_innermost(arr)] == []
     filled = fill_masked_along_sigma(geo.K.values, geo.mask.active)
     assert grid_axes_innermost(filled)
+
+
+@pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
+def test_intrinsic_stage_is_a_prefix_of_the_full_build(fixture, request):
+    """The intrinsic stage alone returns, bit for bit, every field it shares
+    with a full build: the frame stage changes none of them."""
+    geo = request.getfixturevalue(fixture)
+    intrinsic = intrinsic_geometry(geo.embedding)
+    names = [f.name for f in dataclasses.fields(intrinsic)]
+    assert names == [f.name for f in dataclasses.fields(geo)][: len(names)]
+    for name in names:
+        mine, full = getattr(intrinsic, name), getattr(geo, name)
+        if isinstance(mine, Field):
+            assert mine.indices == full.indices
+            mine, full = mine.values, full.values
+        elif isinstance(mine, Mask):
+            mine, full = mine.active, full.active
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, full, equal_nan=True), name
+        else:
+            assert mine is full or mine == full, name

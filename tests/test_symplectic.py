@@ -431,6 +431,70 @@ def test_gauge_check_rejects_noninvertible(pulsating_geo, jacobi_pair):
         )
 
 
+def test_slice_band_stays_inside_the_grid():
+    width = 2 * sym.BAND_RADIUS + 1
+    assert sym.slice_band(129, 64) == slice(64 - sym.BAND_RADIUS, 65 + sym.BAND_RADIUS)
+    assert sym.slice_band(129, 0) == sym.slice_band(129, 2) == slice(0, width)
+    assert sym.slice_band(129, 128) == slice(129 - width, 129)
+    assert sym.slice_band(9, 4) == slice(0, 9)
+
+
+def test_row_band_keeps_the_spacing():
+    grid = WorldsheetGrid(129, 32, 0.1, 0.9)
+    band = grid.rows(slice(5, 18))
+    assert band.shape == (13, 32)
+    assert (band.tau_min, band.tau_max) == (grid.tau[5], grid.tau[17])
+    # recomputed from the band's window, the spacing would differ in the last bit
+    assert band.h_tau == grid.h_tau
+
+
+@pytest.mark.parametrize(
+    "solution,geometry,modulus",
+    [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
+)
+def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, modulus):
+    """The gauge check's rebuild on a band of rows gives the two-form of a
+    rebuild of the whole grid, on interior and edge rows alike."""
+    sol = request.getfixturevalue(solution)
+    geo = request.getfixturevalue(geometry)
+    grid, emb = geo.grid, geo.embedding
+    f1, f2 = (jacobi_from_family(sol, geo, name) for name in ("translation_t", modulus))
+    p = dyn.ActionParams(1.0, 0.3)  # a nonzero coupling reads the curvature gradients
+    for s in (grid.sigma + 1e-2 * np.sin(grid.sigma), grid.sigma + 3 * grid.h_sigma):
+        x2 = Field(grid, sym.resample_sigma(emb.x.values, s), emb.x.indices)
+        full = build_geometry(
+            Embedding(emb.background, x2, emb.mask), frame=sym.resample_sigma(geo.n.values, s)
+        )
+        g1, g2 = (Field(grid, sym.resample_sigma(f.values, s), (NORMAL,)) for f in (f1, f2))
+        for row in (0, 2, grid.n_tau // 2, grid.n_tau - 1):
+            reference = sym.symplectic_form(full, g1, g2, p, row)
+            band = sym.reparametrized_form(geo, f1, f2, p, s, row)
+            assert abs(band - reference) <= 1e-13 * abs(reference), (row, band, reference)
+
+
+def test_gauge_check_rejects_masked_row(rotating, rotating_geo):
+    geo = rotating_geo
+    jt, ja = (jacobi_from_family(rotating, geo, name) for name in ("translation_t", "amplitude"))
+    from stringlab.grid import GridError
+
+    with pytest.raises(GridError, match="intersects the masked region"):
+        sym.gauge_invariance_check(
+            geo, jt, ja, dyn.ActionParams(1.0, 0.0), lambda s: s + 0.1, geo.grid.n_tau // 2
+        )
+
+
+def test_current_reads_only_its_own_coefficients(pulsating):
+    """The two-form and the conservation check fill the current's
+    coefficients, not the operator's fourth-derivative ones."""
+    geo = pulsating.geometry(WorldsheetGrid(33, 16, 0.1, 0.9))
+    phi1, phi2 = _random_pair(geo.grid, geo.codim)
+    p = dyn.ActionParams(1.0, 0.3)
+    sym.symplectic_form(geo, phi1, phi2, p, geo.grid.n_tau // 2)
+    sym.conservation_residual(geo, phi1, phi2, p)
+    assert list(geo.cache) == ["current_coeffs"]
+    assert isinstance(geo.cache["current_coeffs"], dyn.CurrentCoefficients)
+
+
 def test_resample_sigma_exact_for_trig():
     grid = WorldsheetGrid(9, 32, 0.0, 1.0)
     _, ss = grid.meshgrid()
