@@ -208,19 +208,24 @@ def _random_scalar(grid: WorldsheetGrid, rng) -> np.ndarray:
     """Band-limited random scalar: sigma modes <= n_sigma // 4, polynomial
     of degree 3 in the rescaled tau coordinate.
 
-    The trig factors are evaluated on the sigma axis and the polynomial on a
-    tau column, then broadcast: the same per-element arithmetic, in the same
-    order, as evaluating both on the full meshgrid."""
-    ss = grid.sigma
+    The coefficients are drawn in one call, in the order (m, k, cos/sin);
+    the trig factors are evaluated on the sigma axis and the polynomial on a
+    tau column, then broadcast, and the terms are summed in (m, k) order:
+    the same per-element arithmetic, in the same order, as evaluating each
+    term on the full meshgrid."""
+    k = np.arange(grid.n_sigma // 4 + 1.0)
+    amp = 1.0 / ((1.0 + k) * (1.0 + np.arange(4.0)[:, None]))
+    ab = rng.normal(size=(4, len(k), 2)) * amp[:, :, None]
+    ks = k[:, None] * grid.sigma
+    trig = ab[:, :, :1] * np.cos(ks) + ab[:, :, 1:] * np.sin(ks)  # (m, k, sigma)
     span = grid.tau_max - grid.tau_min
-    that = (2.0 * (grid.tau - grid.tau_min) / span - 1.0)[:, None]
+    that = 2.0 * (grid.tau - grid.tau_min) / span - 1.0
+    # integer powers: numpy squares for ** 2, which pow(x, 2.0) need not match
+    poly = np.stack([that**m for m in range(4)])
+    terms = trig[:, :, None, :] * poly[:, None, :, None]  # (m, k, tau, sigma)
     vals = np.zeros(grid.shape)
-    for m in range(4):
-        poly = that**m
-        for k in range(grid.n_sigma // 4 + 1):
-            amp = 1.0 / ((1.0 + k) * (1.0 + m))
-            a, b = rng.normal(size=2) * amp
-            vals += (a * np.cos(k * ss) + (b * np.sin(k * ss) if k else 0.0)) * poly
+    for term in terms.reshape(-1, *grid.shape):
+        vals += term
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 

@@ -15,6 +15,7 @@ from stringlab.grid import (
     grid_innermost,
     integrate_patch,
     integrate_sigma_slice,
+    sigma_derivative_matrix,
 )
 
 
@@ -65,6 +66,57 @@ def test_d_sigma_mixed_mode():
     tt, ss = grid.meshgrid()
     df = d_sigma(Field(grid, np.sin(3 * ss) * np.cos(tt)))
     assert np.abs(df.values - 3 * np.cos(3 * ss) * np.cos(tt)).max() <= 1e-10
+
+
+def _fft_derivative(values, axis):
+    """The FFT derivative along the periodic ``axis``, with the Nyquist mode's
+    derivative set to zero: the independent reference for the matrix."""
+    n = values.shape[axis]
+    k = np.arange(n // 2 + 1, dtype=np.float64)
+    k[-1] = 0.0
+    spec = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1) * (1j * k)
+    return np.fft.irfft(np.moveaxis(spec, -1, axis), n=n, axis=axis)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_sigma_derivative_matrix(n):
+    mat = sigma_derivative_matrix(n)
+    assert mat.shape == (n, n) and not mat.flags.writeable
+    assert sigma_derivative_matrix(n) is mat  # built once per n
+    # circulant, antisymmetric and zero on the diagonal, to the last bit
+    assert np.array_equal(np.roll(mat, (1, 1), axis=(0, 1)), mat)
+    assert np.array_equal(mat.T, -mat)
+    assert not np.diag(mat).any()
+    # the operator the FFT applies, column by column, and on a random field
+    reference = _fft_derivative(np.eye(n), 0)
+    assert np.abs(mat - reference).max() <= 1e-13 * np.abs(reference).max()
+    grid = WorldsheetGrid(17, n, 0.0, 1.0)
+    vals = np.random.default_rng(n).normal(size=grid.shape + (2, 3))
+    reference = _fft_derivative(vals, 1)
+    got = d_sigma(Field(grid, vals, ("a", "i"))).values
+    assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+    # exact on every trigonometric mode of degree < n/2, zero on the Nyquist mode
+    sigma = grid.sigma
+    for k in range(n // 2):
+        c, s = np.cos(k * sigma), np.sin(k * sigma)
+        assert np.abs(mat @ s - k * c).max() <= 1e-12 * max(k, 1)
+        assert np.abs(mat @ c + k * s).max() <= 1e-12 * max(k, 1)
+    assert np.abs(mat @ np.cos(0.5 * n * sigma)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_value_spreads_along_its_row(grid, bad):
+    vals = np.random.default_rng(3).normal(size=grid.shape + (2,))
+    vals[5, 7, 1] = bad
+    f = Field(grid, vals, ("i",))
+    ds = d_sigma(f).values
+    assert not np.isfinite(ds[5, :, 1]).any()
+    finite = np.ones(ds.shape, dtype=bool)
+    finite[5, :, 1] = False
+    assert np.isfinite(ds[finite]).all()
+    assert np.array_equal(gradient(f).values[:, :, 1], ds, equal_nan=True)
+    with pytest.raises(GridError, match=r"tau=5, sigma=0"):
+        d_sigma(f).check_finite()
 
 
 def test_d_tau_polynomial_exact(grid):
@@ -182,10 +234,9 @@ def test_derivatives_do_not_depend_on_input_layout(grid):
     assert np.array_equal(dt, fd4_axis0(v, h).reshape(c_order.shape))
     interior = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) * (1.0 / (12.0 * h))
     assert np.array_equal(dt[2:-2], interior.reshape(dt[2:-2].shape))
-    k = np.arange(grid.n_sigma // 2 + 1, dtype=np.float64)
-    k[-1] = 0.0
-    spec = np.fft.rfft(c_order, axis=1) * (1j * k)[None, :, None, None]
-    reference = np.fft.irfft(spec, n=grid.n_sigma, axis=1)
+    # sigma last, as a (non-contiguous) view of the C-order array
+    sigma_last = np.moveaxis(c_order, 1, -1)
+    reference = np.moveaxis(sigma_last @ sigma_derivative_matrix(grid.n_sigma).T, -1, 1)
     assert np.array_equal(d_sigma(Field(grid, c_order, ("a", "i"))).values, reference)
 
 
