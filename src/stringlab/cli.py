@@ -163,6 +163,11 @@ def _list_of(test, min_len: int = 1):
     return lambda val: isinstance(val, list) and len(val) >= min_len and all(map(test, val))
 
 
+def _distinct_list_of(test, min_len: int = 1):
+    listed = _list_of(test, min_len)
+    return lambda val: listed(val) and len(set(val)) == len(val)
+
+
 def _check_grid(grid_kwargs: dict, where: str) -> None:
     """Reject grid parameters that ``WorldsheetGrid`` itself rejects."""
     try:
@@ -172,9 +177,10 @@ def _check_grid(grid_kwargs: dict, where: str) -> None:
 
 
 def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: list[str]) -> None:
-    """Reject option values the experiments cannot run with, or
+    """Reject option values the experiments cannot run with (a repeated
+    slice collapses omega's table, a repeated level divides by log 1), or
     with which a check would pass vacuously (a zero deformation amplitude
-    or reparametrization size)."""
+    or reparametrization size, a Jacobi field paired with itself)."""
     floors = experiments._CONVERGENCE_FLOORS
     lo, hi = ORACLE_EPS_RANGE
     n_tau = grid_kwargs["n_tau"]
@@ -197,11 +203,12 @@ def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: 
         "betas": (_list_of(_is_number), "a non-empty list of numbers"),
         "seeds": (_list_of(lambda v: _is_int(v) and v >= 0),
                   "a non-empty list of non-negative integers"),
-        "levels": (_list_of(_is_int, 2), "a list of at least 2 integers"),
-        "slices": (_list_of(is_row), f"a non-empty list of tau rows in [0, {n_tau})"),
+        "levels": (_distinct_list_of(_is_int, 2), "a list of at least 2 distinct integers"),
+        "slices": (_distinct_list_of(is_row),
+                   f"a non-empty list of distinct tau rows in [0, {n_tau})"),
         "slice": (is_row, f"a tau row in [0, {n_tau})"),
-        "jacobi": (lambda v: isinstance(v, list) and len(v) == 2 and all(n in families for n in v),
-                   f"two family directions from {families}"),
+        "jacobi": (lambda v: isinstance(v, list) and len(v) == 2 and all(n in families for n in v)
+                   and v[0] != v[1], f"two different family directions from {families}"),
         "quantity": (lambda v: v in list(floors), f"one of {sorted(floors)}"),
         "csv": (lambda v: isinstance(v, str) and v != "", "a non-empty string (an output path)"),
     }

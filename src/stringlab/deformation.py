@@ -33,7 +33,6 @@ from .geometry import (
     covariant_gradient,
     intrinsic_geometry,
     lower_index,
-    raise_index,
 )
 from .grid import (
     NORMAL,
@@ -108,11 +107,10 @@ def vary_metric(geo: GeometryBundle, d: DeformationField) -> tuple[Field, Field]
     grad_low = covariant_gradient(geo, phi_low).values  # grad[a, b] = grad_a phi_b
     d_gamma = two_k_phi + grad_low + np.swapaxes(grad_low, -1, -2)
 
-    kupup = raise_index(geo, raise_index(geo, geo.K, 0), 1).values
     grad_up = covariant_gradient(geo, d.phi_tangent).values  # grad[c, b] = grad_c phi^b
     grad_upup = np.einsum("...ac,...cb->...ab", geo.gamma_inv.values, grad_up)
     d_gamma_inv = (
-        -2.0 * np.einsum("...abi,...i->...ab", kupup, phi_n)
+        -2.0 * np.einsum("...abi,...i->...ab", geo.K_upup.values, phi_n)
         - grad_upup
         - np.swapaxes(grad_upup, -1, -2)
     )

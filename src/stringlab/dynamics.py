@@ -13,7 +13,11 @@ The linearized dynamics has two independently written evaluators:
 :func:`linearized_residual` (general-dimension form, einsum style, Einstein
 blocks included) and :func:`linearized_residual_string` (string form,
 explicit index loops).  Their agreement on strings is an acceptance test,
-so neither is derived from the other.
+so neither is derived from the other.  The einsum operator is assembled in
+one place: :func:`linearized_residual` and the on-shell
+:func:`stability_operator_apply` differ only in the mean-curvature terms and
+the Einstein blocks, which :func:`linearized_residual` returns beside the
+full residual so that each block is evaluated once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .geometry import (
     covariant_gradient,
     normal_gradient,
     normal_laplacian,
-    raise_index,
 )
 from .grid import (
     NORMAL,
@@ -81,15 +84,9 @@ def eom_residual(geo: GeometryBundle, p: ActionParams) -> Field:
     On two-dimensional worldsheets the Einstein-tensor term sits at the
     discretization floor, making the residual beta-independent; the term is
     evaluated anyway (it is the general form, and its smallness is tested).
-
-    K^{ab i} is raised here, with the same arithmetic as the linearized
-    operator's coefficients, rather than taken from them: building those
-    also computes curvature gradients and Riemann slots, which the
-    geometries :func:`linearized_fd_oracle` rebuilds never use.
     """
-    k_upup = raise_index(geo, raise_index(geo, geo.K, 0), 1).values
     gb_term = 2.0 * p.gb_coupling * np.einsum(
-        "...ab,...abi->...i", geo.einstein.values, k_upup
+        "...ab,...abi->...i", geo.einstein.values, geo.K_upup.values
     )
     return Field(geo.grid, p.tension * geo.K_mean.values + gb_term, (NORMAL,))
 
@@ -173,7 +170,7 @@ def current_coefficients(geo: GeometryBundle) -> CurrentCoefficients:
     """The current's coefficients, computed once per geometry."""
     if "current_coeffs" not in geo.cache:
         k = geo.K
-        k_upup = raise_index(geo, raise_index(geo, k, 0), 1).values
+        k_upup = geo.K_upup.values
         geo.cache["current_coeffs"] = CurrentCoefficients(
             gi=geo.gamma_inv.values,
             k_low=k.values,
@@ -283,13 +280,13 @@ def _beta_terms_einsum(geo, c, phi_vals, gphi, ggphi, lap, include_mean: bool) -
     return out + km * s[..., None]
 
 
-def linearized_residual(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
-    """Linearization of the equations of motion around the given geometry,
-    applied to a normal deformation (general-dimension form).
+def _einsum_operator(geo: GeometryBundle, phi: Field, p: ActionParams, include_mean: bool):
+    """The einsum operator without the Einstein blocks,
 
-    The Einstein-tensor blocks are evaluated with the numerical Einstein
-    tensor; on strings they sit at the discretization floor.
-    """
+    tension (-lap phi - K^{ab i} K_ab^j phi_j + M phi) + beta (topological terms),
+
+    and grad grad phi (outer derivative first), which the blocks read.
+    ``include_mean`` is passed to :func:`_beta_terms_einsum`."""
     _check_normal_field(geo, phi)
     c = operator_coefficients(geo)
     ph = phi.values
@@ -301,30 +298,36 @@ def linearized_residual(geo: GeometryBundle, phi: Field, p: ActionParams) -> Fie
     )
     if p.gb_coupling != 0.0:
         out = out + p.gb_coupling * _beta_terms_einsum(
-            geo, c, ph, gphi, ggphi, lap, include_mean=True
+            geo, c, ph, gphi, ggphi, lap, include_mean=include_mean
         )
-        out = out + _einstein_block(geo, c, ph, ggphi, p.gb_coupling)
-    return Field(geo.grid, out, (NORMAL,))
+    return out, ggphi
 
 
-def einstein_block(geo: GeometryBundle, phi: Field, p: ActionParams) -> Field:
-    """Einstein-tensor-proportional blocks of the linearized operator:
+def linearized_residual(geo: GeometryBundle, phi: Field, p: ActionParams) -> tuple[Field, Field]:
+    """Linearization of the equations of motion around the given geometry,
+    applied to a normal deformation (general-dimension form), and the
+    Einstein-tensor blocks it contains (zero at beta = 0).
+
+    The blocks are evaluated once, with the numerical Einstein tensor; on
+    strings they sit at the discretization floor.
+    """
+    out, ggphi = _einsum_operator(geo, phi, p, include_mean=True)
+    blocks = np.zeros_like(phi.values)
+    if p.gb_coupling != 0.0:
+        blocks = einstein_block(geo, operator_coefficients(geo), phi.values, ggphi, p.gb_coupling)
+        out = out + blocks
+    return Field(geo.grid, out, (NORMAL,)), Field(geo.grid, blocks, (NORMAL,))
+
+
+def einstein_block(geo: GeometryBundle, c, ph, ggphi, beta: float) -> np.ndarray:
+    """Einstein-tensor-proportional blocks of the linearized operator,
 
     2 beta G^{ab} [ -grad_a grad_b phi^i + K_ad^i K^d_b^j phi_j
                     + R(n^j, e_a, e_b, n^i) phi_j ]
-    - 8 beta K^b_d^i K^{adj} phi_j G_ab
-    """
-    _check_normal_field(geo, phi)
-    if p.gb_coupling == 0.0:
-        return Field(geo.grid, np.zeros_like(phi.values), (NORMAL,))
-    ggphi = covariant_gradient(geo, normal_gradient(geo, phi)).values
-    out = _einstein_block(geo, operator_coefficients(geo), phi.values, ggphi, p.gb_coupling)
-    return Field(geo.grid, out, (NORMAL,))
+    - 8 beta K^b_d^i K^{adj} phi_j G_ab,
 
-
-def _einstein_block(geo, c, ph, ggphi, beta: float) -> np.ndarray:
-    """Values of :func:`einstein_block` from grad grad phi (outer derivative
-    first), which :func:`linearized_residual` has already computed."""
+    from the operator coefficients ``c``, the values ``ph`` of phi and grad
+    grad phi (outer derivative first)."""
     gi = c.gi
     # contracted pairwise, as in _beta_terms_einsum
     g_up = np.einsum("...ac,...cb->...ab", gi,
@@ -472,19 +475,7 @@ def stability_operator_apply(geo: GeometryBundle, phi: Field, p: ActionParams) -
     Rejects geometries whose equations-of-motion residual is above
     threshold, since the dropped terms are only negligible there."""
     require_onshell(geo, p)
-    _check_normal_field(geo, phi)
-    c = operator_coefficients(geo)
-    ph = phi.values
-    gphi, ggphi, lap = _phi_derivatives(geo, phi)
-    out = p.tension * (
-        -lap
-        - np.einsum("...ij,...j->...i", c.kk, ph)
-        + np.einsum("...ij,...j->...i", c.m_traced, ph)
-    )
-    if p.gb_coupling != 0.0:
-        out = out + p.gb_coupling * _beta_terms_einsum(
-            geo, c, ph, gphi, ggphi, lap, include_mean=False
-        )
+    out, _ = _einsum_operator(geo, phi, p, include_mean=False)
     return Field(geo.grid, out, (NORMAL,))
 
 

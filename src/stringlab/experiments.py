@@ -150,8 +150,7 @@ def run_linearize(config, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
     for beta, p, fd in zip(betas, params, fds):
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
         rel_fd = masked_max_abs(string_form.values - fd.values, interior) / scale
-        full = dyn.linearized_residual(geo, phi, p)
-        blocks = dyn.einstein_block(geo, phi, p)
+        full, blocks = dyn.linearized_residual(geo, phi, p)
         rel_shared = masked_max_abs(
             full.values - blocks.values - string_form.values, geo.mask.active
         ) / scale

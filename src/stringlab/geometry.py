@@ -125,6 +125,7 @@ class GeometryBundle(IntrinsicGeometry):
     n: Field                   # orthonormal normal frame n_i^mu, indices (i, mu)
     n_low: np.ndarray
     K: Field                   # extrinsic curvature K_ab^i, indices (a, a, i)
+    K_upup: Field              # K^{ab i}, both worldsheet indices raised, indices (A, A, i)
     K_mean: Field              # K^i = gamma^ab K_ab^i
     normal_conn: Field         # omega_a^{ij}, indices (a, i, i), antisymmetric in ij
     cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -447,6 +448,8 @@ def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None
     K = 0.5 * (K + np.swapaxes(K, 2, 3))
     with np.errstate(invalid="ignore"):
         K_mean = np.einsum("...ab,...abi->...i", gamma_inv, K)
+    K = Field(grid, K, (WORLDSHEET_LOWER, WORLDSHEET_LOWER, NORMAL))
+    K_upup = raise_index(intrinsic, raise_index(intrinsic, K, 0), 1)
 
     # normal-bundle connection omega_a^{ij} = g(n^i, D_a n^j), antisymmetrized
     k_codim = dim - 2
@@ -465,7 +468,8 @@ def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None
         **vars(intrinsic),
         n=Field(grid, normals, (NORMAL, SPACETIME)),
         n_low=n_low,
-        K=Field(grid, K, (WORLDSHEET_LOWER, WORLDSHEET_LOWER, NORMAL)),
+        K=K,
+        K_upup=K_upup,
         K_mean=Field(grid, K_mean, (NORMAL,)),
         normal_conn=Field(grid, omega, (WORLDSHEET_LOWER, NORMAL, NORMAL)),
     )
@@ -521,7 +525,7 @@ def _contract_axis(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndar
     return np.einsum(f"...xy,...{src}->...{dst}", matrix, values)
 
 
-def raise_index(geo: GeometryBundle, f: Field, pos: int) -> Field:
+def raise_index(geo: IntrinsicGeometry, f: Field, pos: int) -> Field:
     if f.indices[pos] != WORLDSHEET_LOWER:
         raise GridError(f"raise_index: position {pos} holds {f.indices[pos]!r}, not 'a'")
     vals = _contract_axis(geo.gamma_inv.values, f.values, 2 + pos)
@@ -612,7 +616,6 @@ def gauss_scalar_curvature(geo: GeometryBundle) -> Field:
     Valid on flat backgrounds; an independent cross-check of the
     Christoffel-built curvature (and of the extrinsic-curvature sign).
     """
-    kup = raise_index(geo, raise_index(geo, geo.K, 0), 1)
-    kk = np.einsum("...abi,...abi->...", kup.values, geo.K.values)
+    kk = np.einsum("...abi,...abi->...", geo.K_upup.values, geo.K.values)
     kmean2 = np.einsum("...i,...i->...", geo.K_mean.values, geo.K_mean.values)
     return Field(geo.grid, kmean2 - kk)

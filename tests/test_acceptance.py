@@ -130,8 +130,7 @@ def test_criterion_04_dimension_two_reduction(pulsating, pulsating_geo):
         psi_scale = 1.0 + masked_max_abs(psi_g.values, act)
         worst_psi = max(worst_psi, masked_max_abs(psi_g.values - psi_s.values, act) / psi_scale)
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
-        full = dyn.linearized_residual(geo, phi, p)
-        blocks = dyn.einstein_block(geo, phi, p)
+        full, blocks = dyn.linearized_residual(geo, phi, p)
         worst_shared = max(
             worst_shared,
             masked_max_abs(full.values - blocks.values - string_form.values, act) / scale,

@@ -128,6 +128,11 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("gauge-check", {"epsilon": -1.0}),
         ("eom", {"csv": True}),
         ("geometry", {"csv": ""}),
+        ("omega", {"slices": [32, 32, 32]}),
+        ("omega", {"jacobi": ["radius", "radius"]}),
+        ("gauge-check", {"jacobi": ["radius", "radius"]}),
+        ("conserve", {"jacobi": ["radius", "radius"]}),
+        ("convergence", {"levels": [65, 65]}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):

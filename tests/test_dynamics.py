@@ -5,6 +5,8 @@ from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
 from stringlab.background import minkowski
+from stringlab.cli import ExperimentConfig
+from stringlab.experiments import run_linearize
 from stringlab.geometry import Embedding, build_geometry
 from stringlab.grid import (
     NORMAL,
@@ -102,28 +104,41 @@ def test_string_and_general_evaluators_agree(pulsating_geo):
     for beta in (0.0, 0.3):
         p = dyn.ActionParams(1.0, beta)
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
-        full = dyn.linearized_residual(geo, phi, p)
-        blocks = dyn.einstein_block(geo, phi, p)
+        full, blocks = dyn.linearized_residual(geo, phi, p)
         shared_gap = masked_max_abs(full.values - blocks.values - string_form.values, act)
         assert shared_gap / scale <= 1e-10
         assert masked_max_abs(blocks.values, act) / scale <= 1e-6
 
 
-def test_einstein_block_equals_helper_fed_outer_ggphi(pulsating_geo, monkeypatch):
+def test_linearize_evaluates_each_einstein_block_once(pulsating_geo, monkeypatch):
     geo = pulsating_geo
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
     p = dyn.ActionParams(1.0, 0.3)
     _, ggphi, _ = dyn._phi_derivatives(geo, phi)
-    helper = dyn._einstein_block(geo, dyn.operator_coefficients(geo), phi.values, ggphi, 0.3)
     laplacians = []
     real_laplacian = dyn.normal_laplacian
     monkeypatch.setattr(
         dyn, "normal_laplacian", lambda *a: laplacians.append(1) or real_laplacian(*a)
     )
-    assert (dyn.einstein_block(geo, phi, p).values == helper).all()
+    block = dyn.einstein_block(geo, dyn.operator_coefficients(geo), phi.values, ggphi, 0.3)
     assert laplacians == []  # the block takes no Laplacian of phi
-    dyn.linearized_residual(geo, phi, p)
-    assert laplacians == [1]  # and the full residual takes one, not two
+    _, blocks = dyn.linearized_residual(geo, phi, p)
+    assert laplacians == [1]  # and the full residual takes one
+    assert (blocks.values == block).all()
+
+    # a default linearize run evaluates the block once, at its one nonzero beta
+    blocks_evaluated = []
+    real_block = dyn.einstein_block
+    monkeypatch.setattr(
+        dyn, "einstein_block", lambda *a: blocks_evaluated.append(1) or real_block(*a)
+    )
+    config = ExperimentConfig(
+        "pulsating_circular_string", {"radius": 1.0},
+        {"n_tau": 65, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9},
+        dyn.ActionParams(1.0, 0.0), "linearize",
+    )
+    run_linearize(config)
+    assert blocks_evaluated == [1]
 
 
 def test_linearization_matches_fd(pulsating_geo):

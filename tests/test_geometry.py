@@ -20,10 +20,12 @@ from stringlab.geometry import (
     normal_gradient,
     normal_laplacian,
     normal_laplacian_double_trace,
+    raise_index,
 )
 from stringlab.grid import (
     NORMAL,
     SPACETIME,
+    WORLDSHEET_UPPER,
     Field,
     Mask,
     WorldsheetGrid,
@@ -430,3 +432,13 @@ def test_intrinsic_stage_is_a_prefix_of_the_full_build(fixture, request):
             assert np.array_equal(mine, full, equal_nan=True), name
         else:
             assert mine is full or mine == full, name
+
+
+@pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
+def test_stored_k_upup_is_k_raised_twice(fixture, request):
+    """The frame stage raises K^{ab i} once, bit for bit as raise_index does,
+    for every reader of the bundle."""
+    geo = request.getfixturevalue(fixture)
+    ref = raise_index(geo, raise_index(geo, geo.K, 0), 1)
+    assert geo.K_upup.indices == ref.indices == (WORLDSHEET_UPPER, WORLDSHEET_UPPER, NORMAL)
+    assert np.array_equal(geo.K_upup.values, ref.values, equal_nan=True)
