@@ -148,17 +148,17 @@ def vary_connection(geo: GeometryBundle, d: DeformationField) -> Field:
     return Field(geo.grid, normal_part + 0.5 * tang, geo.conn.indices)
 
 
-def vary_ricci_scalar(geo: GeometryBundle, d: DeformationField) -> tuple[Field, Field]:
-    """First variations of the Ricci tensor and the scalar curvature
-    (Palatini assembly from the connection variation)."""
-    dconn = vary_connection(geo, d)
+def vary_ricci_scalar(
+    geo: GeometryBundle, dconn: Field, d_gamma_inv: Field
+) -> tuple[Field, Field]:
+    """First variations of the Ricci tensor and the scalar curvature: the
+    Palatini assembly from the variations of the connection and of the
+    inverse metric (:func:`vary_connection`, :func:`vary_metric`)."""
     grad_dconn = covariant_gradient(geo, dconn).values  # [c, a(up), g, f]
     trace_term = np.einsum("...ccab->...ab", grad_dconn)
     v = Field(geo.grid, np.einsum("...cac->...a", dconn.values), (geo.gamma.indices[0],))
     grad_v = covariant_gradient(geo, v).values  # [b, a] = grad_b v_a
     d_ricci = trace_term - np.einsum("...ba->...ab", grad_v)
-
-    _, d_gamma_inv = vary_metric(geo, d)
     d_scalar = np.einsum("...ab,...ab->...", d_gamma_inv.values, geo.ricci.values)
     d_scalar = d_scalar + np.einsum("...ab,...ab->...", geo.gamma_inv.values, d_ricci)
     return Field(geo.grid, d_ricci, geo.ricci.indices), Field(geo.grid, d_scalar)

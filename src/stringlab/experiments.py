@@ -17,10 +17,13 @@ from . import dynamics as dyn
 from . import symplectic as sym
 from .geometry import gauss_scalar_curvature, intrinsic_geometry
 from .grid import Field, WorldsheetGrid, masked_max_abs
-from .solutions import ExactSolution, jacobi_from_family, make_solution
+from .solutions import ExactSolution, SolutionError, jacobi_from_family, make_solution
 from .symplectic import symplectic_form
 
 INTERIOR_ROWS = 2  # tau rows per boundary excluded from stencil-sensitive norms
+# a Jacobi field no larger than this on active points has no normal part
+# (roundoff of a tangential direction), and a check paired with it is vacuous
+NO_NORMAL_PART = 1e-10
 Outcome = tuple[dict, dict, bool]  # results, tolerance table, pass flag
 
 
@@ -35,6 +38,22 @@ def _setup(config) -> tuple[ExactSolution, WorldsheetGrid]:
     sol = make_solution(config.solution_name, config.solution_params)
     grid = WorldsheetGrid(**config.grid_kwargs)
     return sol, grid
+
+
+def _jacobi_pair(sol, geo, jacobi) -> tuple[Field, Field]:
+    """The Jacobi fields of the two named family directions; a direction
+    whose field has no normal part raises a SolutionError naming it."""
+    fields = []
+    for which in jacobi:
+        phi = jacobi_from_family(sol, geo, which)
+        size = masked_max_abs(phi.values, geo.mask.active)
+        if size <= NO_NORMAL_PART:
+            raise SolutionError(
+                f"Jacobi direction {which!r} has no normal part: max |phi| on active "
+                f"points is {size:.3g} <= {NO_NORMAL_PART:g}"
+            )
+        fields.append(phi)
+    return fields[0], fields[1]
 
 
 def run_geometry(config, *, csv=None) -> Outcome:
@@ -94,12 +113,13 @@ def run_deform_check(config, *, epsilon=1e-4, amplitude=0.5, seeds=(0, 1, 2)) ->
             Field(grid, amplitude * d0.phi_tangent.values, d0.phi_tangent.indices),
         )
         dg, dginv = dfm.vary_metric(geo, d)
-        dric, dscal = dfm.vary_ricci_scalar(geo, d)
+        dconn = dfm.vary_connection(geo, d)
+        dric, dscal = dfm.vary_ricci_scalar(geo, dconn, dginv)
         checks = {
             "metric": dg,
             "inverse_metric": dginv,
             "volume": dfm.vary_volume(geo, d),
-            "connection": dfm.vary_connection(geo, d),
+            "connection": dconn,
             "ricci": dric,
             "scalar_curvature": dscal,
         }
@@ -194,7 +214,7 @@ def run_conserve(config, *, jacobi=("translation_x", "translation_t"), beta=0.0)
     geo = sol.geometry(grid)
     interior = interior_active(geo)
     p = dyn.ActionParams(config.action_params.tension, float(beta))
-    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
+    f1, f2 = _jacobi_pair(sol, geo, jacobi)
     div = sym.conservation_residual(geo, f1, f2, p)
     worst = masked_max_abs(div.values, interior)
     scale = _conservation_scale(geo, f1, f2, p)
@@ -220,7 +240,7 @@ def run_omega(config, *, jacobi=None, betas=(0.0, 0.25, 0.5), slices=None) -> Ou
     geo = sol.geometry(grid)
     rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
     jacobi = jacobi or ("translation_t", sol.modulus)
-    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
+    f1, f2 = _jacobi_pair(sol, geo, jacobi)
     table = {}
     for beta in betas:
         p = dyn.ActionParams(config.action_params.tension, float(beta))
@@ -247,7 +267,7 @@ def run_gauge_check(config, *, jacobi=None, beta=0.0, epsilon=1e-2, slice=None) 
     geo = sol.geometry(grid)
     p = dyn.ActionParams(config.action_params.tension, float(beta))
     jacobi = jacobi or ("translation_t", sol.modulus)
-    f1, f2 = (jacobi_from_family(sol, geo, which) for which in jacobi)
+    f1, f2 = _jacobi_pair(sol, geo, jacobi)
     row = grid.n_tau // 2 if slice is None else int(slice)
     smooth = sym.gauge_invariance_check(
         geo, f1, f2, p, lambda s: s + epsilon * np.sin(s), row

@@ -82,12 +82,13 @@ def test_criterion_02_deformation_calculus(pulsating):
             Field(grid, 0.5 * d0.phi_tangent.values, d0.phi_tangent.indices),
         )
         dg, dginv = dfm.vary_metric(geo, d)
-        dric, dscal = dfm.vary_ricci_scalar(geo, d)
+        dconn = dfm.vary_connection(geo, d)
+        dric, dscal = dfm.vary_ricci_scalar(geo, dconn, dginv)
         pairs = {
             "metric": dg,
             "inverse_metric": dginv,
             "volume": dfm.vary_volume(geo, d),
-            "connection": dfm.vary_connection(geo, d),
+            "connection": dconn,
             "ricci": dric,
             "scalar_curvature": dscal,
         }

@@ -276,6 +276,19 @@ def test_numerical_failure_exit_code(tmp_path):
     assert cli.main(["run", "--config", path]) == 3
 
 
+@pytest.mark.parametrize(
+    "kind,options",
+    [("omega", {}), ("gauge-check", {"beta": 0.3}), ("conserve", {"beta": 0.3})],
+)
+def test_jacobi_direction_without_normal_part_fails(tmp_path, capsys, kind, options):
+    """sigma_shift moves the string along itself: its Jacobi field is
+    roundoff, and a check paired with it would pass vacuously."""
+    options = {"jacobi": ["translation_t", "sigma_shift"], **options}
+    path = write_config(tmp_path, kind=kind, options=options)
+    assert cli.main(["run", "--config", path]) == 3
+    assert "'sigma_shift' has no normal part" in capsys.readouterr().err
+
+
 def test_seed_override_changes_report(tmp_path):
     path = write_config(tmp_path, kind="self-adjoint")
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -5,6 +5,9 @@ from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import geometry
 from stringlab.background import minkowski
+from stringlab.cli import ExperimentConfig
+from stringlab.dynamics import ActionParams
+from stringlab.experiments import run_deform_check
 from stringlab.geometry import Embedding, build_geometry
 from stringlab.grid import (
     NORMAL,
@@ -93,7 +96,7 @@ def test_zero_deformation_gives_zero_everywhere(pulsating_geo):
     assert np.abs(dginv.values).max() == 0.0
     assert np.abs(dfm.vary_volume(geo, zero).values).max() == 0.0
     assert np.abs(dfm.vary_connection(geo, zero).values).max() == 0.0
-    dric, dscal = dfm.vary_ricci_scalar(geo, zero)
+    dric, dscal = dfm.vary_ricci_scalar(geo, dfm.vary_connection(geo, zero), dginv)
     assert np.abs(dric.values).max() == 0.0
     assert np.abs(dscal.values).max() == 0.0
     oracle = dfm.fd_oracle(geo, zero)["volume"]
@@ -119,7 +122,9 @@ def test_oracle_matches_variation(pulsating, quantity):
     analytic = {
         "metric": lambda: dfm.vary_metric(geo, d)[0],
         "volume": lambda: dfm.vary_volume(geo, d),
-        "scalar_curvature": lambda: dfm.vary_ricci_scalar(geo, d)[1],
+        "scalar_curvature": lambda: dfm.vary_ricci_scalar(
+            geo, dfm.vary_connection(geo, d), dfm.vary_metric(geo, d)[1]
+        )[1],
     }[quantity]()
     oracle = dfm.fd_oracle(geo, d, eps=1e-4)[quantity]
     scale = 1.0 + max(masked_max_abs(analytic.values, inner), masked_max_abs(oracle.values, inner))
@@ -175,6 +180,27 @@ def test_oracle_builds_one_displaced_pair(pulsating, grid129, monkeypatch):
     }
 
 
+def test_deform_check_varies_each_seed_once(monkeypatch):
+    """A default deform-check varies the connection and the metric once per
+    seed; the Ricci and scalar variations are assembled from those."""
+    calls = []
+
+    def counting(name):
+        real = getattr(dfm, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("vary_connection", "vary_metric"):
+        monkeypatch.setattr(dfm, name, counting(name))
+    config = ExperimentConfig(
+        "pulsating_circular_string", {"radius": 1.0},
+        {"n_tau": 65, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9},
+        ActionParams(1.0, 0.0), "deform-check",
+    )
+    run_deform_check(config)
+    assert calls.count("vary_connection") == 3
+    assert calls.count("vary_metric") == 3
+
+
 def test_curvature_variation_is_topological(pulsating_geo):
     """gamma^{ab} D R_ab is a pure divergence: integrated over the sigma
     circle it reduces to a tau boundary flux, so the bulk sigma integrals
@@ -182,14 +208,14 @@ def test_curvature_variation_is_topological(pulsating_geo):
     geo = pulsating_geo
     grid = geo.grid
     d = dfm.random_deformation(grid, geo.codim, seed=3)
-    dric, dscal = dfm.vary_ricci_scalar(geo, d)
     _, dginv = dfm.vary_metric(geo, d)
+    dconn = dfm.vary_connection(geo, d)
+    dric, dscal = dfm.vary_ricci_scalar(geo, dconn, dginv)
     trace = np.einsum("...ab,...ab->...", geo.gamma_inv.values, dric.values)
     dens = Field(grid, geo.vol.values * trace)
     # the same object as a divergence: flux through constant-tau rows
-    dconn = dfm.vary_connection(geo, d).values
-    flux_vec = np.einsum("...cd,...acd->...a", geo.gamma_inv.values, dconn) - np.einsum(
-        "...ab,...ccb->...a", geo.gamma_inv.values, dconn
+    flux_vec = np.einsum("...cd,...acd->...a", geo.gamma_inv.values, dconn.values) - np.einsum(
+        "...ab,...ccb->...a", geo.gamma_inv.values, dconn.values
     )
     flux = Field(grid, geo.vol.values * flux_vec[..., 0])
     dens_rows = np.array([integrate_sigma_slice(dens, t) for t in range(grid.n_tau)])
