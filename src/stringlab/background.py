@@ -156,18 +156,3 @@ def riemann_slots(
     m = np.einsum("...xbgn,...jx,...ab,...cg,...in->...acij", riem, n, e, e, n)
     return Field(tangents.grid, m, idx)
 
-
-def riemann_contract(
-    bg: BackgroundSpacetime,
-    tangents: Field,
-    normals: Field,
-    gamma_inv: Field,
-    points: np.ndarray,
-) -> Field:
-    """Tangent-traced Riemann coupling between normal directions:
-    M^i_j = gamma^ab R(n_j, e_a, e_b, n^i).  See :func:`riemann_slots` for
-    the slot convention.  Vanishes identically on flat backgrounds.
-    """
-    slots = riemann_slots(bg, tangents, normals, points)
-    m = np.einsum("...ab,...abij->...ij", gamma_inv.values, slots.values)
-    return Field(tangents.grid, m, (NORMAL, NORMAL))

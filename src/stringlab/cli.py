@@ -90,11 +90,19 @@ class ExperimentConfig:
 
         action = _require(raw, "action", dict)
         _reject_unknown(action, {"tension", "gb_coupling", "worldsheet_dim"}, "action")
+        _require(action, "tension", object)
+        action = {"gb_coupling": 0.0, "worldsheet_dim": 2, **action}
+        for key in ("tension", "gb_coupling"):
+            # NaN, infinities and ints past float range all fail this
+            if not (_is_number(action[key]) and abs(action[key]) <= sys.float_info.max):
+                raise ConfigError(f"action.{key} must be a finite number, got {action[key]!r}")
+        if not (_is_number(action["worldsheet_dim"]) and action["worldsheet_dim"] == 2):
+            raise ConfigError(f"action.worldsheet_dim must be 2, got {action['worldsheet_dim']!r}")
         try:
             action_params = ActionParams(
-                tension=float(_require(action, "tension", (int, float))),
-                gb_coupling=float(action.get("gb_coupling", 0.0)),
-                worldsheet_dim=int(action.get("worldsheet_dim", 2)),
+                tension=float(action["tension"]),
+                gb_coupling=float(action["gb_coupling"]),
+                worldsheet_dim=int(action["worldsheet_dim"]),
             )
         except DynamicsError as exc:
             raise ConfigError(str(exc)) from exc

@@ -1,22 +1,35 @@
 """Exact closed-string worldsheets and symmetry-generated solutions of the
 linearized dynamics.
 
-Both families are built in conformal gauge (dX.dX' = 0, dX^2 + dX'^2 = 0)
-with vanishing mean curvature, so they solve the equations of motion exactly
-in the continuum; discretization residuals are what the tests budget.
-Family derivatives (spacetime isometries and the scale modulus) project
-onto the normal frame to give exact solutions of the linearized equations,
-sidestepping any PDE solver: a symmetry-generated field isolates operator
-bugs from solver bugs.
+All three families (pulsating, folded, spinning) are built in conformal
+gauge (dX.dX' = 0, dX^2 + dX'^2 = 0) with vanishing mean curvature, so they
+solve the equations of motion exactly in the continuum; discretization
+residuals are what the tests budget.  Family derivatives (spacetime
+isometries and the scale modulus) project onto the normal frame to give
+exact solutions of the linearized equations, sidestepping any PDE solver: a
+symmetry-generated field isolates operator bugs from solver bugs.
 
 Masked regions (string folds, collapse instants) are part of each
 solution's definition; the geometry builder's degeneracy scan re-detects
 them at runtime and the tests cross-check the two.
+
+Each fact about a family is stated once.  Its factory holds the chart, the
+``sigma_shift`` direction, the declared mask (folded's fold columns, or the
+closed-form weight that ``_degenerate_rows`` turns into masked rows) and,
+for spinning, the analytic frame.  ``_family`` derives every other direction
+from the chart: translations, the rotations and boosts of ``_GENERATORS``,
+and the modulus as ``chart / scale``.  The registry takes each family's name
+and parameters from its factory, and ``make_solution`` checks given values
+against the factory's annotations.
 """
 
 from __future__ import annotations
 
+import inspect
+import itertools
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -57,8 +70,7 @@ class ExactSolution:
     frame: ChartFn | None = field(repr=False, default=None)
 
     def mask(self, grid: WorldsheetGrid) -> Mask:
-        rects = self.masked_rectangles(grid)
-        return Mask.from_rectangles(grid, rects) if rects else Mask.full(grid)
+        return Mask.from_rectangles(grid, self.masked_rectangles(grid))
 
     def embedding(self, grid: WorldsheetGrid) -> Embedding:
         tt, ss = grid.meshgrid()
@@ -84,55 +96,58 @@ class ExactSolution:
         return Field(grid, self.family[which](tt, ss), (SPACETIME,))
 
 
-def _translations(dim: int) -> dict[str, ChartFn]:
+# isometry generators (name, i, j, sign) acting as v^i = sign x^j, v^j = x^i:
+# spatial rotations, then boosts (t mixing with one spatial axis)
+_GENERATORS = (
+    ("rotation_xy", 1, 2, -1.0),
+    ("rotation_yz", 2, 3, -1.0),
+    ("rotation_xz", 1, 3, -1.0),
+    ("boost_x", 0, 1, 1.0),
+    ("boost_y", 0, 2, 1.0),
+    ("boost_z", 0, 3, 1.0),
+)
+
+
+def _family(chart: ChartFn, dim: int, modulus: str, scale: float, sigma_shift: ChartFn,
+            boosts: bool = False) -> dict:
+    """The ``ExactSolution`` fields of a family in ``dim``-dimensional
+    Minkowski space: the background, the modulus name, and every family
+    direction.  Those are the translations, the rotations (and boosts when
+    asked) of ``_GENERATORS`` evaluated along the worldsheet, the modulus,
+    and the sigma shift.  Every chart is linear in its one scale parameter,
+    so the modulus velocity is ``chart / scale``."""
+
+    def translation(tt, ss, mu):
+        v = np.zeros(tt.shape + (dim,))
+        v[..., mu] = 1.0
+        return v
+
+    def generator(tt, ss, i, j, sign):
+        x = chart(tt, ss)
+        v = np.zeros_like(x)
+        v[..., i] = sign * x[..., j]
+        v[..., j] = x[..., i]
+        return v
+
     names = ["translation_t", "translation_x", "translation_y", "translation_z"][:dim]
-    out = {}
-    for mu, name in enumerate(names):
-        def vel(tt, ss, _mu=mu):
-            v = np.zeros(tt.shape + (dim,))
-            v[..., _mu] = 1.0
-            return v
-
-        out[name] = vel
-    return out
+    family = {name: partial(translation, mu=mu) for mu, name in enumerate(names)}
+    for name, i, j, sign in _GENERATORS:
+        if j < dim and (boosts or i > 0):
+            family[name] = partial(generator, i=i, j=j, sign=sign)
+    family[modulus] = lambda tt, ss: chart(tt, ss) / scale
+    family["sigma_shift"] = sigma_shift
+    return {"background": minkowski(dim), "family": family, "modulus": modulus}
 
 
-def _rotations(chart: ChartFn, dim: int) -> dict[str, ChartFn]:
-    """Spatial rotation generators evaluated along the worldsheet."""
-    planes = [("rotation_xy", 1, 2), ("rotation_yz", 2, 3), ("rotation_xz", 1, 3)]
-    out = {}
-    for name, i1, i2 in planes:
-        if max(i1, i2) >= dim:
-            continue
+def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], list]:
+    """Declared mask of the rows where a closed-form weight drops below
+    1e-2, plus one row on each side."""
 
-        def vel(tt, ss, _i1=i1, _i2=i2):
-            x = chart(tt, ss)
-            v = np.zeros_like(x)
-            v[..., _i1] = -x[..., _i2]
-            v[..., _i2] = x[..., _i1]
-            return v
+    def masked_rectangles(grid: WorldsheetGrid) -> list:
+        near = (weight(*grid.meshgrid()) < 1e-2).any(axis=1)
+        return [(it - 1, it + 1, 0, grid.n_sigma - 1) for it in np.nonzero(near)[0]]
 
-        out[name] = vel
-    return out
-
-
-def _boosts(chart: ChartFn, dim: int) -> dict[str, ChartFn]:
-    """Boost generators (t mixing with one spatial axis) along the worldsheet."""
-    axes = [("boost_x", 1), ("boost_y", 2), ("boost_z", 3)]
-    out = {}
-    for name, ax in axes:
-        if ax >= dim:
-            continue
-
-        def vel(tt, ss, _ax=ax):
-            x = chart(tt, ss)
-            v = np.zeros_like(x)
-            v[..., 0] = x[..., _ax]
-            v[..., _ax] = x[..., 0]
-            return v
-
-        out[name] = vel
-    return out
+    return masked_rectangles
 
 
 def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolution:
@@ -154,34 +169,18 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
             comps.append(np.zeros_like(tt))
         return np.stack(comps, axis=-1)
 
-    def radius_velocity(tt, ss):
-        return chart(tt, ss) / r
-
     def sigma_shift(tt, ss):
         comps = [np.zeros_like(tt), -r * np.cos(tt) * np.sin(ss), r * np.cos(tt) * np.cos(ss)]
         if dim == 4:
             comps.append(np.zeros_like(tt))
         return np.stack(comps, axis=-1)
 
-    def masked_rectangles(grid: WorldsheetGrid) -> list:
-        rects = []
-        near = np.abs(np.cos(grid.tau)) < 1e-2
-        for it in np.nonzero(near)[0]:
-            rects.append((it - 1, it + 1, 0, grid.n_sigma - 1))
-        return rects
-
-    family = dict(_translations(dim))
-    family.update(_rotations(chart, dim))
-    family["radius"] = radius_velocity
-    family["sigma_shift"] = sigma_shift
     return ExactSolution(
         name="pulsating_circular_string",
         params={"radius": r, "dim": dim},
-        background=minkowski(dim),
         chart=chart,
-        family=family,
-        modulus="radius",
-        masked_rectangles=masked_rectangles,
+        masked_rectangles=_degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))),
+        **_family(chart, dim, "radius", r, sigma_shift),
     )
 
 
@@ -200,9 +199,6 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
             [a * tt, a * np.cos(ss) * np.cos(tt), a * np.cos(ss) * np.sin(tt)], axis=-1
         )
 
-    def amplitude_velocity(tt, ss):
-        return chart(tt, ss) / a
-
     def sigma_shift(tt, ss):
         return np.stack(
             [np.zeros_like(tt), -a * np.sin(ss) * np.cos(tt), -a * np.sin(ss) * np.sin(tt)],
@@ -216,18 +212,12 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
             (0, grid.n_tau - 1, half - 1, half + 1),
         ]
 
-    family = dict(_translations(3))
-    family.update(_rotations(chart, 3))
-    family["amplitude"] = amplitude_velocity
-    family["sigma_shift"] = sigma_shift
     return ExactSolution(
         name="rotating_folded_string",
         params={"amplitude": a},
-        background=minkowski(3),
         chart=chart,
-        family=family,
-        modulus="amplitude",
         masked_rectangles=masked_rectangles,
+        **_family(chart, 3, "amplitude", a, sigma_shift),
     )
 
 
@@ -257,9 +247,6 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
             [2 * a * tt, a * np.cos(u), a * np.sin(u) + a * np.cos(v), a * np.sin(v)], axis=-1
         )
 
-    def scale_velocity(tt, ss):
-        return chart(tt, ss) / a
-
     def sigma_shift(tt, ss):
         u = tt + ss
         v = tt - ss
@@ -267,14 +254,6 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
             [np.zeros_like(tt), -a * np.sin(u), a * np.cos(u) + a * np.sin(v), -a * np.cos(v)],
             axis=-1,
         )
-
-    def masked_rectangles(grid: WorldsheetGrid) -> list:
-        rects = []
-        tt, ss = grid.meshgrid()
-        weight = 1.0 + np.cos(tt + ss) * np.sin(tt - ss)
-        for it in np.nonzero((weight < 1e-2).any(axis=1))[0]:
-            rects.append((it - 1, it + 1, 0, grid.n_sigma - 1))
-        return rects
 
     def frame(tt, ss):
         # smooth analytic normals: the first is the left-mover acceleration
@@ -303,35 +282,20 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         n2 = n2 / np.sqrt(np.abs(dot(n2, n2)))[..., None]
         return np.stack([n1, n2], axis=-2)
 
-    family = dict(_translations(4))
-    family.update(_rotations(chart, 4))
-    family.update(_boosts(chart, 4))
-    family["scale"] = scale_velocity
-    family["sigma_shift"] = sigma_shift
     return ExactSolution(
         name="spinning_two_plane_string",
         params={"scale": a},
-        background=minkowski(4),
         chart=chart,
-        family=family,
-        modulus="scale",
-        masked_rectangles=masked_rectangles,
+        masked_rectangles=_degenerate_rows(lambda tt, ss: 1.0 + np.cos(tt + ss) * np.sin(tt - ss)),
         frame=frame,
+        **_family(chart, 4, "scale", a, sigma_shift, boosts=True),
     )
 
 
 def _levi_civita_4() -> np.ndarray:
-    import itertools
-
     eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        parity = 1.0
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    parity = -parity
-        eps[perm] = parity
+    for p in itertools.permutations(range(4)):
+        eps[p] = (-1.0) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
     return eps
 
 
@@ -344,9 +308,16 @@ def jacobi_from_family(sol: ExactSolution, geo: GeometryBundle, which: str) -> F
 
 
 _REGISTRY = {
-    "pulsating_circular_string": (pulsating_circular_string, ("radius", "dim")),
-    "rotating_folded_string": (rotating_folded_string, ("amplitude",)),
-    "spinning_two_plane_string": (spinning_two_plane_string, ("scale",)),
+    factory.__name__: factory
+    for factory in (pulsating_circular_string, rotating_folded_string, spinning_two_plane_string)
+}
+
+# what a solution parameter accepts, by its annotation in the factory; a
+# float must lie in float range, which NaN, infinities and huge ints do not
+_PARAM_TYPES = {
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
 }
 
 
@@ -359,8 +330,13 @@ def make_solution(name: str, params: dict) -> ExactSolution:
     point into the library)."""
     if name not in _REGISTRY:
         raise SolutionError(f"unknown solution {name!r}; available: {solution_names()}")
-    factory, allowed = _REGISTRY[name]
+    factory = _REGISTRY[name]
+    allowed = inspect.signature(factory, eval_str=True).parameters
     unknown = set(params) - set(allowed)
     if unknown:
-        raise SolutionError(f"{name}: unknown parameters {sorted(unknown)}; allowed: {allowed}")
+        raise SolutionError(f"{name}: unknown parameters {sorted(unknown)}; allowed: {tuple(allowed)}")
+    for key, val in params.items():
+        test, need = _PARAM_TYPES[allowed[key].annotation]
+        if not test(val):
+            raise SolutionError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
     return factory(**params)

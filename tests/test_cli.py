@@ -143,6 +143,61 @@ def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
 
 
 @pytest.mark.parametrize(
+    "params",
+    [
+        {"radius": "1.0"},
+        {"radius": None},
+        {"radius": True},
+        {"radius": float("nan")},
+        {"radius": float("inf")},
+        {"radius": 1.0, "dim": 4.0},
+        {"dim": True},
+        {"radius": 10**400},
+    ],
+)
+def test_wrong_type_solution_parameter_rejected(tmp_path, capsys, params):
+    path = write_config(tmp_path, solution={"name": "pulsating_circular_string", "params": params})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert f"parameter {list(params)[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("gb_coupling", "x"),
+        ("gb_coupling", None),
+        ("gb_coupling", "0.3"),
+        ("gb_coupling", True),
+        ("gb_coupling", float("nan")),
+        ("tension", True),
+        ("tension", "1.0"),
+        ("tension", float("nan")),
+        ("tension", float("-inf")),
+        ("tension", -(10**400)),
+        ("worldsheet_dim", "two"),
+        ("worldsheet_dim", True),
+        ("worldsheet_dim", 2.5),
+    ],
+)
+def test_wrong_type_action_value_rejected(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, action={**BASE["action"], key: value})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert f"config error: action.{key}" in capsys.readouterr().err
+
+
+def test_numeric_action_values_echo_as_before():
+    raw = json.loads(json.dumps(BASE))
+    raw["action"] = {"tension": 1, "gb_coupling": 0, "worldsheet_dim": 2.0}
+    action = cli.ExperimentConfig.from_dict(raw).resolved()["action"]
+    assert json.dumps(action) == '{"tension": 1.0, "gb_coupling": 0.0, "worldsheet_dim": 2}'
+    del raw["action"]["tension"]
+    with pytest.raises(cli.ConfigError, match="missing required key 'tension'"):
+        cli.ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("seed", -1),

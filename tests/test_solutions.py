@@ -1,8 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from conftest import interior
 from stringlab import dynamics as dyn
+from stringlab import solutions
 from stringlab.grid import WorldsheetGrid, d_sigma, d_tau, masked_max_abs
 from stringlab.solutions import (
     SolutionError,
@@ -38,6 +42,23 @@ def test_registry():
         make_solution("open_string", {})
     with pytest.raises(SolutionError):
         make_solution("pulsating_circular_string", {"tension": 1.0})
+
+
+@pytest.mark.parametrize("name", solution_names())
+def test_registry_reads_the_factories(name):
+    factory = getattr(solutions, name)
+    allowed = tuple(inspect.signature(factory).parameters)
+    sol = make_solution(name, {})
+    assert sol.name == name
+    assert tuple(sol.params) == allowed
+    assert make_solution(name, dict(sol.params)).params == sol.params
+    with pytest.raises(SolutionError, match=re.escape(f"allowed: {allowed}")):
+        make_solution(name, {"bogus": 1.0})
+
+
+def test_integer_accepted_for_a_float_parameter():
+    sol = make_solution("pulsating_circular_string", {"radius": 2, "dim": 3})
+    assert sol.params == {"radius": 2.0, "dim": 3}
 
 
 @pytest.mark.parametrize(
@@ -167,3 +188,159 @@ def test_masked_rows_near_pulsating_collapse():
     near = np.abs(np.cos(grid.tau)) < 1e-2
     assert near.any()
     assert not mask.active[near].any()
+
+
+# Literal copies of each family's directions and declared degenerate rows as
+# the factories once wrote them out one by one.  The generated directions and
+# masks are pinned to these bit for bit.
+def _ref_translations(dim):
+    names = ["translation_t", "translation_x", "translation_y", "translation_z"][:dim]
+    out = {}
+    for mu, name in enumerate(names):
+        def vel(tt, ss, _mu=mu):
+            v = np.zeros(tt.shape + (dim,))
+            v[..., _mu] = 1.0
+            return v
+
+        out[name] = vel
+    return out
+
+
+def _ref_rotations(chart, dim):
+    planes = [("rotation_xy", 1, 2), ("rotation_yz", 2, 3), ("rotation_xz", 1, 3)]
+    out = {}
+    for name, i1, i2 in planes:
+        if max(i1, i2) >= dim:
+            continue
+
+        def vel(tt, ss, _i1=i1, _i2=i2):
+            x = chart(tt, ss)
+            v = np.zeros_like(x)
+            v[..., _i1] = -x[..., _i2]
+            v[..., _i2] = x[..., _i1]
+            return v
+
+        out[name] = vel
+    return out
+
+
+def _ref_boosts(chart, dim):
+    axes = [("boost_x", 1), ("boost_y", 2), ("boost_z", 3)]
+    out = {}
+    for name, ax in axes:
+        if ax >= dim:
+            continue
+
+        def vel(tt, ss, _ax=ax):
+            x = chart(tt, ss)
+            v = np.zeros_like(x)
+            v[..., 0] = x[..., _ax]
+            v[..., _ax] = x[..., 0]
+            return v
+
+        out[name] = vel
+    return out
+
+
+def _ref_pulsating(r, dim, chart):
+    def sigma_shift(tt, ss):
+        comps = [np.zeros_like(tt), -r * np.cos(tt) * np.sin(ss), r * np.cos(tt) * np.cos(ss)]
+        if dim == 4:
+            comps.append(np.zeros_like(tt))
+        return np.stack(comps, axis=-1)
+
+    def masked_rectangles(grid):
+        rects = []
+        near = np.abs(np.cos(grid.tau)) < 1e-2
+        for it in np.nonzero(near)[0]:
+            rects.append((it - 1, it + 1, 0, grid.n_sigma - 1))
+        return rects
+
+    family = dict(_ref_translations(dim))
+    family.update(_ref_rotations(chart, dim))
+    family["radius"] = lambda tt, ss: chart(tt, ss) / r
+    family["sigma_shift"] = sigma_shift
+    return family, masked_rectangles
+
+
+def _ref_folded(a, chart):
+    def sigma_shift(tt, ss):
+        return np.stack(
+            [np.zeros_like(tt), -a * np.sin(ss) * np.cos(tt), -a * np.sin(ss) * np.sin(tt)],
+            axis=-1,
+        )
+
+    def masked_rectangles(grid):
+        half = grid.n_sigma // 2
+        return [
+            (0, grid.n_tau - 1, -1, 1),
+            (0, grid.n_tau - 1, half - 1, half + 1),
+        ]
+
+    family = dict(_ref_translations(3))
+    family.update(_ref_rotations(chart, 3))
+    family["amplitude"] = lambda tt, ss: chart(tt, ss) / a
+    family["sigma_shift"] = sigma_shift
+    return family, masked_rectangles
+
+
+def _ref_spinning(a, chart):
+    def sigma_shift(tt, ss):
+        u = tt + ss
+        v = tt - ss
+        return np.stack(
+            [np.zeros_like(tt), -a * np.sin(u), a * np.cos(u) + a * np.sin(v), -a * np.cos(v)],
+            axis=-1,
+        )
+
+    def masked_rectangles(grid):
+        rects = []
+        tt, ss = grid.meshgrid()
+        weight = 1.0 + np.cos(tt + ss) * np.sin(tt - ss)
+        for it in np.nonzero((weight < 1e-2).any(axis=1))[0]:
+            rects.append((it - 1, it + 1, 0, grid.n_sigma - 1))
+        return rects
+
+    family = dict(_ref_translations(4))
+    family.update(_ref_rotations(chart, 4))
+    family.update(_ref_boosts(chart, 4))
+    family["scale"] = lambda tt, ss: chart(tt, ss) / a
+    family["sigma_shift"] = sigma_shift
+    return family, masked_rectangles
+
+
+def _reference(sol):
+    p = sol.params
+    if sol.name == "pulsating_circular_string":
+        return _ref_pulsating(p["radius"], p["dim"], sol.chart)
+    if sol.name == "rotating_folded_string":
+        return _ref_folded(p["amplitude"], sol.chart)
+    return _ref_spinning(p["scale"], sol.chart)
+
+
+# (solution, params, tau window, whether the declared mask is not empty:
+# folded's fold columns always are declared)
+PINNED = [
+    ("pulsating_circular_string", {"radius": 1.0}, (0.1, 0.9), False),
+    ("pulsating_circular_string", {"radius": 1.7, "dim": 3}, (0.1, 0.9), False),
+    ("pulsating_circular_string", {"radius": 1.0}, (1.2, 1.9), True),  # crosses cos tau = 0
+    ("pulsating_circular_string", {"radius": 0.6, "dim": 3}, (1.2, 1.9), True),
+    ("rotating_folded_string", {"amplitude": 1.0}, (0.1, 0.9), True),
+    ("rotating_folded_string", {"amplitude": 2.3}, (0.1, 0.9), True),
+    ("spinning_two_plane_string", {"scale": 1.0}, (0.1, 0.9), False),
+    ("spinning_two_plane_string", {"scale": 0.8}, (2.0, 2.7), True),  # crosses a cusp row
+]
+
+
+@pytest.mark.parametrize("name,params,window,masked", PINNED)
+def test_family_directions_and_masks_are_pinned(name, params, window, masked):
+    sol = make_solution(name, params)
+    grid = WorldsheetGrid(129, 32, *window)
+    tt, ss = grid.meshgrid()
+    family, masked_rectangles = _reference(sol)
+    assert sol.family_names() == sorted(family)
+    for which, vel in family.items():
+        assert np.array_equal(sol.family_velocity(grid, which).values, vel(tt, ss)), which
+    rects = sol.masked_rectangles(grid)
+    assert rects == masked_rectangles(grid)
+    assert bool(rects) == masked
