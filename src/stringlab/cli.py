@@ -31,7 +31,7 @@ from .deformation import MAX_DEFORM_EPS, ORACLE_EPS_RANGE
 from .dynamics import ActionParams, DynamicsError
 from .geometry import GeometryError
 from .grid import GridError, WorldsheetGrid
-from .solutions import SolutionError, make_solution, solution_names
+from .solutions import _PARAM_TYPES, SolutionError, make_solution, read_arguments, solution_names
 
 SCHEMA_VERSION = 1
 
@@ -79,31 +79,15 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
         grid = _require(raw, "grid", dict)
-        _reject_unknown(grid, {"n_tau", "n_sigma", "tau_min", "tau_max"}, "grid")
-        grid_kwargs = {
-            "n_tau": int(_require(grid, "n_tau", int)),
-            "n_sigma": int(_require(grid, "n_sigma", int)),
-            "tau_min": float(_require(grid, "tau_min", (int, float))),
-            "tau_max": float(_require(grid, "tau_max", (int, float))),
-        }
+        grid_kwargs = read_arguments(WorldsheetGrid, grid, "grid.{}", ConfigError)
         _check_grid(grid_kwargs, "grid")
 
-        action = _require(raw, "action", dict)
-        _reject_unknown(action, {"tension", "gb_coupling", "worldsheet_dim"}, "action")
-        _require(action, "tension", object)
-        action = {"gb_coupling": 0.0, "worldsheet_dim": 2, **action}
-        for key in ("tension", "gb_coupling"):
-            # NaN, infinities and ints past float range all fail this
-            if not (_is_number(action[key]) and abs(action[key]) <= sys.float_info.max):
-                raise ConfigError(f"action.{key} must be a finite number, got {action[key]!r}")
-        if not (_is_number(action["worldsheet_dim"]) and action["worldsheet_dim"] == 2):
-            raise ConfigError(f"action.worldsheet_dim must be 2, got {action['worldsheet_dim']!r}")
+        action = dict(_require(raw, "action", dict))
+        dim = action.pop("worldsheet_dim", 2)
+        if dim != 2:  # a schema constant, echoed as 2; 2.0 passes, true does not
+            raise ConfigError(f"action.worldsheet_dim must be 2, got {dim!r}")
         try:
-            action_params = ActionParams(
-                tension=float(action["tension"]),
-                gb_coupling=float(action["gb_coupling"]),
-                worldsheet_dim=int(action["worldsheet_dim"]),
-            )
+            action_params = ActionParams(**read_arguments(ActionParams, action, "action.{}", ConfigError))
         except DynamicsError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -130,7 +114,7 @@ class ExperimentConfig:
             "action": {
                 "tension": self.action_params.tension,
                 "gb_coupling": self.action_params.gb_coupling,
-                "worldsheet_dim": self.action_params.worldsheet_dim,
+                "worldsheet_dim": 2,
             },
             "kind": self.kind,
             "options": self.options,
@@ -142,8 +126,6 @@ def _require(raw: dict, key: str, types) -> object:
     if key not in raw:
         raise ConfigError(f"missing required key {key!r}")
     val = raw[key]
-    if types is int and isinstance(val, bool):
-        raise ConfigError(f"{key!r} must be an integer")
     if not isinstance(val, types):
         raise ConfigError(f"{key!r} has wrong type {type(val).__name__}")
     return val
@@ -155,16 +137,13 @@ def _reject_unknown(raw: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
+# the value rules of solution parameters, grid and action, reused for options
+_is_finite = _PARAM_TYPES[float][0]
+_is_int = _PARAM_TYPES[int][0]
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _is_nonzero_number(val) -> bool:
-    return _is_number(val) and val != 0
+def _is_nonzero_finite(val) -> bool:
+    return _is_finite(val) and val != 0
 
 
 def _list_of(test, min_len: int = 1):
@@ -197,18 +176,18 @@ def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: 
         return _is_int(val) and 0 <= val < n_tau
 
     epsilon = {
-        "deform-check": (lambda v: _is_number(v) and lo <= v <= hi, f"a number in [{lo}, {hi}]"),
-        "linearize": (lambda v: _is_number(v) and 0.0 < v <= MAX_DEFORM_EPS,
+        "deform-check": (lambda v: _is_finite(v) and lo <= v <= hi, f"a number in [{lo}, {hi}]"),
+        "linearize": (lambda v: _is_finite(v) and 0.0 < v <= MAX_DEFORM_EPS,
                       f"a number in (0, {MAX_DEFORM_EPS}]"),
         # s + epsilon sin(s) is invertible exactly when |epsilon| < 1
-        "gauge-check": (lambda v: _is_nonzero_number(v) and abs(v) < 1,
+        "gauge-check": (lambda v: _is_nonzero_finite(v) and abs(v) < 1,
                         "a nonzero number with |epsilon| < 1"),
     }
     rules = {
-        "beta": (_is_number, "a number"),
-        "amplitude": (_is_nonzero_number, "a nonzero number"),
+        "beta": (_is_finite, "a finite number"),
+        "amplitude": (_is_nonzero_finite, "a nonzero finite number"),
         "epsilon": epsilon.get(kind),
-        "betas": (_list_of(_is_number), "a non-empty list of numbers"),
+        "betas": (_list_of(_is_finite), "a non-empty list of finite numbers"),
         "seeds": (_list_of(lambda v: _is_int(v) and v >= 0),
                   "a non-empty list of non-negative integers"),
         "levels": (_distinct_list_of(_is_int, 2), "a list of at least 2 distinct integers"),

@@ -55,20 +55,17 @@ class DynamicsError(ValueError):
 
 @dataclass(frozen=True)
 class ActionParams:
-    """Couplings of the action: tension, topological-term coupling, and the
-    worldsheet dimension (fixed to 2 in this package)."""
+    """Couplings of the action: tension and topological-term coupling.  The
+    worldsheet is two-dimensional throughout the package."""
 
     tension: float
     gb_coupling: float = 0.0
-    worldsheet_dim: int = 2
 
     def __post_init__(self):
         if self.tension < 0:
             raise DynamicsError(f"tension must be >= 0, got {self.tension}")
         if self.tension == 0.0 and self.gb_coupling == 0.0:
             raise DynamicsError("tension and gb_coupling cannot both vanish")
-        if self.worldsheet_dim != 2:
-            raise DynamicsError("only two-dimensional worldsheets are supported")
 
 
 def action_value(geo: GeometryBundle, p: ActionParams) -> float:

@@ -248,7 +248,7 @@ def run_omega(config, *, jacobi=None, betas=(0.0, 0.25, 0.5), slices=None) -> Ou
                                  for r in rows}
     base_vals = list(table[f"beta={betas[0]}"].values())
     base = base_vals[len(base_vals) // 2]
-    slice_spread = max(base_vals) - min(base_vals)
+    slice_spread = float(np.ptp(base_vals))  # NaN propagates, as it does not through max()
     rel_spread = slice_spread / abs(base) if base else 0.0
     p0 = dyn.ActionParams(config.action_params.tension, float(betas[0]))
     mid = int(rows[len(rows) // 2])
@@ -305,27 +305,28 @@ def run_convergence(config, *, quantity="einstein", levels=(65, 129, 257)) -> Ou
             res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
             err = masked_max_abs(res.values, interior_active(geo, rows=6)) / scale
         errors.append(err)
-    orders = observed_orders(levels, errors)
     floor = _CONVERGENCE_FLOORS[quantity]
-    pair_ok = [
-        order >= 3.5 or min(e1, e2) <= floor
-        for order, (e1, e2) in zip(orders, zip(errors, errors[1:]))
-    ]
+    orders, passed = refinement_verdict(levels, errors, floor)
     results = {"levels": list(levels), "errors": errors, "observed_orders": orders,
                "at_roundoff_floor": all(e <= floor for e in errors)}
     tol = {"min_order": 3.5, "roundoff_floor": floor}
-    passed = bool(pair_ok) and all(pair_ok)
     return results, tol, passed
 
 
-def observed_orders(levels, errors) -> list[float]:
-    """Successive convergence orders from error pairs at nested tau grids."""
-    orders = []
-    for (n1, e1), (n2, e2) in zip(zip(levels, errors), zip(levels[1:], errors[1:])):
-        h_ratio = (n2 - 1) / (n1 - 1)
-        if e1 > 0 and e2 > 0:
-            orders.append(float(np.log(e1 / e2) / np.log(h_ratio)))
-    return orders
+def refinement_verdict(levels, errors, floor: float) -> tuple[list[float], bool]:
+    """The convergence order of each consecutive pair of nested tau grids,
+    NaN where it is undefined (an error that is not finite and positive),
+    and whether every pair converges: its order is at least 3.5, or both
+    errors are finite and the smaller one is at the roundoff ``floor``.  A
+    NaN error fails both pairs it is in."""
+    orders, pair_ok = [], []
+    for n1, n2, e1, e2 in zip(levels, levels[1:], errors, errors[1:]):
+        finite = np.isfinite([e1, e2]).all()
+        defined = finite and min(e1, e2) > 0
+        order = float(np.log(e1 / e2) / np.log((n2 - 1) / (n1 - 1))) if defined else np.nan
+        orders.append(order)
+        pair_ok.append(order >= 3.5 or (finite and min(e1, e2) <= floor))
+    return orders, bool(pair_ok) and all(pair_ok)
 
 
 EXPERIMENTS = {

@@ -240,8 +240,6 @@ def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
     from it along each row in sigma (wrapping), skipping masked points.
     """
     nt, ns, k, _ = normals.shape
-    if not active.any():
-        return
     t0, s0 = map(int, np.argwhere(active)[0])
     walk = (s0 + np.arange(ns)) % ns
     for slot in range(k):

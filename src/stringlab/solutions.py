@@ -20,7 +20,8 @@ for spinning, the analytic frame.  ``_family`` derives every other direction
 from the chart: translations, the rotations and boosts of ``_GENERATORS``,
 and the modulus as ``chart / scale``.  The registry takes each family's name
 and parameters from its factory, and ``make_solution`` checks given values
-against the factory's annotations.
+against the factory's annotations with ``read_arguments``, which the CLI
+also applies to the grid and action sections.
 """
 
 from __future__ import annotations
@@ -312,13 +313,36 @@ _REGISTRY = {
     for factory in (pulsating_circular_string, rotating_folded_string, spinning_two_plane_string)
 }
 
-# what a solution parameter accepts, by its annotation in the factory; a
-# float must lie in float range, which NaN, infinities and huge ints do not
+# what a value accepts, by its annotation: a float must lie in float range,
+# which NaN, infinities and huge ints do not; neither may be a boolean
 _PARAM_TYPES = {
     float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max, "a finite number"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
 }
+
+
+def read_arguments(fn: Callable, values: dict, label: str, error: type[Exception]) -> dict:
+    """``values`` checked as keyword arguments of ``fn``, by its signature:
+    no unknown key, no missing required key, and each value accepted by the
+    rule of its annotation in ``_PARAM_TYPES``.  Returns the given values,
+    floats as ``float``; anything else raises ``error``, naming the key as
+    ``label.format(key)``."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    unknown = sorted(set(values) - set(params))
+    if unknown:
+        names = ", ".join(map(label.format, unknown))
+        raise error(f"unknown {names}; allowed: {tuple(params)}")
+    for key, param in params.items():
+        if key not in values and param.default is param.empty:
+            raise error(f"missing required key {key!r}")
+    out = {}
+    for key, val in values.items():
+        test, need = _PARAM_TYPES[params[key].annotation]
+        if not test(val):
+            raise error(f"{label.format(key)} must be {need}, got {val!r}")
+        out[key] = float(val) if params[key].annotation is float else val
+    return out
 
 
 def solution_names() -> list[str]:
@@ -331,12 +355,4 @@ def make_solution(name: str, params: dict) -> ExactSolution:
     if name not in _REGISTRY:
         raise SolutionError(f"unknown solution {name!r}; available: {solution_names()}")
     factory = _REGISTRY[name]
-    allowed = inspect.signature(factory, eval_str=True).parameters
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise SolutionError(f"{name}: unknown parameters {sorted(unknown)}; allowed: {tuple(allowed)}")
-    for key, val in params.items():
-        test, need = _PARAM_TYPES[allowed[key].annotation]
-        if not test(val):
-            raise SolutionError(f"{name}: parameter {key!r} must be {need}, got {val!r}")
-    return factory(**params)
+    return factory(**read_arguments(factory, params, f"{name} parameter {{!r}}", SolutionError))

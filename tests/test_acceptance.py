@@ -14,7 +14,7 @@ from stringlab import cli
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
 from stringlab import symplectic as sym
-from stringlab.experiments import observed_orders
+from stringlab.experiments import refinement_verdict
 from stringlab.grid import Field, NORMAL, WorldsheetGrid, integrate_sigma_slice, masked_max_abs
 from stringlab.solutions import jacobi_from_family
 
@@ -56,12 +56,8 @@ def test_criterion_01_einstein_tensor_vanishes(pulsating, rotating):
             geo = sol.geometry(WorldsheetGrid(n_tau, 32, 0.1, 0.9))
             errs.append(masked_max_abs(geo.einstein.values, geo.mask.active))
         at_129 = errs[levels.index(129)]
-        orders = observed_orders(levels, errs)
-        pair_ok = [
-            order >= 3.5 or min(e1, e2) <= floor
-            for order, (e1, e2) in zip(orders, zip(errs, errs[1:]))
-        ]
-        sol_ok = at_129 <= 1e-6 and all(pair_ok)
+        orders, converged = refinement_verdict(levels, errs, floor)
+        sol_ok = at_129 <= 1e-6 and converged
         ok = ok and sol_ok
         details.append(
             f"{sol.name}: max|G|={at_129:.2e} (<=1e-6), errors={[f'{e:.1e}' for e in errs]}, "
@@ -99,7 +95,7 @@ def test_criterion_02_deformation_calculus(pulsating):
                 masked_max_abs(analytic.values, inner), masked_max_abs(oracle.values, inner)
             )
             rel = masked_max_abs(analytic.values - oracle.values, inner) / scale
-            worst[name] = max(worst.get(name, 0.0), rel)
+            worst[name] = np.maximum(worst.get(name, 0.0), rel)  # NaN propagates
     ok = all(v <= 1e-6 for v in worst.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items()) + " (each <= 1e-6, 3 seeds)"
     assert _verdict(2, ok, detail)
@@ -111,7 +107,7 @@ def test_criterion_03_onshell_residual(pulsating, rotating, grid129):
     for sol in (pulsating, rotating):
         geo = sol.geometry(grid129)
         res = {b: dyn.max_eom_residual(geo, dyn.ActionParams(1.0, b)) for b in (0.0, 0.5, 1.0)}
-        spread = max(abs(res[b] - res[0.0]) for b in res)
+        spread = np.max([abs(res[b] - res[0.0]) for b in res])
         sol_ok = res[0.0] <= 5e-5 and spread <= 1e-6
         ok = ok and sol_ok
         details.append(f"{sol.name}: residual={res[0.0]:.2e} (<=5e-5), beta spread={spread:.2e} (<=1e-6)")
@@ -129,14 +125,16 @@ def test_criterion_04_dimension_two_reduction(pulsating, pulsating_geo):
         psi_g = dyn.symplectic_potential(geo, d, p)
         psi_s = dyn.symplectic_potential_string(geo, d, p)
         psi_scale = 1.0 + masked_max_abs(psi_g.values, act)
-        worst_psi = max(worst_psi, masked_max_abs(psi_g.values - psi_s.values, act) / psi_scale)
+        worst_psi = np.maximum(
+            worst_psi, masked_max_abs(psi_g.values - psi_s.values, act) / psi_scale
+        )
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
         full, blocks = dyn.linearized_residual(geo, phi, p)
-        worst_shared = max(
+        worst_shared = np.maximum(
             worst_shared,
             masked_max_abs(full.values - blocks.values - string_form.values, act) / scale,
         )
-        worst_blocks = max(worst_blocks, masked_max_abs(blocks.values, act) / scale)
+        worst_blocks = np.maximum(worst_blocks, masked_max_abs(blocks.values, act) / scale)
     ok = worst_psi <= 1e-6 and worst_shared <= 1e-10 and worst_blocks <= 1e-6
     assert _verdict(
         4,
@@ -155,7 +153,7 @@ def test_criterion_05_linearization_consistency(family):
     fds = dyn.linearized_fd_oracle(geo, phi, params, eps=1e-4)
     for p, fd in zip(params, fds):
         lin, scale = dyn.linearized_residual_string(geo, phi, p)
-        worst = max(worst, masked_max_abs(lin.values - fd.values, inner) / scale)
+        worst = np.maximum(worst, masked_max_abs(lin.values - fd.values, inner) / scale)
     ok = worst <= 1e-4
     assert _verdict(5, ok, f"finite-differenced EOM vs evaluator={worst:.2e} (<=1e-4, beta in {{0, 0.3}})")
 
@@ -179,7 +177,7 @@ def test_criterion_06_self_adjointness(pulsating):
             jscale = max(masked_max_abs(direct.values, geo.mask.active), 1e-30)
             simplification = masked_max_abs(direct.values - summed.values, geo.mask.active) / jscale
     band_order = np.log2(residuals[65]["band"] / residuals[129]["band"])
-    deep_floor = max(residuals[n]["deep"] for n in residuals)
+    deep_floor = np.max([residuals[n]["deep"] for n in residuals])
     pointwise = residuals[129]["band"]
     ok = (
         pointwise <= 1e-4
@@ -230,7 +228,7 @@ def test_criterion_08_symplectic_form(family):
     p = dyn.ActionParams(1.0, 0.0)
     rows = [geo.grid.n_tau // 4, geo.grid.n_tau // 2, (3 * geo.grid.n_tau) // 4]
     vals = [sym.symplectic_form(geo, jt, jr, p, r) for r in rows]
-    spread = (max(vals) - min(vals)) / abs(vals[1])
+    spread = np.ptp(vals) / abs(vals[1])
     self_pairing = sym.symplectic_form(geo, jt, jt, p, rows[1])
     rng = np.random.default_rng(0)
     a, b = rng.uniform(-2, 2, size=2)
@@ -261,7 +259,7 @@ def test_criterion_09_potential_variation(pulsating, pulsating_geo):
         j21 = sym.bilinear_current(geo, jr, jt, p).values
         target = geo.vol.values[..., None] * 0.5 * (j12 - j21)
         scale = max(masked_max_abs(target, inner), 1e-30)
-        worst = max(worst, masked_max_abs(pvc.values - target, inner) / scale)
+        worst = np.maximum(worst, masked_max_abs(pvc.values - target, inner) / scale)
     ok = worst <= 1e-3
     assert _verdict(9, ok, f"differenced potential vs current={worst:.2e} (<=1e-3, beta in {{0, 0.3}})")
 
@@ -325,7 +323,7 @@ def test_criterion_10_topological_contribution_to_form(spinning, spinning_geo):
                 shift = abs(sym.symplectic_form(geo, phi1, phi2, p, row) - om0[row])
                 y = integrate_sigma_slice(Field(geo.grid, np.abs(dens - dens0)), row)
                 cancelled.append(y)
-                worst = max(worst, shift / y if y > 0.0 else np.inf)
+                worst = np.maximum(worst, shift / y if y > 0.0 else np.inf)
         ok = ok and worst <= 1e-7 and (min(growth) >= 2.0 or not controlled)
         details.append(
             f"{name}: worst |omega(beta)-omega(0)|/Y={worst:.2e} (<=1e-7), "

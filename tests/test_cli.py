@@ -133,6 +133,12 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("gauge-check", {"jacobi": ["radius", "radius"]}),
         ("conserve", {"jacobi": ["radius", "radius"]}),
         ("convergence", {"levels": [65, 65]}),
+        ("self-adjoint", {"beta": float("nan")}),
+        ("conserve", {"beta": float("inf")}),
+        ("eom", {"betas": [0.0, float("-inf")]}),
+        ("omega", {"betas": [float("nan")]}),
+        ("deform-check", {"amplitude": float("nan")}),
+        ("deform-check", {"amplitude": float("-inf")}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -185,6 +191,22 @@ def test_wrong_type_action_value_rejected(tmp_path, capsys, key, value):
     assert cli.main(["validate", "--config", path]) == 2
     assert cli.main(["run", "--config", path]) == 2
     assert f"config error: action.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tau_max", float("inf")),
+        ("tau_min", float("-inf")),
+        pytest.param("tau_max", 10**400, id="tau_max-400-digits"),
+        ("tau_min", True),
+    ],
+)
+def test_wrong_type_grid_value_rejected(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, grid={**BASE["grid"], key: value})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert f"config error: grid.{key}" in capsys.readouterr().err
 
 
 def test_numeric_action_values_echo_as_before():
@@ -354,18 +376,27 @@ def test_seed_override_changes_report(tmp_path):
     assert r1["results"] != r2["results"]
 
 
-def test_csv_dump(tmp_path):
+@pytest.mark.parametrize(
+    "kind,n_tau,columns",
+    [
+        pytest.param("eom", 65, ["eom_residual[0]", "eom_residual[1]"], id="eom"),
+        pytest.param("geometry", 129, [f"einstein[{a}][{b}]" for a in "01" for b in "01"],
+                     id="geometry"),
+    ],
+)
+def test_csv_dump(tmp_path, kind, n_tau, columns):
     csv_path = tmp_path / "dump.csv"
-    path = write_config(tmp_path, kind="eom", options={"csv": str(csv_path)})
+    grid = {**BASE["grid"], "n_tau": n_tau}
+    path = write_config(tmp_path, kind=kind, grid=grid, options={"csv": str(csv_path)})
     assert cli.main(["run", "--config", path]) == 0
     lines = csv_path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:2] == ["tau", "sigma"]
-    assert header[2:] == ["eom_residual[0]", "eom_residual[1]"]
-    assert len(lines) == 1 + 65 * 32
+    assert header[2:] == columns
+    assert len(lines) == 1 + n_tau * 32
     # the second point of the first row, written as plain floats
     tau, sigma, *_ = map(float, lines[2].split(","))
-    grid = WorldsheetGrid(**BASE["grid"])
+    grid = WorldsheetGrid(**grid)
     assert (tau, sigma) == (grid.tau[0], grid.sigma[1])
 
 
@@ -422,6 +453,47 @@ def test_convergence_experiment(tmp_path):
     assert len(report["results"]["observed_orders"]) == 1
 
 
+def test_nan_convergence_error_fails(monkeypatch):
+    """A NaN error fails its pairs, even after a pair that converged."""
+    errors = iter([1e-6, 6e-8, float("nan")])
+    monkeypatch.setattr(experiments, "masked_max_abs", lambda values, active: next(errors))
+    report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": "convergence"}))
+    assert report["pass"] is False
+    assert report["results"]["observed_orders"][0] > 4.0
+    assert report["results"]["observed_orders"][1] == "nan"
+
+
+@pytest.mark.parametrize(
+    "errors,orders,passed",
+    [
+        ([1e-6, 6e-8, float("nan")], [4.06, float("nan")], False),
+        ([float("nan"), 6e-8, 1e-9], [float("nan"), 5.91], False),
+        ([float("inf"), 1e-9], [float("nan")], False),
+        ([1e-6, 6e-8, 0.0], [4.06, float("nan")], True),  # zero is at the roundoff floor
+        ([1e-6, 2e-7, 5e-8], [2.32, 2.0], False),  # above the floor at order 2.3
+    ],
+)
+def test_refinement_verdict(errors, orders, passed):
+    levels = [65, 129, 257][:len(errors)]
+    got, ok = experiments.refinement_verdict(levels, errors, 1e-7)
+    np.testing.assert_allclose(got, orders, rtol=1e-2)
+    assert ok is passed
+
+
+def test_nan_omega_on_a_late_slice_fails(monkeypatch):
+    """max() and min() skip a NaN that is not their first item; the slice
+    spread must not."""
+    late = (3 * BASE["grid"]["n_tau"]) // 4
+    form = experiments.symplectic_form
+    monkeypatch.setattr(
+        experiments, "symplectic_form",
+        lambda geo, f1, f2, p, row: float("nan") if row == late else form(geo, f1, f2, p, row),
+    )
+    report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": "omega"}))
+    assert report["pass"] is False
+    assert report["results"]["slice_relative_spread"] == "nan"
+
+
 def test_spinning_convergence_passes(tmp_path):
     # the 65-row level builds because the analytic frame is projected onto
     # the discrete normal space
@@ -446,6 +518,8 @@ def test_spinning_convergence_passes(tmp_path):
         ("omega", 65, {"jacobi": ["translation_t", "radius"]}),
         ("gauge-check", 65, {"jacobi": ["translation_t", "radius"]}),
         ("convergence", 65, {"quantity": "self-adjoint", "levels": [65, 129]}),
+        # errors 6.3e-7 then 7.5e-8, under the 1e-7 floor
+        ("convergence", 65, {"quantity": "eom", "levels": [65, 129]}),
     ],
 )
 def test_every_experiment_kind_passes(tmp_path, kind, n_tau, options):

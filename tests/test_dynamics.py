@@ -32,8 +32,6 @@ def test_action_params_validation():
         dyn.ActionParams(-1.0)
     with pytest.raises(dyn.DynamicsError):
         dyn.ActionParams(0.0, 0.0)
-    with pytest.raises(dyn.DynamicsError):
-        dyn.ActionParams(1.0, 0.0, worldsheet_dim=3)
     dyn.ActionParams(0.0, 1.0)  # curvature-only theory is allowed
 
 

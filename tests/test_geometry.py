@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import grid_axes_innermost, interior
-from stringlab.background import minkowski
-from stringlab.dynamics import current_coefficients, operator_coefficients
+from stringlab.background import BackgroundSpacetime, minkowski
+from stringlab.dynamics import (
+    ActionParams,
+    current_coefficients,
+    max_eom_residual,
+    operator_coefficients,
+)
 from stringlab.geometry import (
     Embedding,
     DEGENERACY_TOL,
@@ -31,6 +36,8 @@ from stringlab.grid import (
     WorldsheetGrid,
     masked_max_abs,
 )
+from stringlab.solutions import jacobi_from_family, make_solution
+from stringlab.symplectic import symplectic_form
 
 
 @pytest.fixture(scope="module")
@@ -442,3 +449,83 @@ def test_stored_k_upup_is_k_raised_twice(fixture, request):
     ref = raise_index(geo, raise_index(geo, geo.K, 0), 1)
     assert geo.K_upup.indices == ref.indices == (WORLDSHEET_UPPER, WORLDSHEET_UPPER, NORMAL)
     assert np.array_equal(geo.K_upup.values, ref.values, equal_nan=True)
+
+
+# Minkowski space in the coordinates u with x^1 = u^1 + a sin u^2: a real
+# spacetime (Riemann zero, metric J^T eta J with J = dx/du) whose Christoffel
+# symbols do not vanish, Gamma^1_22 = -a sin u^2; nothing else is nonzero
+CURVILINEAR_A = 0.3
+
+
+def _curvilinear_minkowski() -> BackgroundSpacetime:
+    a = CURVILINEAR_A
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+    def metric(u):
+        jac = np.broadcast_to(np.eye(4), u.shape[:-1] + (4, 4)).copy()
+        jac[..., 1, 2] = a * np.cos(u[..., 2])
+        return np.einsum("...am,ab,...bn->...mn", jac, eta, jac)
+
+    def christoffel(u):
+        out = np.zeros(u.shape[:-1] + (4, 4, 4))
+        out[..., 1, 2, 2] = -a * np.sin(u[..., 2])
+        return out
+
+    def riemann(u):
+        return np.zeros(u.shape[:-1] + (4, 4, 4, 4))
+
+    return BackgroundSpacetime(4, metric, christoffel, riemann, name="curvilinear_minkowski4")
+
+
+def _in_curvilinear_chart(sol):
+    """The same string in the u coordinates: the chart through u = x(u)^-1,
+    and every family velocity (and the analytic frame) through J^-1, which
+    subtracts a cos(x^2) v^2 from v^1."""
+    a = CURVILINEAR_A
+
+    def chart(tt, ss):
+        u = np.array(sol.chart(tt, ss))
+        u[..., 1] -= a * np.sin(u[..., 2])
+        return u
+
+    def pushed(field_fn):
+        def fn(tt, ss):
+            v = np.array(field_fn(tt, ss))
+            cos_x2 = np.cos(sol.chart(tt, ss)[..., 2]).reshape(tt.shape + (1,) * (v.ndim - 3))
+            v[..., 1] -= a * cos_x2 * v[..., 2]
+            return v
+        return fn
+
+    return dataclasses.replace(
+        sol,
+        background=_curvilinear_minkowski(),
+        chart=chart,
+        family={name: pushed(fn) for name, fn in sol.family.items()},
+        frame=None if sol.frame is None else pushed(sol.frame),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,n_sigma", [("pulsating_circular_string", 32), ("spinning_two_plane_string", 64)]
+)
+def test_curvilinear_minkowski_build_matches_cartesian(name, n_sigma):
+    """The background's Christoffel terms enter the extrinsic curvature and
+    the normal connection; in a flat background written in curved
+    coordinates, the string solves the equations of motion, satisfies the
+    flat Gauss relation, and has the Cartesian symplectic form."""
+    grid = WorldsheetGrid(129, n_sigma, 0.1, 0.9)
+    cartesian = make_solution(name, {})
+    curved = _in_curvilinear_chart(cartesian)
+    assert not curved.background.flat
+    p = ActionParams(1.0, 0.3)
+    geo = curved.geometry(grid)
+    act = geo.mask.active
+    assert max_eom_residual(geo, p) <= 5e-5
+    assert masked_max_abs(gauss_scalar_curvature(geo).values - geo.scalar.values, act) <= 5e-6
+    pair = ("translation_t", cartesian.modulus)
+    row = grid.n_tau // 2
+    omegas = [
+        symplectic_form(g, *(jacobi_from_family(s, g, which) for which in pair), p, row)
+        for s, g in ((cartesian, cartesian.geometry(grid)), (curved, geo))
+    ]
+    assert omegas[1] == pytest.approx(omegas[0], rel=1e-7)
