@@ -22,7 +22,7 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .deformation import MAX_DEFORM_EPS, ORACLE_EPS_RANGE
 from .dynamics import ActionParams, DynamicsError
 from .geometry import GeometryError
 from .grid import GridError, WorldsheetGrid
-from .solutions import _PARAM_TYPES, SolutionError, make_solution, read_arguments, solution_names
+from .solutions import (
+    _PARAM_TYPES, ExactSolution, SolutionError, make_solution, read_arguments, solution_names,
+)
 
 SCHEMA_VERSION = 1
 
@@ -49,10 +51,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    solution_name: str
+    """A validated run: the objects built from the config, which its driver
+    takes, and the solution parameters as given, which the report echoes
+    (``solution.params`` adds the factory's defaults)."""
+
+    solution: ExactSolution
     solution_params: dict
-    grid_kwargs: dict
-    action_params: ActionParams
+    grid: WorldsheetGrid
+    action: ActionParams
     kind: str
     options: dict = field(default_factory=dict)
     seed: int = 0
@@ -78,18 +84,18 @@ class ExperimentConfig:
         except SolutionError as exc:
             raise ConfigError(str(exc)) from exc
 
-        grid = _require(raw, "grid", dict)
-        grid_kwargs = read_arguments(WorldsheetGrid, grid, "grid.{}", ConfigError)
-        _check_grid(grid_kwargs, "grid")
+        grid_kwargs = read_arguments(WorldsheetGrid, _require(raw, "grid", dict), "grid.{}",
+                                     ConfigError)
+        grid = _check_grid(WorldsheetGrid, "grid", **grid_kwargs)
 
         action = dict(_require(raw, "action", dict))
         dim = action.pop("worldsheet_dim", 2)
         if dim != 2:  # a schema constant, echoed as 2; 2.0 passes, true does not
             raise ConfigError(f"action.worldsheet_dim must be 2, got {dim!r}")
-        try:
-            action_params = ActionParams(**read_arguments(ActionParams, action, "action.{}", ConfigError))
-        except DynamicsError as exc:
-            raise ConfigError(str(exc)) from exc
+        couplings = read_arguments(ActionParams, action, "action.{}", ConfigError)
+        # every kind's tolerance or on-shell bound scales with the tension
+        if not couplings["tension"] > 0:
+            raise ConfigError(f"action.tension must be positive, got {couplings['tension']!r}")
 
         kind = _require(raw, "kind", str)
         if kind not in experiments.EXPERIMENTS:
@@ -100,22 +106,18 @@ class ExperimentConfig:
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
         _reject_unknown(options, set(option_defaults(kind)), f"options for kind {kind!r}")
-        _check_option_values(kind, options, grid_kwargs, solution.family_names())
+        _check_option_values(kind, options, grid, solution.family_names())
         seed = raw.get("seed", 0)
         if not (_is_int(seed) and seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        return cls(name, params, grid_kwargs, action_params, kind, dict(options), seed)
+        return cls(solution, params, grid, ActionParams(**couplings), kind, dict(options), seed)
 
     def resolved(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "solution": {"name": self.solution_name, "params": self.solution_params},
-            "grid": self.grid_kwargs,
-            "action": {
-                "tension": self.action_params.tension,
-                "gb_coupling": self.action_params.gb_coupling,
-                "worldsheet_dim": 2,
-            },
+            "solution": {"name": self.solution.name, "params": self.solution_params},
+            "grid": asdict(self.grid),
+            "action": {**asdict(self.action), "worldsheet_dim": 2},
             "kind": self.kind,
             "options": self.options,
             "seed": self.seed,
@@ -155,22 +157,24 @@ def _distinct_list_of(test, min_len: int = 1):
     return lambda val: listed(val) and len(set(val)) == len(val)
 
 
-def _check_grid(grid_kwargs: dict, where: str) -> None:
-    """Reject grid parameters that ``WorldsheetGrid`` itself rejects."""
+def _check_grid(build, where: str, *args, **kwargs) -> WorldsheetGrid:
+    """The grid ``build(*args, **kwargs)``; grid parameters that
+    ``WorldsheetGrid`` itself rejects are invalid config at ``where``."""
     try:
-        WorldsheetGrid(**grid_kwargs)
+        return build(*args, **kwargs)
     except GridError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: list[str]) -> None:
+def _check_option_values(kind: str, options: dict, grid: WorldsheetGrid,
+                         families: list[str]) -> None:
     """Reject option values the experiments cannot run with (a repeated
     slice collapses omega's table, a repeated level divides by log 1), or
     with which a check would pass vacuously (a zero deformation amplitude
     or reparametrization size, a Jacobi field paired with itself)."""
     floors = experiments._CONVERGENCE_FLOORS
     lo, hi = ORACLE_EPS_RANGE
-    n_tau = grid_kwargs["n_tau"]
+    n_tau = grid.n_tau
 
     def is_row(val) -> bool:
         return _is_int(val) and 0 <= val < n_tau
@@ -204,8 +208,7 @@ def _check_option_values(kind: str, options: dict, grid_kwargs: dict, families: 
         if not test(val):
             raise ConfigError(f"options.{name} for kind {kind!r} must be {need}, got {val!r}")
     for level in options.get("levels", []):
-        _check_grid({**grid_kwargs, "n_tau": level},
-                    f"options.levels for kind {kind!r}, level {level}")
+        _check_grid(replace, f"options.levels for kind {kind!r}, level {level}", grid, n_tau=level)
 
 
 def _plain(obj):
@@ -226,7 +229,9 @@ def _plain(obj):
 def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
     """Execute one experiment and assemble the report dictionary."""
     start = time.perf_counter()
-    results, tolerances, passed = experiments.EXPERIMENTS[config.kind](config, **config.options)
+    results, tolerances, passed = experiments.EXPERIMENTS[config.kind](
+        config.solution, config.grid, config.action, config.seed, **config.options
+    )
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
     return {
         "schema_version": SCHEMA_VERSION,

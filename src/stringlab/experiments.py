@@ -2,13 +2,19 @@
 
 Each driver composes the library modules into one named experiment, returns
 a results dictionary plus the tolerance table it asserted against, and a
-pass flag.  Everything is deterministic for a fixed config and seed.
+pass flag.  Everything is deterministic for fixed inputs and seed.
 
-A driver's keyword-only parameters are the options of its kind, with their
-defaults; a default of ``None`` depends on the config and is resolved there.
+A driver takes the library objects of one run, ``(sol, grid, action,
+seed)``: the exact solution, its grid, the couplings and the random seed.
+A kind with a ``beta`` or ``betas`` option sets the topological coupling of
+``action`` to each β and keeps its tension.  The keyword-only parameters
+are the options of the kind, with their defaults; a default of ``None``
+depends on the grid or the solution and is resolved there.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,8 +22,8 @@ from . import deformation as dfm
 from . import dynamics as dyn
 from . import symplectic as sym
 from .geometry import gauss_scalar_curvature, intrinsic_geometry
-from .grid import Field, WorldsheetGrid, masked_max_abs
-from .solutions import ExactSolution, SolutionError, jacobi_from_family, make_solution
+from .grid import Field, masked_max_abs
+from .solutions import SolutionError, jacobi_from_family
 from .symplectic import symplectic_form
 
 INTERIOR_ROWS = 2  # tau rows per boundary excluded from stencil-sensitive norms
@@ -32,12 +38,6 @@ def interior_active(geo, rows: int = INTERIOR_ROWS) -> np.ndarray:
     act[:rows] = False
     act[-rows:] = False
     return act
-
-
-def _setup(config) -> tuple[ExactSolution, WorldsheetGrid]:
-    sol = make_solution(config.solution_name, config.solution_params)
-    grid = WorldsheetGrid(**config.grid_kwargs)
-    return sol, grid
 
 
 def _jacobi_pair(sol, geo, jacobi) -> tuple[Field, Field]:
@@ -56,8 +56,7 @@ def _jacobi_pair(sol, geo, jacobi) -> tuple[Field, Field]:
     return fields[0], fields[1]
 
 
-def run_geometry(config, *, csv=None) -> Outcome:
-    sol, grid = _setup(config)
+def run_geometry(sol, grid, action, seed, *, csv=None) -> Outcome:
     geo = sol.geometry(grid)
     act = geo.mask.active
     gauss_gap = masked_max_abs(
@@ -101,13 +100,13 @@ def _dump_csv(path: str, geo, f: Field, name: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_deform_check(config, *, epsilon=1e-4, amplitude=0.5, seeds=(0, 1, 2)) -> Outcome:
-    sol, grid = _setup(config)
+def run_deform_check(sol, grid, action, seed, *, epsilon=1e-4, amplitude=0.5,
+                     seeds=(0, 1, 2)) -> Outcome:
     geo = sol.geometry(grid)
     interior = interior_active(geo)
     worst: dict[str, float] = {}
-    for seed in seeds:
-        d0 = dfm.random_deformation(grid, geo.codim, seed=int(seed) + config.seed)
+    for offset in seeds:
+        d0 = dfm.random_deformation(grid, geo.codim, seed=int(offset) + seed)
         d = dfm.DeformationField(
             Field(grid, amplitude * d0.phi_normal.values, d0.phi_normal.indices),
             Field(grid, amplitude * d0.phi_tangent.values, d0.phi_tangent.indices),
@@ -137,35 +136,31 @@ def run_deform_check(config, *, epsilon=1e-4, amplitude=0.5, seeds=(0, 1, 2)) ->
     return {"max_relative_discrepancy": worst}, tol, passed
 
 
-def run_eom(config, *, betas=(0.0, 0.5, 1.0), csv=None) -> Outcome:
-    sol, grid = _setup(config)
+def run_eom(sol, grid, action, seed, *, betas=(0.0, 0.5, 1.0), csv=None) -> Outcome:
     geo = sol.geometry(grid)
-    tension = config.action_params.tension
-    residuals = {}
-    for beta in betas:
-        p = dyn.ActionParams(tension, float(beta))
-        residuals[f"beta={beta}"] = dyn.max_eom_residual(geo, p)
-    base = residuals[f"beta={betas[0]}"]
-    spread = max(abs(v - base) for v in residuals.values())
-    results = {"max_residual": max(residuals.values()), "residuals": residuals,
+    residuals = {
+        f"beta={beta}": dyn.max_eom_residual(geo, replace(action, gb_coupling=float(beta)))
+        for beta in betas
+    }
+    values = np.array(list(residuals.values()))  # NaN propagates, as it does not through max()
+    spread = float(np.max(np.abs(values - values[0])))
+    results = {"max_residual": float(np.max(values)), "residuals": residuals,
                "beta_spread": spread}
-    tol = {"max_residual": 5e-5 * tension, "beta_spread": 1e-6}
+    tol = {"max_residual": 5e-5 * action.tension, "beta_spread": 1e-6}
     passed = results["max_residual"] <= tol["max_residual"] and spread <= tol["beta_spread"]
     if csv:
-        _dump_csv(csv, geo, dyn.eom_residual(geo, config.action_params), "eom_residual")
+        _dump_csv(csv, geo, dyn.eom_residual(geo, action), "eom_residual")
     return results, tol, passed
 
 
-def run_linearize(config, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
-    sol, grid = _setup(config)
+def run_linearize(sol, grid, action, seed, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    tension = config.action_params.tension
-    phi = dfm.random_normal_components(grid, geo.codim, seed=config.seed)
+    phi = dfm.random_normal_components(grid, geo.codim, seed=seed)
     d = dfm.DeformationField.normal_only(phi)
     results: dict = {"fd_match": {}, "evaluator_agreement": {}, "einstein_blocks": {},
                      "potential_agreement": {}}
-    params = [dyn.ActionParams(tension, float(beta)) for beta in betas]
+    params = [replace(action, gb_coupling=float(beta)) for beta in betas]
     fds = dyn.linearized_fd_oracle(geo, phi, params, eps=epsilon)
     for beta, p, fd in zip(betas, params, fds):
         string_form, scale = dyn.linearized_residual_string(geo, phi, p)
@@ -191,13 +186,12 @@ def run_linearize(config, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
     return results, tol, passed
 
 
-def run_self_adjoint(config, *, beta=0.3) -> Outcome:
-    sol, grid = _setup(config)
+def run_self_adjoint(sol, grid, action, seed, *, beta=0.3) -> Outcome:
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    p = dyn.ActionParams(config.action_params.tension, float(beta))
-    phi1 = dfm.random_normal_components(grid, geo.codim, seed=config.seed)
-    phi2 = dfm.random_normal_components(grid, geo.codim, seed=config.seed + 1)
+    p = replace(action, gb_coupling=float(beta))
+    phi1 = dfm.random_normal_components(grid, geo.codim, seed=seed)
+    phi2 = dfm.random_normal_components(grid, geo.codim, seed=seed + 1)
     res, scale, direct = sym.self_adjointness_residual(geo, phi1, phi2, p)
     rel = masked_max_abs(res.values, interior) / scale
     summed = sym.sum_of_pieces(geo, phi1, phi2, p)
@@ -209,16 +203,16 @@ def run_self_adjoint(config, *, beta=0.3) -> Outcome:
     return results, tol, passed
 
 
-def run_conserve(config, *, jacobi=("translation_x", "translation_t"), beta=0.0) -> Outcome:
-    sol, grid = _setup(config)
+def run_conserve(sol, grid, action, seed, *, jacobi=("translation_x", "translation_t"),
+                 beta=0.0) -> Outcome:
     geo = sol.geometry(grid)
     interior = interior_active(geo)
-    p = dyn.ActionParams(config.action_params.tension, float(beta))
+    p = replace(action, gb_coupling=float(beta))
     f1, f2 = _jacobi_pair(sol, geo, jacobi)
     div = sym.conservation_residual(geo, f1, f2, p)
     worst = masked_max_abs(div.values, interior)
     scale = _conservation_scale(geo, f1, f2, p)
-    rnd = dfm.random_normal_components(grid, geo.codim, seed=config.seed + 7)
+    rnd = dfm.random_normal_components(grid, geo.codim, seed=seed + 7)
     div_bad = sym.conservation_residual(geo, f1, rnd, p)
     control = masked_max_abs(div_bad.values, interior)
     results = {"max_divergence": worst, "relative": worst / scale,
@@ -235,22 +229,22 @@ def _conservation_scale(geo, f1, f2, p) -> float:
     return (p.tension + abs(p.gb_coupling) * kk) * n1 * n2
 
 
-def run_omega(config, *, jacobi=None, betas=(0.0, 0.25, 0.5), slices=None) -> Outcome:
-    sol, grid = _setup(config)
+def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
+              slices=None) -> Outcome:
     geo = sol.geometry(grid)
     rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
     jacobi = jacobi or ("translation_t", sol.modulus)
     f1, f2 = _jacobi_pair(sol, geo, jacobi)
     table = {}
     for beta in betas:
-        p = dyn.ActionParams(config.action_params.tension, float(beta))
+        p = replace(action, gb_coupling=float(beta))
         table[f"beta={beta}"] = {f"row={r}": symplectic_form(geo, f1, f2, p, int(r))
                                  for r in rows}
     base_vals = list(table[f"beta={betas[0]}"].values())
     base = base_vals[len(base_vals) // 2]
     slice_spread = float(np.ptp(base_vals))  # NaN propagates, as it does not through max()
     rel_spread = slice_spread / abs(base) if base else 0.0
-    p0 = dyn.ActionParams(config.action_params.tension, float(betas[0]))
+    p0 = replace(action, gb_coupling=float(betas[0]))
     mid = int(rows[len(rows) // 2])
     antisym_zero = symplectic_form(geo, f1, f1, p0, mid)
     delta = {f"beta={b}": abs(list(table[f"beta={b}"].values())[len(rows) // 2] - base)
@@ -262,10 +256,10 @@ def run_omega(config, *, jacobi=None, betas=(0.0, 0.25, 0.5), slices=None) -> Ou
     return results, tol, passed
 
 
-def run_gauge_check(config, *, jacobi=None, beta=0.0, epsilon=1e-2, slice=None) -> Outcome:
-    sol, grid = _setup(config)
+def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1e-2,
+                    slice=None) -> Outcome:
     geo = sol.geometry(grid)
-    p = dyn.ActionParams(config.action_params.tension, float(beta))
+    p = replace(action, gb_coupling=float(beta))
     jacobi = jacobi or ("translation_t", sol.modulus)
     f1, f2 = _jacobi_pair(sol, geo, jacobi)
     row = grid.n_tau // 2 if slice is None else int(slice)
@@ -286,23 +280,22 @@ def run_gauge_check(config, *, jacobi=None, beta=0.0, epsilon=1e-2, slice=None) 
 _CONVERGENCE_FLOORS = {"einstein": 2.5e-8, "eom": 1e-7, "self-adjoint": 1e-9}
 
 
-def run_convergence(config, *, quantity="einstein", levels=(65, 129, 257)) -> Outcome:
-    sol, grid = _setup(config)
-    p = config.action_params
+def run_convergence(sol, grid, action, seed, *, quantity="einstein",
+                    levels=(65, 129, 257)) -> Outcome:
     errors = []
     for n_tau in levels:
-        lvl_grid = WorldsheetGrid(int(n_tau), grid.n_sigma, grid.tau_min, grid.tau_max)
+        lvl_grid = replace(grid, n_tau=n_tau)
         if quantity == "einstein":  # an intrinsic field: no normal frame is built
             geo = intrinsic_geometry(sol.embedding(lvl_grid))
             err = masked_max_abs(geo.einstein.values, geo.mask.active)
         elif quantity == "eom":
             geo = sol.geometry(lvl_grid)
-            err = masked_max_abs(dyn.eom_residual(geo, p).values, geo.mask.active)
+            err = masked_max_abs(dyn.eom_residual(geo, action).values, geo.mask.active)
         else:
             geo = sol.geometry(lvl_grid)
-            phi1 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed)
-            phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=config.seed + 1)
-            res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, p)
+            phi1 = dfm.random_normal_components(lvl_grid, geo.codim, seed=seed)
+            phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=seed + 1)
+            res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, action)
             err = masked_max_abs(res.values, interior_active(geo, rows=6)) / scale
         errors.append(err)
     floor = _CONVERGENCE_FLOORS[quantity]

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -19,6 +20,11 @@ BASE = {
     "action": {"tension": 1.0, "gb_coupling": 0.0},
     "kind": "eom",
 }
+# the run BASE builds, for calling a driver with library objects
+BASE_RUN = (
+    solutions.make_solution(BASE["solution"]["name"], BASE["solution"]["params"]),
+    WorldsheetGrid(**BASE["grid"]), ActionParams(1.0, 0.0), 0,
+)
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -181,6 +187,7 @@ def test_wrong_type_solution_parameter_rejected(tmp_path, capsys, params):
         ("tension", float("nan")),
         ("tension", float("-inf")),
         ("tension", -(10**400)),
+        ("tension", -1.0),
         ("worldsheet_dim", "two"),
         ("worldsheet_dim", True),
         ("worldsheet_dim", 2.5),
@@ -191,6 +198,15 @@ def test_wrong_type_action_value_rejected(tmp_path, capsys, key, value):
     assert cli.main(["validate", "--config", path]) == 2
     assert cli.main(["run", "--config", path]) == 2
     assert f"config error: action.{key}" in capsys.readouterr().err
+
+
+def test_zero_tension_rejected(tmp_path, capsys):
+    """Every kind's tolerance or on-shell bound scales with the tension, so
+    the curvature-only theory, which ``ActionParams`` allows, cannot run."""
+    path = write_config(tmp_path, action={"tension": 0, "gb_coupling": 0.3})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+    assert "config error: action.tension must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -263,7 +279,7 @@ def test_kind_options_are_the_driver_parameters():
 
 
 def test_option_defaults_pass_validation():
-    grid = {"n_tau": 129, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9}
+    grid = WorldsheetGrid(n_tau=129, n_sigma=32, tau_min=0.1, tau_max=0.9)
     families = solutions.make_solution(BASE["solution"]["name"], {}).family_names()
     checked = 0
     for kind in KIND_OPTIONS:
@@ -300,14 +316,10 @@ def test_default_jacobi_pair_is_the_family_modulus(
 
 
 def test_nan_discrepancy_fails_linearize():
-    # built directly, bypassing config validation: at epsilon 0 both sides
+    # called directly, bypassing config validation: at epsilon 0 both sides
     # of the central difference coincide and the oracle is 0/0
-    config = cli.ExperimentConfig(
-        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
-        ActionParams(1.0, 0.0), "linearize", {"epsilon": 0.0},
-    )
     with np.errstate(invalid="ignore"):
-        results, _, passed = experiments.run_linearize(config, **config.options)
+        results, _, passed = experiments.run_linearize(*BASE_RUN, epsilon=0.0)
     assert np.isnan(results["fd_match"]["beta=0.0"])
     assert passed is False
 
@@ -321,11 +333,7 @@ def test_self_adjoint_builds_the_current_once(monkeypatch):
 
     current = symplectic.bilinear_current
     monkeypatch.setattr(symplectic, "bilinear_current", counting_current)
-    config = cli.ExperimentConfig(
-        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
-        ActionParams(1.0, 0.0), "self-adjoint",
-    )
-    experiments.run_self_adjoint(config, **config.options)
+    experiments.run_self_adjoint(*BASE_RUN)
     assert len(calls) == 1
 
 
@@ -424,11 +432,7 @@ def test_csv_dump_reuses_the_experiment_geometry(tmp_path, monkeypatch):
 
 def test_linearize_builds_one_displaced_pair(monkeypatch):
     calls = _count_builds(monkeypatch, solutions, dynamics)
-    config = cli.ExperimentConfig(
-        BASE["solution"]["name"], BASE["solution"]["params"], BASE["grid"],
-        ActionParams(1.0, 0.0), "linearize", {"betas": [0, 0.3, 1]},
-    )
-    results, _, _ = experiments.run_linearize(config, **config.options)
+    results, _, _ = experiments.run_linearize(*BASE_RUN, betas=[0, 0.3, 1])
     assert len(calls) == 3
     assert list(results["fd_match"]) == ["beta=0", "beta=0.3", "beta=1"]
 
@@ -492,6 +496,50 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": "omega"}))
     assert report["pass"] is False
     assert report["results"]["slice_relative_spread"] == "nan"
+
+
+def test_nan_eom_residual_at_a_later_beta_fails(monkeypatch):
+    """max() skips a NaN that is not its first item; the eom verdict must not."""
+    calls = []
+    residual = dynamics.max_eom_residual
+
+    def nan_on_second_call(geo, p):
+        calls.append(p)
+        return float("nan") if len(calls) == 2 else residual(geo, p)
+
+    monkeypatch.setattr(dynamics, "max_eom_residual", nan_on_second_call)
+    report = cli.run(cli.ExperimentConfig.from_dict(BASE))
+    assert report["pass"] is False
+    assert report["results"]["residuals"]["beta=0.5"] == "nan"
+    assert report["results"]["max_residual"] == "nan"
+    assert report["results"]["beta_spread"] == "nan"
+
+
+def test_run_builds_no_solution_and_no_grid(monkeypatch):
+    """The config holds the solution and grid it validated; a run reuses them."""
+    config = cli.ExperimentConfig.from_dict(BASE)
+    name = BASE["solution"]["name"]
+    factory = solutions._REGISTRY[name]
+    built = []
+
+    @functools.wraps(factory)
+    def counting_factory(*args, **kwargs):
+        built.append(name)
+        return factory(*args, **kwargs)
+
+    post_init = WorldsheetGrid.__post_init__
+    monkeypatch.setitem(solutions._REGISTRY, name, counting_factory)
+    monkeypatch.setattr(
+        WorldsheetGrid, "__post_init__", lambda grid: built.append(grid) or post_init(grid)
+    )
+    cli.run(config)
+    assert built == []
+
+
+def test_driver_with_library_objects_matches_run():
+    results, tolerances, passed = experiments.run_omega(*BASE_RUN)
+    report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": "omega"}))
+    assert (report["results"], report["tolerances"], report["pass"]) == (results, tolerances, passed)
 
 
 def test_spinning_convergence_passes(tmp_path):

@@ -5,7 +5,6 @@ from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import geometry
 from stringlab.background import minkowski
-from stringlab.cli import ExperimentConfig
 from stringlab.dynamics import ActionParams
 from stringlab.experiments import run_deform_check
 from stringlab.geometry import Embedding, build_geometry
@@ -18,6 +17,7 @@ from stringlab.grid import (
     integrate_sigma_slice,
     masked_max_abs,
 )
+from stringlab.solutions import pulsating_circular_string
 
 
 def _scaled(d, amp):
@@ -191,12 +191,10 @@ def test_deform_check_varies_each_seed_once(monkeypatch):
 
     for name in ("vary_connection", "vary_metric"):
         monkeypatch.setattr(dfm, name, counting(name))
-    config = ExperimentConfig(
-        "pulsating_circular_string", {"radius": 1.0},
-        {"n_tau": 65, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9},
-        ActionParams(1.0, 0.0), "deform-check",
+    run_deform_check(
+        pulsating_circular_string(radius=1.0), WorldsheetGrid(65, 32, 0.1, 0.9),
+        ActionParams(1.0, 0.0), 0,
     )
-    run_deform_check(config)
     assert calls.count("vary_connection") == 3
     assert calls.count("vary_metric") == 3
 

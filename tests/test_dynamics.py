@@ -5,7 +5,6 @@ from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
 from stringlab.background import minkowski
-from stringlab.cli import ExperimentConfig
 from stringlab.experiments import run_linearize
 from stringlab.geometry import Embedding, build_geometry
 from stringlab.grid import (
@@ -16,6 +15,7 @@ from stringlab.grid import (
     integrate_patch,
     masked_max_abs,
 )
+from stringlab.solutions import pulsating_circular_string
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +130,10 @@ def test_linearize_evaluates_each_einstein_block_once(pulsating_geo, monkeypatch
     monkeypatch.setattr(
         dyn, "einstein_block", lambda *a: blocks_evaluated.append(1) or real_block(*a)
     )
-    config = ExperimentConfig(
-        "pulsating_circular_string", {"radius": 1.0},
-        {"n_tau": 65, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9},
-        dyn.ActionParams(1.0, 0.0), "linearize",
+    run_linearize(
+        pulsating_circular_string(radius=1.0), WorldsheetGrid(65, 32, 0.1, 0.9),
+        dyn.ActionParams(1.0, 0.0), 0,
     )
-    run_linearize(config)
     assert blocks_evaluated == [1]
 
 

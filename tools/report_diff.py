@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Compare the reports of this checkout with those of another checkout.
+
+    python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
+
+Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
+× nine kinds) once per checkout, each checkout in its own child process that
+imports ``stringlab`` from that checkout's ``src/``.  Both sides run the
+configs of this checkout's ``perfbench/``, which is only read.
+
+For each config it prints both exit codes.  Where two reports differ it
+prints each differing leaf key with both values and their relative
+difference.  Exits 0 only if every report is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+sys.dont_write_bytecode = True  # perfbench/ is only read
+sys.path.insert(0, str(PERFBENCH))
+
+from workloads import WORKLOADS, raw_configs  # noqa: E402
+
+# one checkout: every config as stringlab run would, exit code and output
+CHILD = """\
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import execute, load_stringlab
+cli = load_stringlab(Path(sys.argv[2]))
+out = {}
+for key, raw in json.load(sys.stdin).items():
+    try:
+        config = cli.ExperimentConfig.from_dict(raw)
+    except cli.ConfigError as exc:
+        out[key] = [2, f"config error: {exc}"]
+        continue
+    outcome, _ = execute(cli, config)
+    out[key] = [outcome.code, outcome.text]
+json.dump(out, sys.stdout)
+"""
+
+
+def run_checkout(checkout: Path, configs: dict) -> dict:
+    """``{config key: [exit code, report or message]}`` for one checkout."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(PERFBENCH), str(checkout)],
+        input=json.dumps(configs), capture_output=True, text=True, cwd=checkout, env=env,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"running {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def leaves(obj, path: str = "") -> dict:
+    """Every leaf of a parsed report, keyed by its dotted path."""
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}" if path else key, val) for key, val in obj.items())
+    elif isinstance(obj, list):
+        children = ((f"{path}[{i}]", val) for i, val in enumerate(obj))
+    else:
+        return {path: obj}
+    out = {}
+    for key, val in children:
+        out.update(leaves(val, key))
+    return out
+
+
+def relative(a, b) -> str:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if not numbers:
+        return "-"
+    scale = max(abs(a), abs(b))
+    return f"{abs(a - b) / scale:.3g}" if scale else "0"
+
+
+def differing_leaves(parent_text: str, text: str) -> list[str]:
+    """One line per leaf key whose value differs, or the two texts' first
+    lines when either is not a JSON report."""
+    try:
+        old, new = leaves(json.loads(parent_text)), leaves(json.loads(text))
+    except json.JSONDecodeError:
+        return [f"{parent_text.splitlines()[0]!r} -> {text.splitlines()[0]!r}"]
+    missing = object()
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, missing), new.get(key, missing)
+        if a != b:
+            shown = ["(absent)" if v is missing else repr(v) for v in (a, b)]
+            lines.append(f"{key}: {shown[0]} -> {shown[1]} (rel {relative(a, b)})")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    configs = {f"{name}/{kind}": raw for name in WORKLOADS
+               for kind, raw in raw_configs(name, args.seed).items()}
+    parent = run_checkout(args.parent.resolve(), configs)
+    this = run_checkout(ROOT, configs)
+    identical = codes_changed = 0
+    for key in configs:
+        (old_code, old_text), (code, text) = parent[key], this[key]
+        same = old_text == text
+        identical += same
+        codes_changed += old_code != code
+        print(f"{key:28s} exit {old_code} -> {code}  {'identical' if same else 'differs'}")
+        if not same:
+            for line in differing_leaves(old_text, text):
+                print(f"    {line}")
+    print(f"{len(configs)} reports: {identical} byte-identical, {len(configs) - identical} "
+          f"differ; {codes_changed} exit codes changed")
+    return 0 if identical == len(configs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
