@@ -134,8 +134,8 @@ def riemann_slots(
     points: np.ndarray,
 ) -> Field:
     """Untraced Riemann coupling M_{ab}^i_j = R(n_j, e_a, e_b, n^i) with the
-    slot order R(Y1, Y2)Y3, Y4 |-> R_abgn Y2^a Y1^b Y3^g Y4^n (the second
-    argument feeds the first tensor slot).  All slots take contravariant
+    slot order R(Y1, Y2)Y3, Y4 |-> R_abgn Y1^a Y2^b Y3^g Y4^n (each
+    argument feeds its own tensor slot).  All slots take contravariant
     vectors; the evaluator carries all-lower indices, evaluated at
     ``points`` (the embedding values, shape (n_tau, n_sigma, dim)).  Output
     indices (a, b, i, j).  Identically zero on flat backgrounds.

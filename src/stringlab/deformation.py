@@ -69,14 +69,15 @@ class DeformationField:
         zeros = Field(phi.grid, np.zeros(phi.grid.shape + (2,)), (WORLDSHEET_UPPER,))
         return cls(phi, zeros)
 
-    @classmethod
-    def tangent_only(cls, phi: Field, codim: int) -> "DeformationField":
-        zeros = Field(phi.grid, np.zeros(phi.grid.shape + (codim,)), (NORMAL,))
-        return cls(zeros, phi)
-
 
 def displacement(geo: GeometryBundle, d: DeformationField) -> Field:
-    """Spacetime vector of the deformation: e_a^mu phi^a + n_i^mu phi^i."""
+    """Spacetime vector of the deformation: e_a^mu phi^a + n_i^mu phi^i.
+    The normal part must have one component per normal of ``geo``."""
+    if d.phi_normal.values.shape[-1] != geo.codim:
+        raise GridError(
+            f"normal part has {d.phi_normal.values.shape[-1]} components, "
+            f"geometry has codim {geo.codim}"
+        )
     v = np.einsum("...am,...a->...m", geo.e.values, d.phi_tangent.values)
     v = v + np.einsum("...im,...i->...m", geo.n.values, d.phi_normal.values)
     return Field(geo.grid, v, (SPACETIME,))

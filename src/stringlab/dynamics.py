@@ -206,15 +206,6 @@ def operator_coefficients(geo: GeometryBundle) -> _LinearizedCoefficients:
     return geo.cache["linearized_coeffs"]
 
 
-def _check_normal_field(geo: GeometryBundle, phi: Field) -> None:
-    if phi.indices != (NORMAL,):
-        raise DynamicsError(f"expected a purely normal field, got indices {phi.indices}")
-    if phi.values.shape[-1] != geo.codim:
-        raise DynamicsError(
-            f"normal field has {phi.values.shape[-1]} components, geometry codim is {geo.codim}"
-        )
-
-
 def _phi_derivatives(geo: GeometryBundle, phi: Field):
     gphi = normal_gradient(geo, phi)
     ggphi = covariant_gradient(geo, gphi).values  # (d, c, i) outer derivative first
@@ -284,7 +275,6 @@ def _einsum_operator(geo: GeometryBundle, phi: Field, p: ActionParams, include_m
 
     and grad grad phi (outer derivative first), which the blocks read.
     ``include_mean`` is passed to :func:`_beta_terms_einsum`."""
-    _check_normal_field(geo, phi)
     c = operator_coefficients(geo)
     ph = phi.values
     gphi, ggphi, lap = _phi_derivatives(geo, phi)
@@ -358,7 +348,6 @@ def linearized_residual_string(
     natural yardstick for cancellation-sensitive comparisons against this
     operator.
     """
-    _check_normal_field(geo, phi)
     c = operator_coefficients(geo)
     s, b = p.tension, p.gb_coupling
     ph = phi.values
@@ -493,7 +482,6 @@ def linearized_fd_oracle(
     independently checks the linearized operator: frame-adjustment terms are
     proportional to the residual itself and drop out at this order.
     """
-    _check_normal_field(geo, phi)
     d = DeformationField.normal_only(phi)
     plus = build_geometry(deform_embedding(geo, d, +eps), frame=geo.n.values)
     minus = build_geometry(deform_embedding(geo, d, -eps), frame=geo.n.values)

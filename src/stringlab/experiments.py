@@ -22,11 +22,13 @@ from . import deformation as dfm
 from . import dynamics as dyn
 from . import symplectic as sym
 from .geometry import gauss_scalar_curvature, intrinsic_geometry
-from .grid import Field, masked_max_abs
+from .grid import TAU_ORDER, TAU_REACH, Field, masked_max_abs
 from .solutions import SolutionError, jacobi_from_family
 from .symplectic import symplectic_form
 
-INTERIOR_ROWS = 2  # tau rows per boundary excluded from stencil-sensitive norms
+INTERIOR_ROWS = TAU_REACH  # tau rows per boundary excluded from stencil-sensitive norms
+# the least order a refinement pair converges at: the tau stencil's, within a half
+MIN_ORDER = TAU_ORDER - 0.5
 # a Jacobi field no larger than this on active points has no normal part
 # (roundoff of a tangential direction), and a check paired with it is vacuous
 NO_NORMAL_PART = 1e-10
@@ -243,7 +245,7 @@ def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
     base_vals = list(table[f"beta={betas[0]}"].values())
     base = base_vals[len(base_vals) // 2]
     slice_spread = float(np.ptp(base_vals))  # NaN propagates, as it does not through max()
-    rel_spread = slice_spread / abs(base) if base else 0.0
+    rel_spread = sym.relative_change(slice_spread, base)
     p0 = replace(action, gb_coupling=float(betas[0]))
     mid = int(rows[len(rows) // 2])
     antisym_zero = symplectic_form(geo, f1, f1, p0, mid)
@@ -296,20 +298,21 @@ def run_convergence(sol, grid, action, seed, *, quantity="einstein",
             phi1 = dfm.random_normal_components(lvl_grid, geo.codim, seed=seed)
             phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=seed + 1)
             res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, action)
-            err = masked_max_abs(res.values, interior_active(geo, rows=6)) / scale
+            # the reach of three nested tau stencils from each edge
+            err = masked_max_abs(res.values, interior_active(geo, rows=sym.BAND_RADIUS)) / scale
         errors.append(err)
     floor = _CONVERGENCE_FLOORS[quantity]
     orders, passed = refinement_verdict(levels, errors, floor)
     results = {"levels": list(levels), "errors": errors, "observed_orders": orders,
                "at_roundoff_floor": all(e <= floor for e in errors)}
-    tol = {"min_order": 3.5, "roundoff_floor": floor}
+    tol = {"min_order": MIN_ORDER, "roundoff_floor": floor}
     return results, tol, passed
 
 
 def refinement_verdict(levels, errors, floor: float) -> tuple[list[float], bool]:
     """The convergence order of each consecutive pair of nested tau grids,
     NaN where it is undefined (an error that is not finite and positive),
-    and whether every pair converges: its order is at least 3.5, or both
+    and whether every pair converges: its order is at least MIN_ORDER, or both
     errors are finite and the smaller one is at the roundoff ``floor``.  A
     NaN error fails both pairs it is in."""
     orders, pair_ok = [], []
@@ -318,7 +321,7 @@ def refinement_verdict(levels, errors, floor: float) -> tuple[list[float], bool]
         defined = finite and min(e1, e2) > 0
         order = float(np.log(e1 / e2) / np.log((n2 - 1) / (n1 - 1))) if defined else np.nan
         orders.append(order)
-        pair_ok.append(order >= 3.5 or (finite and min(e1, e2) <= floor))
+        pair_ok.append(order >= MIN_ORDER or (finite and min(e1, e2) <= floor))
     return orders, bool(pair_ok) and all(pair_ok)
 
 

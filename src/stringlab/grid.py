@@ -314,6 +314,10 @@ _EDGES = np.array([
     [-137.0, 300.0, -300.0, 200.0, -75.0, 12.0],
     [-12.0, -65.0, 120.0, -60.0, 20.0, -3.0],
 ]) / 60.0
+# one-sided rows per tau edge, which is also the central stencil's
+# half-width: the rows a check skips to read central stencils only
+TAU_REACH = len(_EDGES)
+TAU_ORDER = 4  # the central stencil's order of accuracy
 
 
 def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -340,9 +344,10 @@ def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     acc *= inv12h
     # both edge rows of a side in one contraction; the last rows mirror the
     # first, on the reversed rows and with the opposite sign
+    rows, width = _EDGES.shape
     edges = _EDGES / h
-    out[:2] = np.einsum("rm,m...->r...", edges, v[:6])
-    out[:-3:-1] = -np.einsum("rm,m...->r...", edges, v[:-7:-1])
+    out[:rows] = np.einsum("rm,m...->r...", edges, v[:width])
+    out[:-rows - 1:-1] = -np.einsum("rm,m...->r...", edges, v[:-width - 1:-1])
     return out
 
 
@@ -408,7 +413,8 @@ def integrate_patch(f: Field, mask: Mask) -> float:
 
 
 def masked_max_abs(values: np.ndarray, active: np.ndarray) -> float:
-    """max |values| over active grid points (extra trailing axes allowed)."""
+    """max |values| over active grid points (extra trailing axes allowed).
+    NaN when no point is active: a check over no points fails."""
     per_point = np.abs(values).max(axis=tuple(range(2, values.ndim)))
     sel = per_point[active]
-    return float(sel.max()) if sel.size else 0.0
+    return float(sel.max()) if sel.size else float("nan")

@@ -54,6 +54,7 @@ from .dynamics import (
 from .geometry import Embedding, GeometryBundle, build_geometry, normal_gradient
 from .grid import (
     NORMAL,
+    TAU_REACH,
     WORLDSHEET_UPPER,
     Field,
     GridError,
@@ -354,12 +355,12 @@ def resample_sigma(values: np.ndarray, new_sigma: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape[:1] + new_sigma.shape + rest)
 
 
-# tau rows kept on each side of the slice by a reparametrized rebuild: 2 rows
-# per nested tau stencil (the central stencil's half-width), times the 3
-# nested derivatives the current reads (x -> e -> d e -> grad K).  At this
-# radius no tau stencil that reaches the slice row's current reads a
-# one-sided edge row of the band that the full grid reads centrally.
-BAND_RADIUS = 2 * 3
+# tau rows kept on each side of the slice by a reparametrized rebuild: the
+# tau stencil's reach per nested derivative, times the 3 nested derivatives
+# the current reads (x -> e -> d e -> grad K).  At this radius no tau stencil
+# that reaches the slice row's current reads a one-sided edge row of the
+# band that the full grid reads centrally.
+BAND_RADIUS = 3 * TAU_REACH
 
 
 def slice_band(n_tau: int, tau_index: int) -> slice:
@@ -412,5 +413,12 @@ def gauge_invariance_check(
         raise GridError("reparametrization is not invertible on the grid")
     omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
     omega1 = reparametrized_form(geo, phi1, phi2, p, s, tau_index)
-    denom = abs(omega0) if omega0 != 0.0 else 1.0
-    return abs(omega1 - omega0) / denom
+    return relative_change(omega1 - omega0, omega0)
+
+
+def relative_change(change: float, reference: float) -> float:
+    """|change| / |reference|, the two-form's one relative measure.  An
+    exactly zero reference gives inf or NaN, which fails every tolerance:
+    a vanishing two-form is no evidence of invariance."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(abs(change)) / abs(reference))

@@ -498,6 +498,43 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     assert report["results"]["slice_relative_spread"] == "nan"
 
 
+@pytest.mark.parametrize(
+    "kind,key",
+    [("omega", "slice_relative_spread"), ("gauge-check", "smooth_reparam_relative_change")],
+)
+def test_zero_two_form_fails(monkeypatch, kind, key):
+    """A two-form that is exactly zero is no evidence of slice independence or
+    gauge invariance: the relative change is NaN, and the check fails."""
+    zero = lambda geo, f1, f2, p, row: 0.0  # noqa: E731
+    monkeypatch.setattr(experiments, "symplectic_form", zero)
+    monkeypatch.setattr(symplectic, "symplectic_form", zero)
+    report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": kind}))
+    assert report["pass"] is False
+    assert report["results"][key] == "nan"
+
+
+@pytest.mark.parametrize("levels,passed", [([9, 11, 12], False), ([13, 17], True)])
+def test_convergence_on_levels_without_deep_rows_fails(levels, passed):
+    """The self-adjoint quantity reads rows at least BAND_RADIUS from each tau
+    edge; a level with no such row has no error to report, so it fails."""
+    raw = {**BASE, "kind": "convergence",
+           "options": {"quantity": "self-adjoint", "levels": levels}}
+    report = cli.run(cli.ExperimentConfig.from_dict(raw))
+    assert report["pass"] is passed
+    assert ("nan" in report["results"]["errors"]) is not passed
+
+
+def test_numpy_nonfinite_values_are_written_as_strings():
+    assert cli._plain(np.float64("nan")) == "nan"
+    assert cli._plain(np.float64("inf")) == "inf"
+    text = cli.serialize_report(cli._plain({"a": np.float64("nan"), "b": [np.float64("-inf")]}))
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads(text, parse_constant=reject) == {"a": "nan", "b": ["-inf"]}
+
+
 def test_nan_eom_residual_at_a_later_beta_fails(monkeypatch):
     """max() skips a NaN that is not its first item; the eom verdict must not."""
     calls = []

@@ -13,6 +13,7 @@ from stringlab.grid import (
     SPACETIME,
     WORLDSHEET_UPPER,
     Field,
+    GridError,
     WorldsheetGrid,
     integrate_sigma_slice,
     masked_max_abs,
@@ -42,6 +43,19 @@ def test_eps_bound_enforced(pulsating, grid129):
         dfm.deform_embedding(geo, d, 0.5)
 
 
+def test_normal_part_of_wrong_codim_rejected(pulsating_geo):
+    """A normal part with more components than the geometry has normals is a
+    typed error wherever it displaces the embedding, not a numpy broadcast
+    error."""
+    geo = pulsating_geo
+    phi = dfm.random_normal_components(geo.grid, geo.codim + 1, seed=0)
+    d = dfm.DeformationField.normal_only(phi)
+    with pytest.raises(GridError, match="codim"):
+        dfm.deform_embedding(geo, d, 1e-4)
+    with pytest.raises(GridError, match="codim"):
+        dfm.fd_oracle(geo, d)
+
+
 def test_constant_normal_shift_displaces_along_normal(pulsating, grid129):
     emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)
@@ -62,7 +76,8 @@ def test_tangential_deformation_preserves_curvature(pulsating, grid129):
     eps = 1e-4
     tangent = Field(grid129, np.stack([0.3 + 0.1 * np.cos(ss), np.sin(ss)], axis=-1),
                     (WORLDSHEET_UPPER,))
-    d = dfm.DeformationField.tangent_only(tangent, geo.codim)
+    d = dfm.DeformationField(Field(grid129, np.zeros(grid129.shape + (geo.codim,)), (NORMAL,)),
+                             tangent)
     geo2 = build_geometry(dfm.deform_embedding(geo, d, eps))
     shifted_tau = tt + eps * tangent.values[..., 0]
     r_expected = -2.0 / np.cos(shifted_tau) ** 4
@@ -77,7 +92,7 @@ def test_flat_cylinder_metric_variation_hand_value():
     geo = build_geometry(Embedding(minkowski(4), Field(grid, x, (SPACETIME,))))
     f = np.sin(2 * ss)
     tangent = Field(grid, np.stack([np.zeros_like(f), f], axis=-1), (WORLDSHEET_UPPER,))
-    d = dfm.DeformationField.tangent_only(tangent, geo.codim)
+    d = dfm.DeformationField(Field(grid, np.zeros(grid.shape + (geo.codim,)), (NORMAL,)), tangent)
     dg, _ = dfm.vary_metric(geo, d)
     act = geo.mask.active
     assert masked_max_abs(dg.values[..., 1, 1] - 2 * 2 * np.cos(2 * ss), act) <= 1e-9

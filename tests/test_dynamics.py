@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
-from stringlab.background import minkowski
+from stringlab.background import minkowski, synthetic_constant_curvature
 from stringlab.experiments import run_linearize
 from stringlab.geometry import Embedding, build_geometry
 from stringlab.grid import (
     NORMAL,
     SPACETIME,
+    WORLDSHEET_UPPER,
     Field,
+    GridError,
     WorldsheetGrid,
     integrate_patch,
     masked_max_abs,
@@ -73,6 +77,52 @@ def test_offshell_rejected(cylinder):
     phi = Field(geo.grid, np.zeros(geo.grid.shape + (2,)), (NORMAL,))
     with pytest.raises(dyn.DynamicsError):
         dyn.stability_operator_apply(geo, phi, dyn.ActionParams(1.0, 0.0))
+
+
+def test_operators_reject_fields_that_are_not_normal(pulsating_geo):
+    """Every operator path, the finite-difference oracle included, rejects a
+    field with the wrong index or number of normal components as a
+    GridError."""
+    geo = pulsating_geo
+    p = dyn.ActionParams(1.0, 0.3)
+    wrong_codim = dfm.random_normal_components(geo.grid, geo.codim + 1, seed=0)
+    tangent = Field(geo.grid, np.zeros(geo.grid.shape + (2,)), (WORLDSHEET_UPPER,))
+    paths = (
+        dyn.stability_operator_apply,
+        dyn.linearized_residual,
+        dyn.linearized_residual_string,
+        lambda g, phi, q: dyn.linearized_fd_oracle(g, phi, [q]),
+    )
+    for phi in (wrong_codim, tangent):
+        for apply in paths:
+            with pytest.raises(GridError):
+                apply(geo, phi, p)
+
+
+@pytest.mark.parametrize("family,n_sigma", [("pulsating", 32), ("spinning", 64)])
+def test_riemann_term_on_a_space_form(request, family, n_sigma):
+    """On the space-form background R_abcd = k (g_ac g_bd - g_ad g_bc) the
+    traced Riemann coupling of the operator is -2k delta^i_j, so swapping a
+    flat background for it shifts both evaluators by -2k tension phi and
+    leaves every other term as it was."""
+    k, tension = 0.7, 1.3
+    sol = request.getfixturevalue(family)
+    grid = WorldsheetGrid(65, n_sigma, 0.1, 0.9)
+    curved = replace(sol, background=synthetic_constant_curvature(4, k))
+    flat_geo, curved_geo = sol.geometry(grid), curved.geometry(grid)
+    phi = dfm.random_normal_components(grid, flat_geo.codim, seed=5)
+    act = flat_geo.mask.active
+    expected = -2.0 * k * tension * phi.values
+    evaluators = (
+        dyn.stability_operator_apply,
+        lambda geo, f, p: dyn.linearized_residual_string(geo, f, p)[0],
+    )
+    for beta in (0.0, 0.3):
+        p = dyn.ActionParams(tension, beta)
+        for apply in evaluators:
+            shift = apply(curved_geo, phi, p).values - apply(flat_geo, phi, p).values
+            gap = masked_max_abs(shift - expected, act)
+            assert gap <= 1e-12 * masked_max_abs(expected, act), (apply, beta, gap)
 
 
 def test_potential_tension_only_is_tangential(pulsating_geo):

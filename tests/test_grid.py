@@ -15,6 +15,7 @@ from stringlab.grid import (
     grid_innermost,
     integrate_patch,
     integrate_sigma_slice,
+    masked_max_abs,
     sigma_derivative_matrix,
 )
 
@@ -203,6 +204,19 @@ def test_mask_validation(grid):
     assert not m2.active[5, 31]
     assert not m2.active[5, 1]
     assert m2.active[5, 10]
+
+
+def test_masked_max_abs(grid):
+    """The max over active points and trailing axes; NaN over no points, so
+    a check over no points fails."""
+    vals = np.zeros(grid.shape + (2,))
+    vals[3, 4, 1] = -5.0
+    vals[0, 0, 0] = 7.0
+    act = np.ones(grid.shape, dtype=bool)
+    assert masked_max_abs(vals, act) == 7.0
+    act[0, 0] = False
+    assert masked_max_abs(vals, act) == 5.0
+    assert np.isnan(masked_max_abs(vals, np.zeros(grid.shape, dtype=bool)))
 
 
 def test_field_stores_values_component_major(grid):
