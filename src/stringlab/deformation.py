@@ -92,9 +92,9 @@ def deform_embedding(geo: GeometryBundle, d: DeformationField, eps: float) -> Em
     if abs(eps) > MAX_DEFORM_EPS:
         raise ValueError(f"|eps| = {abs(eps)} exceeds the perturbative bound {MAX_DEFORM_EPS}")
     emb = geo.embedding
+    delta = displacement(geo, d)
     if eps == 0.0:
         return Embedding(emb.background, Field(emb.grid, emb.x.values, (SPACETIME,)), emb.mask)
-    delta = displacement(geo, d)
     return Embedding(
         emb.background, Field(emb.grid, emb.x.values + eps * delta.values, (SPACETIME,)), emb.mask
     )

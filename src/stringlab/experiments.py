@@ -24,7 +24,6 @@ from . import symplectic as sym
 from .geometry import gauss_scalar_curvature, intrinsic_geometry
 from .grid import TAU_ORDER, TAU_REACH, Field, masked_max_abs
 from .solutions import SolutionError, jacobi_from_family
-from .symplectic import symplectic_form
 
 INTERIOR_ROWS = TAU_REACH  # tau rows per boundary excluded from stencil-sensitive norms
 # the least order a refinement pair converges at: the tau stencil's, within a half
@@ -237,20 +236,17 @@ def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
     rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
     jacobi = jacobi or ("translation_t", sol.modulus)
     f1, f2 = _jacobi_pair(sol, geo, jacobi)
-    table = {}
-    for beta in betas:
-        p = replace(action, gb_coupling=float(beta))
-        table[f"beta={beta}"] = {f"row={r}": symplectic_form(geo, f1, f2, p, int(r))
-                                 for r in rows}
-    base_vals = list(table[f"beta={betas[0]}"].values())
-    base = base_vals[len(base_vals) // 2]
+    params = [replace(action, gb_coupling=float(beta)) for beta in betas]
+    omega = sym.two_form_table(geo, [f1, f2], params, rows)
+    table = {f"beta={beta}": {f"row={r}": float(w) for r, w in zip(rows, omega[k, :, 0, 1])}
+             for k, beta in enumerate(betas)}
+    mid = len(rows) // 2
+    base_vals = omega[0, :, 0, 1].tolist()
+    base = base_vals[mid]
     slice_spread = float(np.ptp(base_vals))  # NaN propagates, as it does not through max()
     rel_spread = sym.relative_change(slice_spread, base)
-    p0 = replace(action, gb_coupling=float(betas[0]))
-    mid = int(rows[len(rows) // 2])
-    antisym_zero = symplectic_form(geo, f1, f1, p0, mid)
-    delta = {f"beta={b}": abs(list(table[f"beta={b}"].values())[len(rows) // 2] - base)
-             for b in betas}
+    antisym_zero = float(omega[0, mid, 0, 0])
+    delta = {f"beta={b}": abs(float(omega[k, mid, 0, 1]) - base) for k, b in enumerate(betas)}
     results = {"omega": table, "slice_relative_spread": rel_spread,
                "self_pairing": antisym_zero, "beta_shift": delta}
     tol = {"slice_relative_spread": 1e-3, "self_pairing": 0.0}

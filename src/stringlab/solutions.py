@@ -267,19 +267,14 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         xl1 = a * np.stack([one, -np.sin(u), np.cos(u), zero], axis=-1)
         xr1 = a * np.stack([one, zero, -np.sin(v), np.cos(v)], axis=-1)
         xl2 = a * np.stack([zero, -np.cos(u), -np.sin(u), zero], axis=-1)
-        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
 
         def dot(p, q):
-            return np.einsum("...m,mn,...n->...", p, eta, q)
+            return np.einsum("...m,...m->...", p * _ETA, q)
 
         cross = dot(xl1, xr1)  # = -a^2 (1 + cos u sin v), nonzero off cusps
         w1 = xl2 - (dot(xl2, xr1) / cross)[..., None] * xl1
         n1 = w1 / np.sqrt(dot(w1, w1))[..., None]
-        eps = _levi_civita_4()
-        dual_low = np.einsum(
-            "anrs,...n,...r,...s->...a", eps, xl1 + xr1, xl1 - xr1, n1
-        )
-        n2 = np.einsum("am,...m->...a", np.linalg.inv(eta), dual_low)
+        n2 = _ETA * _levi_civita_dual(xl1 + xr1, xl1 - xr1, n1)  # index raised
         n2 = n2 / np.sqrt(np.abs(dot(n2, n2)))[..., None]
         return np.stack([n1, n2], axis=-2)
 
@@ -293,11 +288,21 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
     )
 
 
-def _levi_civita_4() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for p in itertools.permutations(range(4)):
-        eps[p] = (-1.0) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
-    return eps
+_ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # the Minkowski metric's diagonal
+
+
+def _levi_civita_dual(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """eps_{anrs} p^n q^r r^s pointwise, for 4-vectors on the last axis: by
+    cofactors, component a is (-1)^a times the 3x3 determinant of (p, q, r)
+    without column a, expanded along p over the 2x2 minors of (q, r)."""
+    m = {(i, j): q[..., i] * r[..., j] - q[..., j] * r[..., i]
+         for i, j in itertools.combinations(range(4), 2)}
+    return np.stack([
+        p[..., 1] * m[2, 3] - p[..., 2] * m[1, 3] + p[..., 3] * m[1, 2],
+        -(p[..., 0] * m[2, 3] - p[..., 2] * m[0, 3] + p[..., 3] * m[0, 2]),
+        p[..., 0] * m[1, 3] - p[..., 1] * m[0, 3] + p[..., 3] * m[0, 1],
+        -(p[..., 0] * m[1, 2] - p[..., 1] * m[0, 2] + p[..., 2] * m[0, 1]),
+    ], axis=-1)
 
 
 def jacobi_from_family(sol: ExactSolution, geo: GeometryBundle, which: str) -> Field:

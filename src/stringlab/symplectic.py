@@ -23,10 +23,17 @@ also evaluates the algebraically simplified closed form directly, and the
 two must agree to roundoff (an independent check of the simplification).
 The closed form is a pointwise kernel in the current's cached coefficients
 (:func:`~stringlab.dynamics.current_coefficients`, not the operator's
-fourth-derivative ones) and the fields' normal gradients:
-:func:`bilinear_current` runs it on the whole grid, while the two-form runs
-the same kernel on the requested tau row only.  The gauge check rebuilds
-the reparametrized geometry on a band of rows around that row only.
+fourth-derivative ones) and the fields' normal gradients, split into a
+tension part A and a topological part B so that j = T A + b B:
+:func:`bilinear_current` runs it on the whole grid.  The two-form is
+evaluated as a table, :func:`two_form_table`, over a list of fields, a
+list of couplings and a list of tau rows.  Each field's normal gradient is
+taken once on the full grid; the kernel runs once per ordered pair of
+fields, on the requested rows stacked together; A and B then serve every
+coupling, and each row is summed over the slice.  Every cell equals, bit
+for bit, the kernel run on that pair, coupling and row alone, so
+:func:`symplectic_form` is one cell of a one-row table.  The gauge check
+rebuilds the reparametrized geometry on a band of rows around its row only.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .deformation import DeformationField, deform_embedding
+from .deformation import DeformationField, deform_embedding, displacement
 from .dynamics import (
     ActionParams,
     current_coefficients,
@@ -148,40 +155,55 @@ def current_pieces(
     )
 
 
-def _current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p) -> np.ndarray:
-    """Pointwise kernel of the simplified current.  Every operand carries the
-    same leading point axes (the full grid or one tau row), so the caller
-    chooses where the current is evaluated.
+def _current_parts(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, topological):
+    """Pointwise kernel of the simplified current, split by coupling: the
+    tension part A and the raised topological covector B, so that
+    j = T A + b B (B is None when ``topological`` is false).  Every operand
+    carries the same leading point axes (the full grid, one tau row or a
+    stack of rows), so the caller chooses where the current is evaluated.
 
     The fields are contracted into K and grad K first; every topological
     term then ends in gamma^{ae}, so the terms are summed into one covector
     and raised once."""
-    b = p.gb_coupling
-    j = p.tension * (
-        -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
-    )
-    if b != 0.0:
-        k1 = np.einsum("...bci,...i->...bc", k_upup, f1)       # K^{bc i} phi1_i
-        k2 = np.einsum("...bcj,...j->...bc", k_upup, f2)       # K^{bc j} phi2_j
-        gk1 = np.einsum("...bcei,...i->...bce", gk, f1)        # grad_b K_ce^i phi1_i
-        gk2 = np.einsum("...bcej,...j->...bce", gk, f2)        # grad_b K_ce^j phi2_j
-        g2k = np.einsum("...bj,...cej->...bce", g2, k_low)     # grad_b phi2_j K_ce^j
-        g1k = np.einsum("...bi,...efi->...bef", g1, k_low)     # K_ef^i grad_b phi1_i
-        # + 4 K^{bci} grad_b K_c^{aj}
-        cov = 4 * np.einsum("...bc,...bce->...e", k1, gk2)
-        # - 4 K^{cdi} grad^a K_cd^j + 2 K^{cdi} grad^a K_cd^j, as one term
-        cov = cov - 2 * np.einsum("...cd,...ecd->...e", k1, gk2)
-        # + 4 K^{cbi} K_c^{aj} phi1 grad_b phi2
-        cov = cov + 4 * np.einsum("...cb,...bce->...e", k1, g2k)
-        # - 4 (grad_b K^{cai} phi1 + K^{cai} grad_b phi1) K_c^{bj} phi2
-        cov = cov - 4 * np.einsum("...bef,...eb->...f", gk1 + g1k, k2)
-        # + 2 grad^a K^{cdi} K_cd^j
-        cov = cov + 2 * np.einsum("...ecd,...cd->...e", gk1, k2)
-        # - 2 K.K^{ij} phi1 grad^a phi2 + 2 K.K^{ij} grad^a phi1 phi2
-        cov = cov - 2 * np.einsum("...j,...bj->...b", np.einsum("...ij,...i->...j", kk, f1), g2)
-        cov = cov + 2 * np.einsum("...bi,...i->...b", g1, np.einsum("...ij,...j->...i", kk, f2))
-        j = j + b * np.einsum("...ae,...e->...a", gi, cov)
+    tension = -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
+    if not topological:
+        return tension, None
+    k1 = np.einsum("...bci,...i->...bc", k_upup, f1)       # K^{bc i} phi1_i
+    k2 = np.einsum("...bcj,...j->...bc", k_upup, f2)       # K^{bc j} phi2_j
+    gk1 = np.einsum("...bcei,...i->...bce", gk, f1)        # grad_b K_ce^i phi1_i
+    gk2 = np.einsum("...bcej,...j->...bce", gk, f2)        # grad_b K_ce^j phi2_j
+    g2k = np.einsum("...bj,...cej->...bce", g2, k_low)     # grad_b phi2_j K_ce^j
+    g1k = np.einsum("...bi,...efi->...bef", g1, k_low)     # K_ef^i grad_b phi1_i
+    # + 4 K^{bci} grad_b K_c^{aj}
+    cov = 4 * np.einsum("...bc,...bce->...e", k1, gk2)
+    # - 4 K^{cdi} grad^a K_cd^j + 2 K^{cdi} grad^a K_cd^j, as one term
+    cov = cov - 2 * np.einsum("...cd,...ecd->...e", k1, gk2)
+    # + 4 K^{cbi} K_c^{aj} phi1 grad_b phi2
+    cov = cov + 4 * np.einsum("...cb,...bce->...e", k1, g2k)
+    # - 4 (grad_b K^{cai} phi1 + K^{cai} grad_b phi1) K_c^{bj} phi2
+    cov = cov - 4 * np.einsum("...bef,...eb->...f", gk1 + g1k, k2)
+    # + 2 grad^a K^{cdi} K_cd^j
+    cov = cov + 2 * np.einsum("...ecd,...cd->...e", gk1, k2)
+    # - 2 K.K^{ij} phi1 grad^a phi2 + 2 K.K^{ij} grad^a phi1 phi2
+    cov = cov - 2 * np.einsum("...j,...bj->...b", np.einsum("...ij,...i->...j", kk, f1), g2)
+    cov = cov + 2 * np.einsum("...bi,...i->...b", g1, np.einsum("...ij,...j->...i", kk, f2))
+    return tension, np.einsum("...ae,...e->...a", gi, cov)
+
+
+def _couple(tension: np.ndarray, topological, p: ActionParams) -> np.ndarray:
+    """The current T A + b B of one coupling from the kernel's two parts."""
+    j = p.tension * tension
+    if p.gb_coupling != 0.0:
+        j = j + p.gb_coupling * topological
     return j
+
+
+def _current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p) -> np.ndarray:
+    """The current of one coupling: :func:`_current_parts` composed with
+    :func:`_couple`."""
+    parts = _current_parts(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2,
+                           p.gb_coupling != 0.0)
+    return _couple(*parts, p)
 
 
 def bilinear_current(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
@@ -252,40 +274,46 @@ def symplectic_form(
     """omega(phi1, phi2): the antisymmetrized slice integral of the current
     at a fixed tau row (the sigma circle there is the Cauchy slice; the
     slice element is the future-pointing tau-covector, so the integrand is
-    sqrt(-g) j^tau).
-
-    The current is evaluated with the same pointwise kernel as
-    :func:`bilinear_current`, on the requested row only."""
-    raw12, raw21 = raw_slice_integrals(geo, phi1, phi2, p, tau_index)
-    return 0.5 * (raw12 - raw21)
+    sqrt(-g) j^tau).  One entry of :func:`two_form_table`."""
+    return float(two_form_table(geo, [phi1, phi2], [p], [tau_index])[0, 0, 0, 1])
 
 
-def raw_slice_integrals(
-    geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, tau_index: int
-) -> tuple[float, float]:
-    """Both orderings of the un-antisymmetrized slice integral (the
-    symmetric remainder is a diagnostic, not asserted to vanish).
+def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
+    """omega[p, r, A, B] = omega(fields[A], fields[B]) with couplings
+    ``params[p]`` on tau row ``rows[r]``: an array of shape
+    (len(params), len(rows), F, F), antisymmetric in A, B.
 
-    The row must lie in the grid and miss the masked region.  The gradients
-    of the fields are taken on the full grid (the tau stencil spans rows);
-    the current kernel then runs on the requested row only, once per
-    ordering, and the row is summed with the periodic trapezoid rule of
-    :func:`~stringlab.grid.integrate_sigma_slice`."""
-    grid = geo.grid
-    if not 0 <= tau_index < grid.n_tau:
-        raise GridError(f"tau_index {tau_index} out of range [0, {grid.n_tau})")
-    if not geo.mask.row_active(tau_index):
-        raise GridError(f"tau row {tau_index} intersects the masked region")
-    c, *operands = _pair_setup(geo, phi1, phi2)
-    coeffs = [a[tau_index] for a in c]
-    f1, f2, g1, g2, up1, up2 = (a[tau_index] for a in operands)
-    vol = geo.vol.values[tau_index]
-    j12 = _current_values(*coeffs, f1, f2, g1, g2, up1, up2, p)
-    j21 = _current_values(*coeffs, f2, f1, g2, g1, up2, up1, p)
-    return (
-        float((vol * j12[:, 0]).sum() * grid.h_sigma),
-        float((vol * j21[:, 0]).sum() * grid.h_sigma),
-    )
+    Every row must lie in the grid and miss the masked region; all rows are
+    checked, in order, before any arithmetic.  Each field's normal gradient
+    is taken once on the full grid (the tau stencil spans rows) and raised
+    once.  The current kernel then runs once per ordered pair (A, B), on the
+    requested rows stacked together, and its tension and topological parts
+    serve every coupling.  Each row is summed with the periodic trapezoid
+    rule of :func:`~stringlab.grid.integrate_sigma_slice`, and the entry is
+    (1/2) [raw(A, B) - raw(B, A)]; a diagonal entry takes one kernel pass
+    and is exactly 0.0 (or NaN where the current is not finite)."""
+    grid, rows = geo.grid, list(rows)
+    for tau_index in rows:
+        if not 0 <= tau_index < grid.n_tau:
+            raise GridError(f"tau_index {tau_index} out of range [0, {grid.n_tau})")
+        if not geo.mask.row_active(tau_index):
+            raise GridError(f"tau row {tau_index} intersects the masked region")
+    c = current_coefficients(geo)
+    coeffs = c._make(a[rows] for a in c)
+    operands = []
+    for phi in fields:
+        g = normal_gradient(geo, phi).values[rows]
+        operands.append((phi.values[rows], g, np.einsum("...ab,...bi->...ai", coeffs.gi, g)))
+    topological = any(p.gb_coupling != 0.0 for p in params)
+    weight = geo.vol.values[rows]
+    raw = np.empty((len(params), len(rows), len(fields), len(fields)))
+    for a, (f1, g1, up1) in enumerate(operands):
+        for b, (f2, g2, up2) in enumerate(operands):
+            parts = _current_parts(*coeffs, f1, f2, g1, g2, up1, up2, topological)
+            for k, p in enumerate(params):
+                j = _couple(*parts, p)
+                raw[k, :, a, b] = (weight * j[..., 0]).sum(axis=-1) * grid.h_sigma
+    return 0.5 * (raw - np.swapaxes(raw, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +345,7 @@ def potential_variation_current(
 
 def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.ndarray:
     """d/d eps of Psi^a[X + eps * n.probe](decomposition of n.decomp)."""
-    frozen = np.einsum("...im,...i->...m", geo.n.values, decomp_phi.values)
+    frozen = displacement(geo, DeformationField.normal_only(decomp_phi)).values
     probe = DeformationField.normal_only(probe_phi)
     psis = []
     for sgn in (+1.0, -1.0):

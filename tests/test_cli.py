@@ -488,11 +488,14 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     """max() and min() skip a NaN that is not their first item; the slice
     spread must not."""
     late = (3 * BASE["grid"]["n_tau"]) // 4
-    form = experiments.symplectic_form
-    monkeypatch.setattr(
-        experiments, "symplectic_form",
-        lambda geo, f1, f2, p, row: float("nan") if row == late else form(geo, f1, f2, p, row),
-    )
+    table = symplectic.two_form_table
+
+    def late_nan(geo, fields, params, rows):
+        omega = table(geo, fields, params, rows)
+        omega[:, list(rows).index(late)] = float("nan")
+        return omega
+
+    monkeypatch.setattr(symplectic, "two_form_table", late_nan)
     report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": "omega"}))
     assert report["pass"] is False
     assert report["results"]["slice_relative_spread"] == "nan"
@@ -505,9 +508,10 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
 def test_zero_two_form_fails(monkeypatch, kind, key):
     """A two-form that is exactly zero is no evidence of slice independence or
     gauge invariance: the relative change is NaN, and the check fails."""
-    zero = lambda geo, f1, f2, p, row: 0.0  # noqa: E731
-    monkeypatch.setattr(experiments, "symplectic_form", zero)
-    monkeypatch.setattr(symplectic, "symplectic_form", zero)
+    def zero(geo, fields, params, rows):
+        return np.zeros((len(params), len(rows), len(fields), len(fields)))
+
+    monkeypatch.setattr(symplectic, "two_form_table", zero)
     report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": kind}))
     assert report["pass"] is False
     assert report["results"][key] == "nan"

@@ -56,6 +56,18 @@ def test_normal_part_of_wrong_codim_rejected(pulsating_geo):
         dfm.fd_oracle(geo, d)
 
 
+def test_zero_deformation_checks_the_normal_part(pulsating):
+    """eps = 0 returns the embedding unchanged, but only after the same check
+    of the normal part that any other eps makes."""
+    geo = pulsating.geometry(WorldsheetGrid(33, 16, 0.1, 0.9))
+    good = dfm.random_normal_components(geo.grid, geo.codim, seed=0)
+    out = dfm.deform_embedding(geo, dfm.DeformationField.normal_only(good), 0.0)
+    assert np.array_equal(out.x.values, geo.embedding.x.values)
+    wrong = dfm.random_normal_components(geo.grid, geo.codim + 1, seed=0)
+    with pytest.raises(GridError, match="codim"):
+        dfm.deform_embedding(geo, dfm.DeformationField.normal_only(wrong), 0.0)
+
+
 def test_constant_normal_shift_displaces_along_normal(pulsating, grid129):
     emb = pulsating.embedding(grid129)
     geo = pulsating.geometry(grid129)

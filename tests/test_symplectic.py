@@ -11,7 +11,9 @@ from stringlab.grid import (
     NORMAL,
     SPACETIME,
     Field,
+    GridError,
     WorldsheetGrid,
+    integrate_sigma_slice,
     masked_max_abs,
 )
 from stringlab.solutions import jacobi_from_family
@@ -360,6 +362,103 @@ def test_omega_evaluates_current_on_one_row(pulsating_geo, jacobi_pair, monkeypa
     assert len(calls) == 2
 
 
+def _per_cell_form(geo, phi1, phi2, p, row):
+    """omega of one pair on one row, cell by cell: both orderings of the
+    current kernel on that row alone, each summed over the slice."""
+    c, *operands = sym._pair_setup(geo, phi1, phi2)
+    coeffs = [a[row] for a in c]
+    f1, f2, g1, g2, up1, up2 = (a[row] for a in operands)
+    vol = geo.vol.values[row]
+    j12 = sym._current_values(*coeffs, f1, f2, g1, g2, up1, up2, p)
+    j21 = sym._current_values(*coeffs, f2, f1, g2, g1, up2, up1, p)
+    raw12 = float((vol * j12[:, 0]).sum() * geo.grid.h_sigma)
+    raw21 = float((vol * j21[:, 0]).sum() * geo.grid.h_sigma)
+    return 0.5 * (raw12 - raw21)
+
+
+@pytest.mark.parametrize(
+    "solution,geometry,families",
+    [
+        ("pulsating", "pulsating_geo", ("translation_t", "radius", "translation_x")),
+        ("spinning", "spinning_geo", ("translation_t", "scale", "translation_x")),
+    ],
+)
+def test_two_form_table_matches_per_cell_reference(request, solution, geometry, families):
+    """Every entry of the table, bit for bit, is the per-cell evaluation:
+    Jacobi and random fields, three couplings, edge and middle rows."""
+    sol = request.getfixturevalue(solution)
+    geo = request.getfixturevalue(geometry)
+    fields = [jacobi_from_family(sol, geo, name) for name in families]
+    fields += _random_pair(geo.grid, geo.codim)
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.25, 0.5)]
+    n_tau = geo.grid.n_tau
+    rows = [0, 2, n_tau // 2, n_tau - 1]
+    table = sym.two_form_table(geo, fields, params, rows)
+    assert table.shape == (3, 4, 5, 5)
+    # translation_t and translation_x pair to zero, to roundoff and truncation
+    assert np.abs(table[..., 0, 2]).max() <= 1e-7 * np.abs(table[..., 0, 1]).min()
+    for k, p in enumerate(params):
+        for r, row in enumerate(rows):
+            for a, phi1 in enumerate(fields):
+                for b, phi2 in enumerate(fields):
+                    reference = _per_cell_form(geo, phi1, phi2, p, row)
+                    assert table[k, r, a, b] == reference, (k, row, a, b)
+
+
+def test_two_form_table_is_exactly_antisymmetric(spinning_geo):
+    geo = spinning_geo
+    fields = [dfm.random_normal_components(geo.grid, geo.codim, seed=s) for s in (3, 4, 5)]
+    params = [dyn.ActionParams(1.3, 0.0), dyn.ActionParams(1.3, 0.3)]
+    table = sym.two_form_table(geo, fields, params, [5, geo.grid.n_tau // 2])
+    assert np.array_equal(table, -np.swapaxes(table, -1, -2))
+    assert (np.diagonal(table, axis1=-2, axis2=-1) == 0.0).all()
+    assert (table[..., 0, 1] != 0.0).all()
+
+
+def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, monkeypatch):
+    """Each field's normal gradient is taken once, however many rows,
+    couplings and partners it meets; the omega kind takes two."""
+    from stringlab import experiments
+
+    calls = []
+
+    def counting_gradient(geo, phi):
+        calls.append(phi)
+        return normal_gradient(geo, phi)
+
+    monkeypatch.setattr(sym, "normal_gradient", counting_gradient)
+    geo = pulsating_geo
+    fields = [dfm.random_normal_components(geo.grid, geo.codim, seed=s) for s in (3, 4, 5)]
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.25, 0.5)]
+    sym.two_form_table(geo, fields, params, [10, 64, 100])
+    assert [id(phi) for phi in calls] == [id(phi) for phi in fields]
+    calls.clear()
+    experiments.run_omega(pulsating, geo.grid, dyn.ActionParams(1.0, 0.0), 0)
+    assert len(calls) == 2
+
+
+def test_two_form_table_checks_every_row_first(rotating_geo, pulsating_geo, monkeypatch):
+    """A row out of range or on the masked region fails before any
+    gradient is taken, with the first bad row named."""
+    def no_gradient(*args):
+        raise AssertionError("a gradient was taken before the rows were checked")
+
+    monkeypatch.setattr(sym, "normal_gradient", no_gradient)
+    p = [dyn.ActionParams(1.0, 0.0)]
+    geo = pulsating_geo
+    phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
+    n_tau = geo.grid.n_tau
+    with pytest.raises(GridError, match=f"tau_index {n_tau} out of range"):
+        sym.two_form_table(geo, [phi, phi], p, [n_tau // 2, n_tau, -1])
+    with pytest.raises(GridError, match="tau_index -1 out of range"):
+        sym.two_form_table(geo, [phi, phi], p, [n_tau // 2, -1, n_tau])
+    geo = rotating_geo
+    phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
+    row = geo.grid.n_tau // 2
+    with pytest.raises(GridError, match=f"tau row {row} intersects the masked region"):
+        sym.two_form_table(geo, [phi, phi], p, [row, geo.grid.n_tau])
+
+
 def test_topological_term_shifts_current_not_form(spinning, spinning_geo):
     """The coupling changes the current density by an order-one amount while
     every slice-integrated pairing stays put: on shell the added current is
@@ -378,9 +477,15 @@ def test_topological_term_shifts_current_not_form(spinning, spinning_geo):
     om1 = sym.symplectic_form(geo, jt, js, p1, row)
     assert om0 == pytest.approx(-4 * np.pi, rel=1e-7)
     assert abs(om1 - om0) <= 1e-7 * abs(om0)  # the integral does not move
-    raw0 = sym.raw_slice_integrals(geo, jt, js, p0, row)
-    raw1 = sym.raw_slice_integrals(geo, jt, js, p1, row)
-    assert raw0[0] == pytest.approx(raw1[0], abs=1e-6)
+    # the un-antisymmetrized slice integral does not move either
+    raw0, raw1 = (
+        integrate_sigma_slice(
+            Field(geo.grid, geo.vol.values * sym.bilinear_current(geo, jt, js, p).values[..., 0]),
+            row,
+        )
+        for p in (p0, p1)
+    )
+    assert raw0 == pytest.approx(raw1, abs=1e-6)
 
 
 def test_potential_variation_matches_current(pulsating_geo, jacobi_pair):
@@ -395,6 +500,18 @@ def test_potential_variation_matches_current(pulsating_geo, jacobi_pair):
         target = geo.vol.values[..., None] * 0.5 * (j12 - j21)
         scale = max(masked_max_abs(target, inner), 1e-30)
         assert masked_max_abs(pvc.values - target, inner) / scale <= 1e-3
+
+
+def test_potential_variation_rejects_a_field_of_wrong_codim(pulsating):
+    """A field with more components than the geometry has normals is a typed
+    error in either slot, not a numpy broadcast error."""
+    geo = pulsating.geometry(WorldsheetGrid(33, 16, 0.1, 0.9))
+    good = dfm.random_normal_components(geo.grid, geo.codim, seed=0)
+    wrong = dfm.random_normal_components(geo.grid, geo.codim + 1, seed=1)
+    p = dyn.ActionParams(1.0, 0.3)
+    for phi1, phi2 in ((wrong, good), (good, wrong)):
+        with pytest.raises(GridError, match="codim"):
+            sym.potential_variation_current(geo, phi1, phi2, p)
 
 
 def test_potential_variation_zero_probe(pulsating_geo, jacobi_pair):
