@@ -11,7 +11,8 @@ they are the one quantity that cannot be deterministic.
     stringlab validate --config cfg.json
     stringlab list-solutions
 
-Exit codes: 0 all tolerances met; 1 tolerance failure; 2 invalid config;
+Exit codes: 0 all tolerances met; 1 tolerance failure; 2 invalid config or
+an output path (``--out``, the ``csv`` option) that cannot be written;
 3 numerical failure (reported with the offending grid point when known).
 """
 
@@ -171,7 +172,8 @@ def _check_option_values(kind: str, options: dict, grid: WorldsheetGrid,
     """Reject option values the experiments cannot run with (a repeated
     slice collapses omega's table, a repeated level divides by log 1), or
     with which a check would pass vacuously (a zero deformation amplitude
-    or reparametrization size, a Jacobi field paired with itself)."""
+    or reparametrization size, a Jacobi field paired with itself, one
+    slice, whose spread is 0)."""
     floors = experiments._CONVERGENCE_FLOORS
     lo, hi = ORACLE_EPS_RANGE
     n_tau = grid.n_tau
@@ -195,8 +197,8 @@ def _check_option_values(kind: str, options: dict, grid: WorldsheetGrid,
         "seeds": (_list_of(lambda v: _is_int(v) and v >= 0),
                   "a non-empty list of non-negative integers"),
         "levels": (_distinct_list_of(_is_int, 2), "a list of at least 2 distinct integers"),
-        "slices": (_distinct_list_of(is_row),
-                   f"a non-empty list of distinct tau rows in [0, {n_tau})"),
+        "slices": (_distinct_list_of(is_row, 2),
+                   f"a list of at least 2 distinct tau rows in [0, {n_tau})"),
         "slice": (is_row, f"a tau row in [0, {n_tau})"),
         "jacobi": (lambda v: isinstance(v, list) and len(v) == 2 and all(n in families for n in v)
                    and v[0] != v[1], f"two different family directions from {families}"),
@@ -284,15 +286,18 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, with_timings=args.timings)
+        text = serialize_report(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (GridError, GeometryError, DynamicsError, SolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    text = serialize_report(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # the report or the csv option's path cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["pass"] else 1
 
 

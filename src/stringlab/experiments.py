@@ -22,7 +22,7 @@ from . import deformation as dfm
 from . import dynamics as dyn
 from . import symplectic as sym
 from .geometry import gauss_scalar_curvature, intrinsic_geometry
-from .grid import TAU_ORDER, TAU_REACH, Field, masked_max_abs
+from .grid import BAND_RADIUS, TAU_ORDER, TAU_REACH, Field, masked_max_abs
 from .solutions import SolutionError, jacobi_from_family
 
 INTERIOR_ROWS = TAU_REACH  # tau rows per boundary excluded from stencil-sensitive norms
@@ -230,14 +230,26 @@ def _conservation_scale(geo, f1, f2, p) -> float:
     return (p.tension + abs(p.gb_coupling) * kk) * n1 * n2
 
 
+def _slices(sol, grid, rows, jacobi) -> list[tuple]:
+    """Per tau row, the geometry of its band and the Jacobi pair there (by
+    default time translation and the family's modulus).  Every row is first
+    checked on the declared mask of the whole grid, so a band that meets the
+    masked region fails by the name of its row, not by the active-point
+    floor of the band's own mask."""
+    declared = sol.mask(grid)
+    for row in rows:
+        declared.slice_row(row)
+    geos = [sol.geometry(grid.band(row)) for row in rows]
+    return [(geo, *_jacobi_pair(sol, geo, jacobi or ("translation_t", sol.modulus)))
+            for geo in geos]
+
+
 def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
               slices=None) -> Outcome:
-    geo = sol.geometry(grid)
     rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
-    jacobi = jacobi or ("translation_t", sol.modulus)
-    f1, f2 = _jacobi_pair(sol, geo, jacobi)
     params = [replace(action, gb_coupling=float(beta)) for beta in betas]
-    omega = sym.two_form_table(geo, [f1, f2], params, rows)
+    omega = np.concatenate([sym.two_form_table(geo, [f1, f2], params, [row]) for row, (geo, f1, f2)
+                            in zip(rows, _slices(sol, grid, rows, jacobi))], axis=1)
     table = {f"beta={beta}": {f"row={r}": float(w) for r, w in zip(rows, omega[k, :, 0, 1])}
              for k, beta in enumerate(betas)}
     mid = len(rows) // 2
@@ -256,11 +268,9 @@ def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
 
 def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1e-2,
                     slice=None) -> Outcome:
-    geo = sol.geometry(grid)
     p = replace(action, gb_coupling=float(beta))
-    jacobi = jacobi or ("translation_t", sol.modulus)
-    f1, f2 = _jacobi_pair(sol, geo, jacobi)
     row = grid.n_tau // 2 if slice is None else int(slice)
+    [(geo, f1, f2)] = _slices(sol, grid, [row], jacobi)
     smooth = sym.gauge_invariance_check(
         geo, f1, f2, p, lambda s: s + epsilon * np.sin(s), row
     )
@@ -295,7 +305,7 @@ def run_convergence(sol, grid, action, seed, *, quantity="einstein",
             phi2 = dfm.random_normal_components(lvl_grid, geo.codim, seed=seed + 1)
             res, scale, _ = sym.self_adjointness_residual(geo, phi1, phi2, action)
             # the reach of three nested tau stencils from each edge
-            err = masked_max_abs(res.values, interior_active(geo, rows=sym.BAND_RADIUS)) / scale
+            err = masked_max_abs(res.values, interior_active(geo, rows=BAND_RADIUS)) / scale
         errors.append(err)
     floor = _CONVERGENCE_FLOORS[quantity]
     orders, passed = refinement_verdict(levels, errors, floor)

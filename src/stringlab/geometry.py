@@ -64,8 +64,10 @@ class GeometryError(ValueError):
     """Geometry construction failure, annotated with the offending point."""
 
     @classmethod
-    def at_point(cls, message: str, it: int, isig: int) -> "GeometryError":
-        return cls(f"{message} at grid point (tau_index={it}, sigma_index={isig})")
+    def at_point(cls, message: str, grid: WorldsheetGrid, it: int, isig: int) -> "GeometryError":
+        """The error at local point (it, isig) of ``grid``, named by its
+        full-grid tau row."""
+        return cls(f"{message} at grid point (tau_index={it + grid.first_row}, sigma_index={isig})")
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
 # normal frame
 
 
-def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, frame=None):
+def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
     """Orthonormal normal frame by classical Gram-Schmidt, run twice.
 
     Slot k is the first of its seeds (``frame[..., k, :]``, else the
@@ -214,11 +216,12 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, frame=None):
                 unit = v / np.sqrt(np.maximum(norm2, floor))[..., None]
             normals[ok, slot, :] = unit[ok]
             filled |= ok
-        missing = active & ~filled
+        missing = mask.active & ~filled
         if missing.any():
             it, isig = np.argwhere(missing)[0]
             raise GeometryError.at_point(
-                "Gram-Schmidt breakdown: every seed is parallel to the tangent span", it, isig
+                "Gram-Schmidt breakdown: every seed is parallel to the tangent span",
+                mask.grid, it, isig,
             )
     # second orthogonalization pass: seeds accepted with a small residual
     # norm lose digits to cancellation, one refinement restores them
@@ -228,7 +231,7 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, active, frame=None):
         with np.errstate(invalid="ignore"):
             normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
     if frame is None:
-        _orient_frame(normals, active)
+        _orient_frame(normals, mask.active)
     return normals
 
 
@@ -343,7 +346,7 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     if bad.any():
         it, isig = np.argwhere(bad)[0]
         raise GeometryError.at_point(
-            f"induced metric is not Lorentzian (det gamma = {det[it, isig]:.3e})", it, isig
+            f"induced metric is not Lorentzian (det gamma = {det[it, isig]:.3e})", grid, it, isig
         )
 
     d = -det  # positive on active points
@@ -432,7 +435,7 @@ def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None
 
     if frame is not None and np.shape(frame) != (nt, ns, dim - 2, dim):
         raise GeometryError(f"frame override has shape {np.shape(frame)}")
-    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, active, frame)
+    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, intrinsic.mask, frame)
     n_low = np.einsum("...mn,...in->...im", g, normals)
 
     # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized

@@ -67,6 +67,8 @@ class WorldsheetGrid:
     n_sigma: int
     tau_min: float
     tau_max: float
+    first_row = 0  # the full-grid number of the first tau row: not 0 on a band
+    where = ""  # the rows of a band, for errors raised on it
 
     def __post_init__(self):
         if self.n_tau < 9:
@@ -102,26 +104,57 @@ class WorldsheetGrid:
         """(tau, sigma) coordinate arrays of shape (n_tau, n_sigma)."""
         return np.meshgrid(self.tau, self.sigma, indexing="ij")
 
-    def rows(self, band: slice) -> "RowBand":
-        """The grid of the consecutive tau rows ``band`` (step 1) of this one."""
-        tau = self.tau[band]
-        return RowBand(len(tau), self.n_sigma, float(tau[0]), float(tau[-1]), self.h_tau)
+    def local_row(self, tau_index: int) -> int:
+        """The index in this grid of tau row ``tau_index``, numbered as in
+        the full grid."""
+        lo = self.first_row
+        if not lo <= tau_index < lo + self.n_tau:
+            raise GridError(f"tau_index {tau_index} out of range [{lo}, {lo + self.n_tau})")
+        return tau_index - lo
+
+    def band(self, tau_index: int) -> "RowBand":
+        """The band of tau row ``tau_index``: the rows within BAND_RADIUS of
+        it, shifted to stay inside the grid (all of it if it has fewer rows),
+        as a grid of their own."""
+        width = 2 * BAND_RADIUS + 1
+        lo = max(0, min(self.local_row(tau_index) - BAND_RADIUS, self.n_tau - width))
+        tau = self.tau[lo:lo + width]
+        return RowBand(len(tau), self.n_sigma, float(tau[0]), float(tau[-1]), self, lo)
 
 
 @dataclass(frozen=True)
 class RowBand(WorldsheetGrid):
-    """Consecutive tau rows of a grid, as a grid of their own.
+    """Consecutive tau rows of a full grid, as a grid of their own.
 
-    The tau spacing is the full grid's, to the last bit.  Recomputed from the
-    band's own window it can differ in the last bit, and the nested one-sided
-    edge stencils amplify that a millionfold; with the same spacing, the
-    stencils repeat the full grid's arithmetic on every row they share."""
+    The tau values and spacing are the full grid's, to the last bit.
+    Recomputed from the band's own window they differ in the last bits
+    (``linspace`` puts up to 7 of the 13 rows 1 or 2 ulps off on a 129-row
+    grid), and the nested one-sided edge stencils amplify that a
+    millionfold; with the same values, every stencil and chart evaluation
+    repeats the full grid's arithmetic on the rows they share.  A band's
+    rows keep their full-grid numbers, in ``first_row`` and in the errors
+    that name them."""
 
-    spacing: float
+    parent: WorldsheetGrid = field(repr=False)
+    first_row: int
+
+    @property
+    def where(self) -> str:
+        return f" on tau rows {self.first_row} to {self.first_row + self.n_tau - 1}"
 
     @property
     def h_tau(self) -> float:
-        return self.spacing
+        return self.parent.h_tau
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.parent.tau[self.first_row:self.first_row + self.n_tau]
+
+    def band(self, tau_index: int) -> "RowBand":
+        """A band is the band of each of its rows: it holds every row the
+        two-form of its slice reads."""
+        self.local_row(tau_index)
+        return self
 
 
 @dataclass(frozen=True)
@@ -142,7 +175,8 @@ class Mask:
         object.__setattr__(self, "active", act)
         frac = act.mean()
         if frac < 0.5:
-            raise GridError(f"mask leaves only {frac:.0%} of points active (< 50%); run rejected")
+            raise GridError(f"mask leaves only {frac:.0%} of points active{self.grid.where} "
+                            "(< 50%); run rejected")
 
     @classmethod
     def full(cls, grid: WorldsheetGrid) -> "Mask":
@@ -162,8 +196,20 @@ class Mask:
             act[np.ix_(tt, ss)] = False
         return cls(grid, act)
 
-    def row_active(self, tau_index: int) -> bool:
-        return bool(self.active[tau_index].all())
+    def slice_row(self, tau_index: int) -> int:
+        """The index in this grid of the slice on tau row ``tau_index``
+        (numbered as in the full grid).  A GridError names the row unless it
+        lies in the grid and its band is active: the row itself, and every
+        row its two-form's nested tau stencils reach."""
+        row = self.grid.local_row(tau_index)
+        if not self.active[row].all():
+            raise GridError(f"tau row {tau_index} intersects the masked region")
+        band = self.grid.band(tau_index)
+        lo = band.first_row - self.grid.first_row
+        if not self.active[lo:lo + band.n_tau].all():
+            raise GridError(f"the stencils of tau row {tau_index} reach the masked region: "
+                            f"its band{band.where} is not all active")
+        return row
 
 
 def _is_grid_innermost(values: np.ndarray) -> bool:
@@ -235,7 +281,8 @@ class Field:
             finite = finite | ~mask.active
         if not finite.all():
             it, isig = np.argwhere(~finite)[0]
-            raise GridError(f"{name} is not finite at grid point (tau={it}, sigma={isig})")
+            raise GridError(f"{name} is not finite at grid point "
+                            f"(tau={it + self.grid.first_row}, sigma={isig})")
 
     def __repr__(self):
         return f"Field(indices={self.indices}, shape={self.values.shape})"
@@ -318,6 +365,12 @@ _EDGES = np.array([
 # half-width: the rows a check skips to read central stencils only
 TAU_REACH = len(_EDGES)
 TAU_ORDER = 4  # the central stencil's order of accuracy
+# tau rows kept on each side of a slice by its band: the tau stencil's reach
+# per nested derivative, times the 3 nested derivatives the current reads
+# (x -> e -> d e -> grad K).  At this radius no tau stencil that reaches the
+# slice row's current reads a one-sided edge row of the band that the full
+# grid reads centrally.
+BAND_RADIUS = 3 * TAU_REACH
 
 
 def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -390,9 +443,7 @@ def integrate_sigma_slice(f: Field, tau_index: int) -> float:
     fixed tau row; exact for resolved trigonometric polynomials."""
     if not f.is_scalar:
         raise GridError("integrate_sigma_slice expects a scalar field")
-    if not 0 <= tau_index < f.grid.n_tau:
-        raise GridError(f"tau_index {tau_index} out of range [0, {f.grid.n_tau})")
-    return float(f.values[tau_index].sum() * f.grid.h_sigma)
+    return float(f.values[f.grid.local_row(tau_index)].sum() * f.grid.h_sigma)
 
 
 def tau_trapezoid_weights(grid: WorldsheetGrid) -> np.ndarray:

@@ -28,12 +28,20 @@ tension part A and a topological part B so that j = T A + b B:
 :func:`bilinear_current` runs it on the whole grid.  The two-form is
 evaluated as a table, :func:`two_form_table`, over a list of fields, a
 list of couplings and a list of tau rows.  Each field's normal gradient is
-taken once on the full grid; the kernel runs once per ordered pair of
+taken once on the geometry's grid; the kernel runs once per ordered pair of
 fields, on the requested rows stacked together; A and B then serve every
 coupling, and each row is summed over the slice.  Every cell equals, bit
 for bit, the kernel run on that pair, coupling and row alone, so
-:func:`symplectic_form` is one cell of a one-row table.  The gauge check
-rebuilds the reparametrized geometry on a band of rows around its row only.
+:func:`symplectic_form` is one cell of a one-row table.
+
+The two-form on a row reads only the 2 * BAND_RADIUS + 1 rows its nested
+tau stencils reach, so the lab evaluates it on the band of its row
+(:meth:`~stringlab.grid.WorldsheetGrid.band`): a geometry built by the same
+:func:`~stringlab.geometry.build_geometry` on those rows alone, with the
+full grid's tau values.  On a band the rows keep their full-grid numbers,
+and the table agrees with the full grid's to roundoff (bit for bit on
+almost every cell).  The gauge check compares the two-form of such a
+geometry with that of its reparametrized rebuild on the same rows.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -61,11 +69,9 @@ from .dynamics import (
 from .geometry import Embedding, GeometryBundle, build_geometry, normal_gradient
 from .grid import (
     NORMAL,
-    TAU_REACH,
     WORLDSHEET_UPPER,
     Field,
     GridError,
-    Mask,
     divergence,
     masked_max_abs,
 )
@@ -283,21 +289,18 @@ def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
     ``params[p]`` on tau row ``rows[r]``: an array of shape
     (len(params), len(rows), F, F), antisymmetric in A, B.
 
-    Every row must lie in the grid and miss the masked region; all rows are
-    checked, in order, before any arithmetic.  Each field's normal gradient
-    is taken once on the full grid (the tau stencil spans rows) and raised
-    once.  The current kernel then runs once per ordered pair (A, B), on the
+    Rows are numbered as in the full grid, on a band too.  Every row must
+    lie in the grid, and its band must miss the masked region
+    (:meth:`~stringlab.grid.Mask.slice_row`); all rows are checked, in order,
+    before any arithmetic.  Each field's normal gradient is taken once on
+    the geometry's grid (the tau stencil spans rows) and raised once.  The
+    current kernel then runs once per ordered pair (A, B), on the
     requested rows stacked together, and its tension and topological parts
     serve every coupling.  Each row is summed with the periodic trapezoid
     rule of :func:`~stringlab.grid.integrate_sigma_slice`, and the entry is
     (1/2) [raw(A, B) - raw(B, A)]; a diagonal entry takes one kernel pass
     and is exactly 0.0 (or NaN where the current is not finite)."""
-    grid, rows = geo.grid, list(rows)
-    for tau_index in rows:
-        if not 0 <= tau_index < grid.n_tau:
-            raise GridError(f"tau_index {tau_index} out of range [0, {grid.n_tau})")
-        if not geo.mask.row_active(tau_index):
-            raise GridError(f"tau row {tau_index} intersects the masked region")
+    rows = [geo.mask.slice_row(tau_index) for tau_index in rows]
     c = current_coefficients(geo)
     coeffs = c._make(a[rows] for a in c)
     operands = []
@@ -312,7 +315,7 @@ def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
             parts = _current_parts(*coeffs, f1, f2, g1, g2, up1, up2, topological)
             for k, p in enumerate(params):
                 j = _couple(*parts, p)
-                raw[k, :, a, b] = (weight * j[..., 0]).sum(axis=-1) * grid.h_sigma
+                raw[k, :, a, b] = (weight * j[..., 0]).sum(axis=-1) * geo.grid.h_sigma
     return 0.5 * (raw - np.swapaxes(raw, -1, -2))
 
 
@@ -383,40 +386,20 @@ def resample_sigma(values: np.ndarray, new_sigma: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape[:1] + new_sigma.shape + rest)
 
 
-# tau rows kept on each side of the slice by a reparametrized rebuild: the
-# tau stencil's reach per nested derivative, times the 3 nested derivatives
-# the current reads (x -> e -> d e -> grad K).  At this radius no tau stencil
-# that reaches the slice row's current reads a one-sided edge row of the
-# band that the full grid reads centrally.
-BAND_RADIUS = 3 * TAU_REACH
-
-
-def slice_band(n_tau: int, tau_index: int) -> slice:
-    """The rows [tau_index - BAND_RADIUS, tau_index + BAND_RADIUS], shifted to
-    stay inside a grid of ``n_tau`` rows (the whole grid if it is smaller)."""
-    width = 2 * BAND_RADIUS + 1
-    lo = max(0, min(tau_index - BAND_RADIUS, n_tau - width))
-    return slice(lo, min(n_tau, lo + width))
-
-
 def reparametrized_form(
     geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, s: np.ndarray, tau_index: int
 ) -> float:
     """The two-form on row ``tau_index`` after pulling the embedding, the
     normal frame and the field components back through the new source points
-    ``s`` of the grid sigma values.  The geometry is rebuilt from scratch,
-    seeded with the pulled-back frame (the components' basis), on the band
-    of rows :func:`slice_band` only, as a sub-grid with the full grid's tau
-    spacing."""
+    ``s`` of the grid sigma values.  The geometry is rebuilt from scratch on
+    ``geo``'s grid, seeded with the pulled-back frame (the components'
+    basis)."""
     grid, emb = geo.grid, geo.embedding
-    band = slice_band(grid.n_tau, tau_index)
-    sub = grid.rows(band)
-    x2 = Field(sub, resample_sigma(emb.x.values[band], s), emb.x.indices)
-    emb2 = Embedding(emb.background, x2, Mask(sub, emb.mask.active[band]))
-    geo2 = build_geometry(emb2, frame=resample_sigma(geo.n.values[band], s))
-    f1 = Field(sub, resample_sigma(phi1.values[band], s), (NORMAL,))
-    f2 = Field(sub, resample_sigma(phi2.values[band], s), (NORMAL,))
-    return symplectic_form(geo2, f1, f2, p, tau_index - band.start)
+    x2 = Field(grid, resample_sigma(emb.x.values, s), emb.x.indices)
+    geo2 = build_geometry(Embedding(emb.background, x2, emb.mask),
+                          frame=resample_sigma(geo.n.values, s))
+    f1, f2 = (Field(grid, resample_sigma(phi.values, s), (NORMAL,)) for phi in (phi1, phi2))
+    return symplectic_form(geo2, f1, f2, p, tau_index)
 
 
 def gauge_invariance_check(
@@ -430,9 +413,9 @@ def gauge_invariance_check(
     """Relative change of the two-form under a circle reparametrization.
 
     ``sigma_map`` sends the grid sigma values to new source points s(sigma)
-    (orientation preserving).  The two-form on the full geometry is compared
-    with :func:`reparametrized_form` on the same row, whose rebuild covers
-    only the band of 2 * BAND_RADIUS + 1 rows around it.
+    (orientation preserving).  The two-form on ``geo`` is compared with
+    :func:`reparametrized_form` on the same row and grid: on the band of the
+    row (``grid.band``), both read only the rows the two-form needs.
     """
     grid = geo.grid
     s = np.asarray(sigma_map(grid.sigma), dtype=float)

@@ -111,9 +111,9 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("deform-check", {"epsilon": 0.5}),
         ("linearize", {"epsilon": 0.0}),
         ("convergence", {"quantity": "bogus"}),
-        ("omega", {"slices": [65]}),
-        ("omega", {"slices": [-1]}),
-        ("omega", {"slices": [32.5]}),
+        ("omega", {"slices": [32, 65]}),
+        ("omega", {"slices": [32, -1]}),
+        ("omega", {"slices": [32, 32.5]}),
         ("gauge-check", {"slice": 65}),
         ("self-adjoint", {"beta": "x"}),
         ("conserve", {"beta": None}),
@@ -145,6 +145,7 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("omega", {"betas": [float("nan")]}),
         ("deform-check", {"amplitude": float("nan")}),
         ("deform-check", {"amplitude": float("-inf")}),
+        ("omega", {"slices": [32]}),  # the spread of one slice is 0
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):
@@ -354,11 +355,54 @@ def test_numerical_failure_exit_code(tmp_path):
         tmp_path,
         solution={"name": "rotating_folded_string", "params": {"amplitude": 1.0}},
         kind="omega",
-        options={"jacobi": ["translation_x", "translation_t"], "slices": [32]},
+        options={"jacobi": ["translation_x", "translation_t"], "slices": [32, 64]},
     )
     # row is fine, but the slice integral crosses the fold columns; force a
     # masked-region failure by picking the sigma-masked geometry's row
     assert cli.main(["run", "--config", path]) == 3
+
+
+# pulsating through its collapse at tau = pi/2: declared rows 246-252 masked
+COLLAPSE = {**BASE, "grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
+
+
+@pytest.mark.parametrize(
+    "kind,options,message",
+    [
+        # both bands are rows 244-256; the first bad row is named
+        ("omega", {"betas": [0.3], "slices": [255, 256]},
+         "the stencils of tau row 255 reach the masked region: its band on tau rows 244 to 256"),
+        ("gauge-check", {"beta": 0.3, "slice": 256},
+         "the stencils of tau row 256 reach the masked region: its band on tau rows 244 to 256"),
+        ("omega", {"slices": [32, 250]}, "tau row 250 intersects the masked region"),
+        ("gauge-check", {"slice": 250}, "tau row 250 intersects the masked region"),
+    ],
+)
+def test_slice_whose_band_meets_the_mask_fails_naming_it(tmp_path, capsys, kind, options,
+                                                         message):
+    """Rows near a masked region give a two-form read off masked points
+    (omega(0.3) is -4.02 on row 256, against -2 pi); the run exits 3 and
+    names the row, whether the row itself or only its band is masked."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**COLLAPSE, "kind": kind, "options": options}))
+    assert cli.main(["run", "--config", str(path)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,options,args",
+    [("omega", {}, ["--out", "{missing}/r.json"]),
+     ("geometry", {"csv": "{missing}/p.csv"}, [])],
+)
+def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, kind, options, args):
+    missing = tmp_path / "missing"
+    options = {k: v.format(missing=missing) for k, v in options.items()}
+    path = write_config(tmp_path, kind=kind, options=options)
+    argv = ["run", "--config", path] + [a.format(missing=missing) for a in args]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(missing) in err
 
 
 @pytest.mark.parametrize(
@@ -490,9 +534,10 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     late = (3 * BASE["grid"]["n_tau"]) // 4
     table = symplectic.two_form_table
 
-    def late_nan(geo, fields, params, rows):
+    def late_nan(geo, fields, params, rows):  # one call per slice
         omega = table(geo, fields, params, rows)
-        omega[:, list(rows).index(late)] = float("nan")
+        if list(rows) == [late]:
+            omega[:] = float("nan")
         return omega
 
     monkeypatch.setattr(symplectic, "two_form_table", late_nan)

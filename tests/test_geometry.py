@@ -32,6 +32,7 @@ from stringlab.grid import (
     SPACETIME,
     WORLDSHEET_UPPER,
     Field,
+    GridError,
     Mask,
     WorldsheetGrid,
     masked_max_abs,
@@ -529,3 +530,33 @@ def test_curvilinear_minkowski_build_matches_cartesian(name, n_sigma):
         for s, g in ((cartesian, cartesian.geometry(grid)), (curved, geo))
     ]
     assert omegas[1] == pytest.approx(omegas[0], rel=1e-7)
+
+
+def test_errors_on_a_band_name_full_grid_points():
+    """A band's rows keep their full-grid numbers in typed errors: the
+    first non-Lorentzian point of a chart, a non-finite field value and the
+    active-point floor of a mask."""
+    grid = WorldsheetGrid(129, 16, 0.1, 0.9)
+
+    def chart(tt, ss):  # the tau tangent turns spacelike where sin(tau) > 0.5: row 68 on
+        return np.stack([0.5 * tt, np.cos(tt) * np.cos(ss), np.cos(tt) * np.sin(ss)], axis=-1)
+
+    def build(g):
+        return build_geometry(Embedding(minkowski(3), Field(g, chart(*g.meshgrid()), (SPACETIME,))))
+
+    band = grid.band(70)
+    assert band.first_row == 64
+    with pytest.raises(GeometryError) as on_grid:
+        build(grid)
+    with pytest.raises(GeometryError) as on_band:
+        build(band)
+    assert "not Lorentzian" in str(on_grid.value)
+    assert "(tau_index=68, sigma_index=0)" in str(on_grid.value)
+    assert str(on_band.value) == str(on_grid.value)
+
+    values = np.zeros(band.shape)
+    values[2, 3] = np.nan
+    with pytest.raises(GridError, match=r"f is not finite at grid point \(tau=66, sigma=3\)"):
+        Field(band, values).check_finite(name="f")
+    with pytest.raises(GridError, match="0% of points active on tau rows 64 to 76 "):
+        Mask(band, np.zeros(band.shape, dtype=bool))

@@ -8,10 +8,12 @@ from stringlab import symplectic as sym
 from stringlab.background import minkowski
 from stringlab.geometry import Embedding, build_geometry, normal_gradient
 from stringlab.grid import (
+    BAND_RADIUS,
     NORMAL,
     SPACETIME,
     Field,
     GridError,
+    RowBand,
     WorldsheetGrid,
     integrate_sigma_slice,
     masked_max_abs,
@@ -417,7 +419,8 @@ def test_two_form_table_is_exactly_antisymmetric(spinning_geo):
 
 def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, monkeypatch):
     """Each field's normal gradient is taken once, however many rows,
-    couplings and partners it meets; the omega kind takes two."""
+    couplings and partners it meets; the omega kind takes two per slice,
+    each on the band of the slice's row."""
     from stringlab import experiments
 
     calls = []
@@ -434,7 +437,8 @@ def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, m
     assert [id(phi) for phi in calls] == [id(phi) for phi in fields]
     calls.clear()
     experiments.run_omega(pulsating, geo.grid, dyn.ActionParams(1.0, 0.0), 0)
-    assert len(calls) == 2
+    assert len(calls) == 6
+    assert all(isinstance(phi.grid, RowBand) for phi in calls)
 
 
 def test_two_form_table_checks_every_row_first(rotating_geo, pulsating_geo, monkeypatch):
@@ -549,20 +553,80 @@ def test_gauge_check_rejects_noninvertible(pulsating_geo, jacobi_pair):
 
 
 def test_slice_band_stays_inside_the_grid():
-    width = 2 * sym.BAND_RADIUS + 1
-    assert sym.slice_band(129, 64) == slice(64 - sym.BAND_RADIUS, 65 + sym.BAND_RADIUS)
-    assert sym.slice_band(129, 0) == sym.slice_band(129, 2) == slice(0, width)
-    assert sym.slice_band(129, 128) == slice(129 - width, 129)
-    assert sym.slice_band(9, 4) == slice(0, 9)
+    width = 2 * BAND_RADIUS + 1
+    grid = WorldsheetGrid(129, 32, 0.1, 0.9)
+
+    def rows(band):
+        return slice(band.first_row, band.first_row + band.n_tau)
+
+    assert rows(grid.band(64)) == slice(64 - BAND_RADIUS, 65 + BAND_RADIUS)
+    assert rows(grid.band(0)) == rows(grid.band(2)) == slice(0, width)
+    assert rows(grid.band(128)) == slice(129 - width, 129)
+    assert rows(WorldsheetGrid(9, 32, 0.1, 0.9).band(4)) == slice(0, 9)
+    with pytest.raises(GridError, match="tau_index 129 out of range"):
+        grid.band(129)
 
 
 def test_row_band_keeps_the_spacing():
     grid = WorldsheetGrid(129, 32, 0.1, 0.9)
-    band = grid.rows(slice(5, 18))
+    band = grid.band(11)
     assert band.shape == (13, 32)
     assert (band.tau_min, band.tau_max) == (grid.tau[5], grid.tau[17])
     # recomputed from the band's window, the spacing would differ in the last bit
     assert band.h_tau == grid.h_tau
+
+
+@pytest.mark.parametrize("n_tau,tau_max", [(129, 0.9), (257, 1.6), (65, 0.7)])
+def test_band_keeps_the_full_grid_tau_values(n_tau, tau_max):
+    """linspace over the band's own window puts some rows one ulp off,
+    which the nested edge stencils amplify; a band reads its grid's values."""
+    grid = WorldsheetGrid(n_tau, 16, 0.1, tau_max)
+    for row in range(n_tau):
+        band = grid.band(row)
+        lo = band.first_row
+        assert np.array_equal(band.tau, grid.tau[lo:lo + band.n_tau]), row
+        assert np.array_equal(band.meshgrid()[0], grid.meshgrid()[0][lo:lo + band.n_tau])
+
+
+@pytest.mark.parametrize(
+    "solution,geometry,modulus",
+    [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
+)
+def test_band_two_form_matches_full_grid(request, solution, geometry, modulus):
+    """The two-form of a slice on its band, with the Jacobi fields built
+    there, is the full grid's to roundoff: edge and interior rows, a
+    vanishing pair and a nonzero coupling."""
+    sol = request.getfixturevalue(solution)
+    geo = request.getfixturevalue(geometry)
+    names = ("translation_t", modulus, "translation_x")
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.3)]
+    rows = [0, 1, 2, 5, 32, 64, 96, 126, 127, 128]
+    full = sym.two_form_table(geo, [jacobi_from_family(sol, geo, n) for n in names], params, rows)
+    scale = np.abs(full).max()
+    for r, row in enumerate(rows):
+        band = sol.geometry(geo.grid.band(row))
+        fields = [jacobi_from_family(sol, band, n) for n in names]
+        table = sym.two_form_table(band, fields, params, [row])
+        assert np.abs(table[:, 0] - full[:, r]).max() <= 1e-15 * scale, row
+
+
+@pytest.mark.parametrize("kind", ["omega", "gauge-check"])
+def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
+    """omega and gauge-check build every geometry on the band of a slice:
+    three slices for omega, one band and its two reparametrized rebuilds
+    for gauge-check."""
+    from stringlab import experiments, solutions
+
+    shapes = []
+
+    def recording_build(emb, frame=None):
+        shapes.append(emb.grid.shape)
+        return build_geometry(emb, frame=frame)
+
+    monkeypatch.setattr(solutions, "build_geometry", recording_build)
+    monkeypatch.setattr(sym, "build_geometry", recording_build)
+    experiments.EXPERIMENTS[kind](pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
+    assert shapes == [(2 * BAND_RADIUS + 1, grid129.n_sigma)] * 3
 
 
 @pytest.mark.parametrize(
@@ -570,12 +634,14 @@ def test_row_band_keeps_the_spacing():
     [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
 )
 def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, modulus):
-    """The gauge check's rebuild on a band of rows gives the two-form of a
-    rebuild of the whole grid, on interior and edge rows alike."""
+    """The gauge check's rebuild of the band geometry of a row gives the
+    two-form of a rebuild of the whole grid, on interior and edge rows
+    alike."""
     sol = request.getfixturevalue(solution)
     geo = request.getfixturevalue(geometry)
     grid, emb = geo.grid, geo.embedding
-    f1, f2 = (jacobi_from_family(sol, geo, name) for name in ("translation_t", modulus))
+    names = ("translation_t", modulus)
+    f1, f2 = (jacobi_from_family(sol, geo, name) for name in names)
     p = dyn.ActionParams(1.0, 0.3)  # a nonzero coupling reads the curvature gradients
     for s in (grid.sigma + 1e-2 * np.sin(grid.sigma), grid.sigma + 3 * grid.h_sigma):
         x2 = Field(grid, sym.resample_sigma(emb.x.values, s), emb.x.indices)
@@ -585,7 +651,9 @@ def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, mod
         g1, g2 = (Field(grid, sym.resample_sigma(f.values, s), (NORMAL,)) for f in (f1, f2))
         for row in (0, 2, grid.n_tau // 2, grid.n_tau - 1):
             reference = sym.symplectic_form(full, g1, g2, p, row)
-            band = sym.reparametrized_form(geo, f1, f2, p, s, row)
+            band_geo = sol.geometry(grid.band(row))
+            b1, b2 = (jacobi_from_family(sol, band_geo, name) for name in names)
+            band = sym.reparametrized_form(band_geo, b1, b2, p, s, row)
             assert abs(band - reference) <= 1e-13 * abs(reference), (row, band, reference)
 
 
