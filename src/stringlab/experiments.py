@@ -230,26 +230,26 @@ def _conservation_scale(geo, f1, f2, p) -> float:
     return (p.tension + abs(p.gb_coupling) * kk) * n1 * n2
 
 
-def _slices(sol, grid, rows, jacobi) -> list[tuple]:
-    """Per tau row, the geometry of its band and the Jacobi pair there (by
-    default time translation and the family's modulus).  Every row is first
-    checked on the declared mask of the whole grid, so a band that meets the
-    masked region fails by the name of its row, not by the active-point
-    floor of the band's own mask."""
+def _slices(sol, grid, rows, jacobi) -> tuple:
+    """The geometry of the bands of the tau rows, stacked in one grid
+    (``grid.bands``), and the Jacobi pair on it (by default time
+    translation and the family's modulus).  Every row is first checked on
+    the declared mask of the whole grid, so a band that meets the masked
+    region fails by the name of its row, not by the active-point floor of
+    the bands' own mask."""
     declared = sol.mask(grid)
     for row in rows:
         declared.slice_row(row)
-    geos = [sol.geometry(grid.band(row)) for row in rows]
-    return [(geo, *_jacobi_pair(sol, geo, jacobi or ("translation_t", sol.modulus)))
-            for geo in geos]
+    geo = sol.geometry(grid.bands(rows))
+    return (geo, *_jacobi_pair(sol, geo, jacobi or ("translation_t", sol.modulus)))
 
 
 def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
               slices=None) -> Outcome:
     rows = slices or (grid.n_tau // 4, grid.n_tau // 2, (3 * grid.n_tau) // 4)
     params = [replace(action, gb_coupling=float(beta)) for beta in betas]
-    omega = np.concatenate([sym.two_form_table(geo, [f1, f2], params, [row]) for row, (geo, f1, f2)
-                            in zip(rows, _slices(sol, grid, rows, jacobi))], axis=1)
+    geo, f1, f2 = _slices(sol, grid, rows, jacobi)
+    omega = sym.two_form_table(geo, [f1, f2], params, rows)
     table = {f"beta={beta}": {f"row={r}": float(w) for r, w in zip(rows, omega[k, :, 0, 1])}
              for k, beta in enumerate(betas)}
     mid = len(rows) // 2
@@ -270,7 +270,7 @@ def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1
                     slice=None) -> Outcome:
     p = replace(action, gb_coupling=float(beta))
     row = grid.n_tau // 2 if slice is None else int(slice)
-    [(geo, f1, f2)] = _slices(sol, grid, [row], jacobi)
+    geo, f1, f2 = _slices(sol, grid, [row], jacobi)
     smooth = sym.gauge_invariance_check(
         geo, f1, f2, p, lambda s: s + epsilon * np.sin(s), row
     )

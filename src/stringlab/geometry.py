@@ -67,7 +67,7 @@ class GeometryError(ValueError):
     def at_point(cls, message: str, grid: WorldsheetGrid, it: int, isig: int) -> "GeometryError":
         """The error at local point (it, isig) of ``grid``, named by its
         full-grid tau row."""
-        return cls(f"{message} at grid point (tau_index={it + grid.first_row}, sigma_index={isig})")
+        return cls(f"{message} at grid point (tau_index={grid.full_row(it)}, sigma_index={isig})")
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
     for slot in range(k_needed):
         v = normals[..., slot, :]
         v, norm2 = project(v, np.einsum("...am,...m->...a", e_low, v), slot)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm at a masked point
             normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
     if frame is None:
         _orient_frame(normals, mask.active)
@@ -241,6 +241,14 @@ def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
     The anchor, the first active point, gets a positive leading component;
     signs propagate down its column in tau (no row above it is active), then
     from it along each row in sigma (wrapping), skipping masked points.
+
+    On a grid of several blocks the column walk crosses the seams, so a
+    block's slot may come out with the opposite sign to a build of that
+    block alone: at every point of the block when the block's first active
+    point lies in the anchor's column, as it does with no masked points.
+    A slot negated at every point changes no bit of the two-form: every
+    normal index of the current is contracted with another, and a product
+    of two negated floats is exact.
     """
     nt, ns, k, _ = normals.shape
     t0, s0 = map(int, np.argwhere(active)[0])
@@ -297,12 +305,14 @@ def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
         )
 
 
-def _dilate(points: np.ndarray) -> np.ndarray:
+def _dilate(points: np.ndarray, grid: WorldsheetGrid) -> np.ndarray:
     """``points`` grown by one grid step in every direction (the 3x3 block
-    around each): clipped at the tau edges, wrapping in sigma."""
+    around each): clipped at the tau edges of each block of ``grid``,
+    wrapping in sigma."""
     rows = points.copy()
-    rows[1:] |= points[:-1]
-    rows[:-1] |= points[1:]
+    grown, src = grid.by_block(rows), grid.by_block(points)
+    grown[1:] |= src[:-1]
+    grown[:-1] |= src[1:]
     return rows | np.roll(rows, 1, axis=1) | np.roll(rows, -1, axis=1)
 
 
@@ -338,7 +348,7 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
 
     # degeneracy scan: points where the tangent Gram matrix collapses get a
     # 3x3 rectangle masked around them (folds, collapse instants)
-    detected = _dilate(np.abs(det) < DEGENERACY_TOL)
+    detected = _dilate(np.abs(det) < DEGENERACY_TOL, grid)
     active = emb.mask.active & ~detected
     mask = Mask(grid, active)  # re-validates the 50% active floor
 

@@ -32,6 +32,13 @@ The stencils reach the rest of the package through :func:`gradient` (both
 written into one buffer, on a new leading index) and :func:`divergence`,
 not through stencils stacked by hand.  :func:`d_tau` and :func:`d_sigma`
 are the same two kernels, one axis at a time.
+
+A grid's tau rows come in blocks of equal height: one block on a full
+grid, one per band on a :class:`RowBand` that stacks the bands of several
+rows.  Every tau operation views a field through
+:meth:`WorldsheetGrid.by_block`, as (rows per block, blocks, ...), so the
+tau stencil restarts at each seam between blocks; sigma operations act row
+by row and need no view.
 """
 
 from __future__ import annotations
@@ -60,15 +67,16 @@ class WorldsheetGrid:
     """Uniform (tau, sigma) grid: bounded tau window x periodic sigma circle.
 
     sigma_k = k * 2*pi/n_sigma for k = 0..n_sigma-1 (the point at 2*pi wraps
-    to index 0); tau_j spans [tau_min, tau_max] inclusive.
+    to index 0); tau_j spans [tau_min, tau_max] inclusive.  Its tau rows form
+    one block: the tau stencils run over all of them (see :class:`RowBand`
+    for a grid of several blocks).
     """
 
     n_tau: int
     n_sigma: int
     tau_min: float
     tau_max: float
-    first_row = 0  # the full-grid number of the first tau row: not 0 on a band
-    where = ""  # the rows of a band, for errors raised on it
+    where = ""  # the rows of a stack of bands, for errors raised on it
 
     def __post_init__(self):
         if self.n_tau < 9:
@@ -100,47 +108,95 @@ class WorldsheetGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n_tau, self.n_sigma)
 
+    @property
+    def block_rows(self) -> int:
+        """Tau rows per block: the tau stencils restart at each block."""
+        return self.n_tau
+
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(tau, sigma) coordinate arrays of shape (n_tau, n_sigma)."""
         return np.meshgrid(self.tau, self.sigma, indexing="ij")
 
+    def by_block(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (tau rows on axis 0) viewed as (rows per block,
+        blocks, ...), without a copy: a tau stencil along axis 0 of the
+        view restarts at every seam between blocks.  Writing into the view
+        writes into ``values``."""
+        return values.reshape((-1, self.block_rows) + values.shape[1:]).swapaxes(0, 1)
+
+    def full_row(self, local: int) -> int:
+        """The full-grid number of this grid's tau row ``local``."""
+        return local
+
     def local_row(self, tau_index: int) -> int:
         """The index in this grid of tau row ``tau_index``, numbered as in
         the full grid."""
-        lo = self.first_row
-        if not lo <= tau_index < lo + self.n_tau:
-            raise GridError(f"tau_index {tau_index} out of range [{lo}, {lo + self.n_tau})")
-        return tau_index - lo
+        if not 0 <= tau_index < self.n_tau:
+            raise GridError(f"tau_index {tau_index} out of range [0, {self.n_tau})")
+        return tau_index
+
+    def _band_start(self, tau_index: int) -> int:
+        """The first row of the band of tau row ``tau_index``: the rows
+        within BAND_RADIUS of it, shifted to stay inside the grid (all of it
+        if it has fewer rows)."""
+        width = min(2 * BAND_RADIUS + 1, self.n_tau)
+        return max(0, min(self.local_row(tau_index) - BAND_RADIUS, self.n_tau - width))
+
+    def bands(self, rows) -> "RowBand":
+        """The bands of tau rows ``rows`` stacked as one grid, one block per
+        distinct band in the order of their first rows: rows with the same
+        band share its block, and overlapping bands are separate blocks."""
+        starts = sorted({self._band_start(r) for r in rows})
+        if not starts:
+            raise GridError("no tau rows to take the bands of")
+        width = min(2 * BAND_RADIUS + 1, self.n_tau)
+        tau = self.tau
+        return RowBand(len(starts) * width, self.n_sigma, float(tau[starts[0]]),
+                       float(tau[starts[-1] + width - 1]), self, tuple(starts))
 
     def band(self, tau_index: int) -> "RowBand":
-        """The band of tau row ``tau_index``: the rows within BAND_RADIUS of
-        it, shifted to stay inside the grid (all of it if it has fewer rows),
-        as a grid of their own."""
-        width = 2 * BAND_RADIUS + 1
-        lo = max(0, min(self.local_row(tau_index) - BAND_RADIUS, self.n_tau - width))
-        tau = self.tau[lo:lo + width]
-        return RowBand(len(tau), self.n_sigma, float(tau[0]), float(tau[-1]), self, lo)
+        """The band of tau row ``tau_index``: a stack of one block."""
+        return self.bands([tau_index])
 
 
 @dataclass(frozen=True)
 class RowBand(WorldsheetGrid):
-    """Consecutive tau rows of a full grid, as a grid of their own.
+    """The bands of some tau rows of a full grid, stacked in tau as one grid
+    of their own (:meth:`WorldsheetGrid.bands`).
 
-    The tau values and spacing are the full grid's, to the last bit.
-    Recomputed from the band's own window they differ in the last bits
-    (``linspace`` puts up to 7 of the 13 rows 1 or 2 ulps off on a 129-row
-    grid), and the nested one-sided edge stencils amplify that a
+    Each band is a block of the same number of consecutive full-grid rows,
+    and ``first_rows`` holds the full-grid number of each block's first
+    row.  The tau stencils restart at every block (:meth:`by_block`) and a
+    row's sigma derivative does not depend on the rows beside it
+    (``_LEAST_PRODUCT``), so every field built on the stack is, block by
+    block and bit for bit, the one built on that band alone (a normal frame
+    seeded by coordinate axes up to one sign per slot and block, which the
+    two-form does not see); and a build of many bands pays the fixed cost
+    of one.  Each band's tau values and spacing are the full grid's, to
+    the last bit.  Recomputed from the band's own window they differ in the
+    last bits (``linspace`` puts up to 7 of the 13 rows 1 or 2 ulps off on
+    a 129-row grid), and the nested one-sided edge stencils amplify that a
     millionfold; with the same values, every stencil and chart evaluation
-    repeats the full grid's arithmetic on the rows they share.  A band's
-    rows keep their full-grid numbers, in ``first_row`` and in the errors
-    that name them."""
+    repeats the full grid's arithmetic on the rows they share.  The rows
+    keep their full-grid numbers, in :meth:`local_row` and
+    :meth:`full_row` and in the errors that name them."""
 
     parent: WorldsheetGrid = field(repr=False)
-    first_row: int
+    first_rows: tuple[int, ...]
+
+    @property
+    def block_rows(self) -> int:
+        return self.n_tau // len(self.first_rows)
+
+    @property
+    def first_row(self) -> int:
+        """The full-grid number of the first row."""
+        return self.first_rows[0]
 
     @property
     def where(self) -> str:
-        return f" on tau rows {self.first_row} to {self.first_row + self.n_tau - 1}"
+        return " on tau rows " + ", ".join(f"{lo} to {lo + self.block_rows - 1}"
+                                           for lo in self.first_rows)
 
     @property
     def h_tau(self) -> float:
@@ -148,13 +204,25 @@ class RowBand(WorldsheetGrid):
 
     @property
     def tau(self) -> np.ndarray:
-        return self.parent.tau[self.first_row:self.first_row + self.n_tau]
+        tau = self.parent.tau
+        return np.concatenate([tau[lo:lo + self.block_rows] for lo in self.first_rows])
 
-    def band(self, tau_index: int) -> "RowBand":
-        """A band is the band of each of its rows: it holds every row the
-        two-form of its slice reads."""
-        self.local_row(tau_index)
-        return self
+    def full_row(self, local: int) -> int:
+        block, offset = divmod(local, self.block_rows)
+        return self.first_rows[block] + offset
+
+    def local_row(self, tau_index: int) -> int:
+        """The index of tau row ``tau_index`` in the block that is its own
+        band: the rows its two-form reads.  A row whose band is not a block
+        here is a GridError."""
+        lo = self.parent._band_start(tau_index)
+        if lo not in self.first_rows:
+            raise GridError(f"the band of tau row {tau_index} is not a block of the grid{self.where}")
+        return self.first_rows.index(lo) * self.block_rows + tau_index - lo
+
+    def bands(self, rows) -> "RowBand":
+        """The bands of ``rows`` in the full grid."""
+        return self.parent.bands(rows)
 
 
 @dataclass(frozen=True)
@@ -200,12 +268,14 @@ class Mask:
         """The index in this grid of the slice on tau row ``tau_index``
         (numbered as in the full grid).  A GridError names the row unless it
         lies in the grid and its band is active: the row itself, and every
-        row its two-form's nested tau stencils reach."""
+        row its two-form's nested tau stencils reach.  On a stack of bands
+        that is the block that is the row's own band, whatever the blocks
+        beside it hold."""
         row = self.grid.local_row(tau_index)
         if not self.active[row].all():
             raise GridError(f"tau row {tau_index} intersects the masked region")
         band = self.grid.band(tau_index)
-        lo = band.first_row - self.grid.first_row
+        lo = row - (tau_index - band.first_row)
         if not self.active[lo:lo + band.n_tau].all():
             raise GridError(f"the stencils of tau row {tau_index} reach the masked region: "
                             f"its band{band.where} is not all active")
@@ -282,7 +352,7 @@ class Field:
         if not finite.all():
             it, isig = np.argwhere(~finite)[0]
             raise GridError(f"{name} is not finite at grid point "
-                            f"(tau={it + self.grid.first_row}, sigma={isig})")
+                            f"(tau={self.grid.full_row(it)}, sigma={isig})")
 
     def __repr__(self):
         return f"Field(indices={self.indices}, shape={self.values.shape})"
@@ -314,10 +384,21 @@ def sigma_derivative_matrix(n: int) -> np.ndarray:
     return mat
 
 
+# OpenBLAS computes small products with other kernels, whose roundoff
+# differs in the last bit: with OpenBLAS 0.3.31 on an AVX-512 x86-64 VM, the
+# rows of a product of up to about 1,200 entries differed from the same rows
+# in a larger product.  A smaller product is padded with zero rows to this
+# many entries, so the sigma derivative of a row does not depend on how many
+# rows share its product: a band alone, a stack of bands and the full grid
+# give the same bits.
+_LEAST_PRODUCT = 2048
+
+
 def _sigma_derivative(values: np.ndarray, out: np.ndarray) -> None:
     """Write the sigma derivative of component-major ``values`` into ``out``,
     given as its (..., n_tau, n_sigma) C-contiguous view: one GEMM of the
-    contiguous sigma rows against D^T.
+    contiguous sigma rows against D^T, of at least ``_LEAST_PRODUCT``
+    entries.
 
     Every entry of a row meets every input of that row, so one NaN or inf
     makes the whole output row non-finite, for :meth:`Field.check_finite`
@@ -326,8 +407,15 @@ def _sigma_derivative(values: np.ndarray, out: np.ndarray) -> None:
     not turned into a warning."""
     n = out.shape[-1]
     rows = np.moveaxis(values, (0, 1), (-2, -1)).reshape(-1, n)
+    dest = out.reshape(-1, n)
+    short = -(-_LEAST_PRODUCT // n) - len(rows)
+    if short > 0:
+        rows = np.concatenate([rows, np.zeros((short, n))])
+        dest = np.empty(rows.shape)
     with np.errstate(invalid="ignore"):
-        np.matmul(rows, sigma_derivative_matrix(n).T, out=out.reshape(-1, n))
+        np.matmul(rows, sigma_derivative_matrix(n).T, out=dest)
+    if short > 0:
+        out.reshape(-1, n)[...] = dest[:-short]
 
 
 def d_sigma(f: Field) -> Field:
@@ -407,10 +495,13 @@ def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np
 def d_tau(f: Field) -> Field:
     """4th-order finite-difference derivative along tau.
 
-    Central stencil in the interior, one-sided at the first/last two rows;
-    exact for polynomials of degree <= 4.
+    Central stencil in the interior, one-sided at the first/last two rows
+    of each block of the grid; exact for polynomials of degree <= 4.
     """
-    return Field(f.grid, fd4_axis0(f.values, f.grid.h_tau), f.indices)
+    g = f.grid
+    out = np.empty_like(f.values)
+    fd4_axis0(g.by_block(f.values), g.h_tau, out=g.by_block(out))
+    return Field(g, out, f.indices)
 
 
 def gradient(f: Field) -> Field:
@@ -420,7 +511,7 @@ def gradient(f: Field) -> Field:
     g = f.grid
     vals = f.values
     buf = np.empty((2,) + vals.shape[2:] + g.shape)
-    fd4_axis0(vals, g.h_tau, out=np.moveaxis(buf[0], (-2, -1), (0, 1)))
+    fd4_axis0(g.by_block(vals), g.h_tau, out=g.by_block(np.moveaxis(buf[0], (-2, -1), (0, 1))))
     _sigma_derivative(vals, buf[1])
     return Field(g, np.moveaxis(buf, (-2, -1), (0, 1)), (WORLDSHEET_LOWER,) + f.indices)
 
@@ -434,7 +525,8 @@ def divergence(v: Field) -> Field:
     out = np.empty(vals.shape[3:] + g.shape)
     _sigma_derivative(vals[:, :, 1], out)
     out = np.moveaxis(out, (-2, -1), (0, 1))
-    out += fd4_axis0(vals[:, :, 0], g.h_tau)
+    acc = g.by_block(out)
+    acc += fd4_axis0(g.by_block(vals[:, :, 0]), g.h_tau)
     return Field(g, out, v.indices[1:])
 
 

@@ -142,11 +142,16 @@ def _family(chart: ChartFn, dim: int, modulus: str, scale: float, sigma_shift: C
 
 def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], list]:
     """Declared mask of the rows where a closed-form weight drops below
-    1e-2, plus one row on each side."""
+    1e-2, plus one row on each side within the row's block of the grid."""
 
     def masked_rectangles(grid: WorldsheetGrid) -> list:
         near = (weight(*grid.meshgrid()) < 1e-2).any(axis=1)
-        return [(it - 1, it + 1, 0, grid.n_sigma - 1) for it in np.nonzero(near)[0]]
+        rects = []
+        for it in np.nonzero(near)[0]:
+            lo = it - it % grid.block_rows  # the first row of its block
+            rects.append((max(it - 1, lo), min(it + 1, lo + grid.block_rows - 1),
+                          0, grid.n_sigma - 1))
+        return rects
 
     return masked_rectangles
 

@@ -35,13 +35,17 @@ for bit, the kernel run on that pair, coupling and row alone, so
 :func:`symplectic_form` is one cell of a one-row table.
 
 The two-form on a row reads only the 2 * BAND_RADIUS + 1 rows its nested
-tau stencils reach, so the lab evaluates it on the band of its row
-(:meth:`~stringlab.grid.WorldsheetGrid.band`): a geometry built by the same
-:func:`~stringlab.geometry.build_geometry` on those rows alone, with the
-full grid's tau values.  On a band the rows keep their full-grid numbers,
-and the table agrees with the full grid's to roundoff (bit for bit on
-almost every cell).  The gauge check compares the two-form of such a
-geometry with that of its reparametrized rebuild on the same rows.
+tau stencils reach, so the lab evaluates it on the band of its row: a
+geometry built by the same :func:`~stringlab.geometry.build_geometry` on
+those rows alone, with the full grid's tau values.  The bands of all the
+rows of one table are stacked in one grid
+(:meth:`~stringlab.grid.WorldsheetGrid.bands`), one block per band, with
+the tau stencils restarting at each seam, so one build and one table serve
+every slice.  The rows keep their full-grid numbers, each row is read from
+the block that is its own band, and every cell equals the one of its band
+alone and, on the probed grids, the full grid's, bit for bit.  The gauge
+check compares the two-form of one band's geometry with that of its
+reparametrized rebuild on the same rows.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -289,8 +293,9 @@ def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
     ``params[p]`` on tau row ``rows[r]``: an array of shape
     (len(params), len(rows), F, F), antisymmetric in A, B.
 
-    Rows are numbered as in the full grid, on a band too.  Every row must
-    lie in the grid, and its band must miss the masked region
+    Rows are numbered as in the full grid, on a stack of bands too, where
+    each is read from the block of its own band.  Every row must lie in the
+    grid, and its band must miss the masked region
     (:meth:`~stringlab.grid.Mask.slice_row`); all rows are checked, in order,
     before any arithmetic.  Each field's normal gradient is taken once on
     the geometry's grid (the tau stencil spans rows) and raised once.  The

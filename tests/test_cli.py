@@ -534,10 +534,9 @@ def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     late = (3 * BASE["grid"]["n_tau"]) // 4
     table = symplectic.two_form_table
 
-    def late_nan(geo, fields, params, rows):  # one call per slice
+    def late_nan(geo, fields, params, rows):  # one call for every slice
         omega = table(geo, fields, params, rows)
-        if list(rows) == [late]:
-            omega[:] = float("nan")
+        omega[:, list(rows).index(late)] = float("nan")
         return omega
 
     monkeypatch.setattr(symplectic, "two_form_table", late_nan)

@@ -37,7 +37,7 @@ from stringlab.grid import (
     WorldsheetGrid,
     masked_max_abs,
 )
-from stringlab.solutions import jacobi_from_family, make_solution
+from stringlab.solutions import _degenerate_rows, jacobi_from_family, make_solution
 from stringlab.symplectic import symplectic_form
 
 
@@ -256,12 +256,14 @@ def _dilate_reference(points):
 def test_dilation_matches_pointwise_reference(rotating_geo):
     degenerate = np.abs(rotating_geo.gamma_det) < DEGENERACY_TOL
     assert degenerate.any()
-    assert np.array_equal(_dilate(degenerate), _dilate_reference(degenerate))
-    assert np.array_equal(rotating_geo.detected, _dilate(degenerate))
+    grid = rotating_geo.grid
+    assert np.array_equal(_dilate(degenerate, grid), _dilate_reference(degenerate))
+    assert np.array_equal(rotating_geo.detected, _dilate(degenerate, grid))
     points = np.random.default_rng(0).random((12, 16)) < 0.1
     points[0, 3] = points[-1, 9] = True    # on both tau edges
     points[5, 0] = points[7, -1] = True    # wrapping through sigma = 0
-    assert np.array_equal(_dilate(points), _dilate_reference(points))
+    grid = WorldsheetGrid(12, 16, 0.0, 1.0)
+    assert np.array_equal(_dilate(points, grid), _dilate_reference(points))
 
 
 def test_rotating_analytic_geometry(rotating_geo):
@@ -560,3 +562,53 @@ def test_errors_on_a_band_name_full_grid_points():
         Field(band, values).check_finite(name="f")
     with pytest.raises(GridError, match="0% of points active on tau rows 64 to 76 "):
         Mask(band, np.zeros(band.shape, dtype=bool))
+
+    # the same on the second block of a stack of two bands
+    stack = grid.bands([20, 70])
+    assert stack.first_rows == (14, 64)
+    with pytest.raises(GeometryError) as on_stack:
+        build(stack)
+    assert str(on_stack.value) == str(on_grid.value)
+    values = np.zeros(stack.shape)
+    values[13 + 2, 3] = np.nan
+    with pytest.raises(GridError, match=r"f is not finite at grid point \(tau=66, sigma=3\)"):
+        Field(stack, values).check_finite(name="f")
+    with pytest.raises(GridError, match="0% of points active on tau rows 14 to 26, 64 to 76 "):
+        Mask(stack, np.zeros(stack.shape, dtype=bool))
+    # a row's band is its own block: a masked point on row 71 rejects row
+    # 66 but not row 64, although row 71 is within BAND_RADIUS of both
+    overlapping = grid.bands([64, 66])
+    active = np.ones(overlapping.shape, dtype=bool)
+    active[overlapping.local_row(66) + 5, 7] = False
+    mask = Mask(overlapping, active)
+    assert mask.slice_row(64) == 6
+    with pytest.raises(GridError, match="the stencils of tau row 66 reach the masked region: "
+                                        "its band on tau rows 60 to 72 is not all active"):
+        mask.slice_row(66)
+
+
+def test_degeneracy_does_not_cross_a_seam():
+    """A degenerate point on the last row of a block, or a declared
+    degenerate row there, masks the rows around it in its own block only:
+    the first row of the next block stays active, and the other way round."""
+    grid = WorldsheetGrid(129, 16, 0.1, 0.9)
+    stack = grid.bands([20, 70])
+    h = stack.block_rows
+    for row, neighbour in ((h - 1, h), (h, h - 1)):  # either side of the seam
+        points = np.zeros(stack.shape, dtype=bool)
+        points[row, 5] = True
+        grown = _dilate(points, stack)
+        assert grown[row, 4:7].all() and not grown[neighbour].any()
+        full_row = grid.tau[stack.full_row(row)]
+        rects = _degenerate_rows(lambda tt, ss: np.where(tt == full_row, 0.0, 1.0))(stack)
+        active = Mask.from_rectangles(stack, rects).active
+        assert not active[row].any() and active[neighbour].all()
+        assert (~active).sum() == 2 * stack.n_sigma  # the row and its neighbour in the block
+
+
+def test_collapse_geometry_builds_without_warnings(pulsating):
+    """Through the pulsating collapse at tau = pi/2 the frame's second
+    Gram-Schmidt pass meets zero norms at masked points; under the suite's
+    warnings-as-errors the build must still finish."""
+    geo = pulsating.geometry(WorldsheetGrid(257, 16, 0.5, 1.6))
+    assert not geo.mask.active[246:253].any() and geo.mask.active[:246].all()

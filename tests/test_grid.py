@@ -293,3 +293,78 @@ def test_gradient_and_divergence_stack_the_stencils(grid):
     assert np.array_equal(div.values, expected)
     with pytest.raises(GridError):
         divergence(Field(grid, vals, ("a", "i")))
+
+
+# index labels of fields of rank 0 to 3; a leading upper index for divergence
+_STACK_LABELS = {(): (), (2,): ("A",), (2, 3): ("A", "i"), (2, 2, 4): ("A", "a", "mu")}
+
+
+@pytest.mark.parametrize("dims", list(_STACK_LABELS))
+def test_stacked_operators_match_each_block_on_its_own_band(dims):
+    """On a stack of bands every derivative is, block by block and bit for
+    bit, the one taken on that band alone, whatever the input's layout."""
+    grid = WorldsheetGrid(129, 32, 0.1, 0.9)
+    rows = [0, 2, 40, 64, 66, 128]
+    stack = grid.bands(rows)
+    assert stack.first_rows == (0, 34, 58, 60, 116)
+    h = stack.block_rows
+    labels = _STACK_LABELS[dims]
+    ops = (d_tau, d_sigma, gradient) + ((divergence,) if labels else ())
+    c_order = np.random.default_rng(len(dims)).normal(size=stack.shape + dims)
+    for values in (c_order, grid_innermost(c_order)):
+        f = Field(stack, values, labels)
+        for row in rows:
+            band = grid.band(row)
+            lo = stack.local_row(row) - (row - band.first_row)  # the block's first row
+            block = slice(lo, lo + h)
+            alone = Field(band, values[block], labels)
+            for op in ops:
+                assert np.array_equal(op(f).values[block], op(alone).values), (op, row)
+
+
+def test_tau_stencil_restarts_at_every_seam():
+    """A different quartic in tau in each block is differentiated exactly in
+    every block: no stencil reads a row of another block."""
+    grid = WorldsheetGrid(129, 16, 0.1, 0.9)
+    stack = grid.bands([10, 30, 31, 100])
+    h = stack.block_rows
+    coeffs = np.random.default_rng(5).normal(size=(len(stack.first_rows), 5))
+    tt = stack.meshgrid()[0]
+    c = np.repeat(coeffs, h, axis=0)[:, None, :]  # each row's block's quartic
+    values = sum(c[..., m] * tt**m for m in range(5))
+    exact = sum(m * c[..., m] * tt**(m - 1) for m in range(1, 5))
+    f = Field(stack, values)
+    vec = Field(stack, np.stack([values, np.zeros_like(values)], axis=-1), ("A",))
+    for got in (d_tau(f).values, gradient(f).values[..., 0], divergence(vec).values):
+        assert np.abs(got - exact).max() <= 1e-9 * np.abs(exact).max()
+    # the same stencil run straight across the seams is not exact there
+    across = fd4_axis0(values, stack.h_tau)
+    assert np.abs(across - exact).max() >= 1e-3 * np.abs(exact).max()
+
+
+def test_band_rows_keep_their_full_grid_numbers():
+    grid = WorldsheetGrid(129, 16, 0.1, 0.9)
+    stack = grid.bands([66, 64, 66, 2, 0])  # a duplicated row and a shared band
+    assert stack.first_rows == (0, 58, 60) and stack.shape == (39, 16)
+    assert [stack.full_row(i) for i in (0, 12, 13, 25, 26, 38)] == [0, 12, 58, 70, 60, 72]
+    assert [stack.local_row(r) for r in (0, 2, 64, 66)] == [0, 2, 19, 32]
+    assert np.array_equal(stack.tau, grid.tau[[stack.full_row(i) for i in range(39)]])
+    assert stack.where == " on tau rows 0 to 12, 58 to 70, 60 to 72"
+    assert stack.band(64) == grid.band(64) and stack.bands([0, 64]) == grid.bands([0, 64])
+    with pytest.raises(GridError, match="the band of tau row 62 is not a block"):
+        stack.local_row(62)
+    with pytest.raises(GridError, match="tau_index 129 out of range"):
+        stack.local_row(129)
+
+
+@pytest.mark.parametrize("n_sigma", [16, 32, 64, 128])
+def test_sigma_derivative_of_a_row_ignores_the_rows_beside_it(n_sigma):
+    """A scalar's sigma derivative on a band, one small product, has the
+    bits of the same rows in the full grid's product."""
+    grid = WorldsheetGrid(129, n_sigma, 0.1, 0.9)
+    values = np.random.default_rng(n_sigma).normal(size=grid.shape)
+    full = d_sigma(Field(grid, values)).values
+    for row in (0, 64, 128):
+        band = grid.band(row)
+        rows = slice(band.first_row, band.first_row + band.n_tau)
+        assert np.array_equal(d_sigma(Field(band, values[rows])).values, full[rows]), row

@@ -419,8 +419,8 @@ def test_two_form_table_is_exactly_antisymmetric(spinning_geo):
 
 def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, monkeypatch):
     """Each field's normal gradient is taken once, however many rows,
-    couplings and partners it meets; the omega kind takes two per slice,
-    each on the band of the slice's row."""
+    couplings and partners it meets; the omega kind takes two for all its
+    slices, on the bands of their rows."""
     from stringlab import experiments
 
     calls = []
@@ -437,7 +437,7 @@ def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, m
     assert [id(phi) for phi in calls] == [id(phi) for phi in fields]
     calls.clear()
     experiments.run_omega(pulsating, geo.grid, dyn.ActionParams(1.0, 0.0), 0)
-    assert len(calls) == 6
+    assert len(calls) == 2
     assert all(isinstance(phi.grid, RowBand) for phi in calls)
 
 
@@ -610,11 +610,36 @@ def test_band_two_form_matches_full_grid(request, solution, geometry, modulus):
         assert np.abs(table[:, 0] - full[:, r]).max() <= 1e-15 * scale, row
 
 
+@pytest.mark.parametrize(
+    "solution,geometry,modulus",
+    [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
+)
+def test_stacked_two_form_matches_each_band(request, solution, geometry, modulus):
+    """One table on the stacked bands of many rows is, bit for bit, the
+    table of each row on its own band: rows that share a band (0 and 2),
+    rows whose bands overlap (64 and 66), a duplicated row and both edges."""
+    sol = request.getfixturevalue(solution)
+    grid = request.getfixturevalue(geometry).grid
+    names = ("translation_t", modulus, "translation_x")
+    params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.3)]
+    rows = [0, 2, 32, 64, 66, 96, 126, 128, 64]
+    stack = sol.geometry(grid.bands(rows))
+    assert stack.grid.first_rows == (0, 26, 58, 60, 90, 116)
+    fields = [jacobi_from_family(sol, stack, n) for n in names]
+    table = sym.two_form_table(stack, fields, params, rows)
+    assert (table[..., 0, 1] != 0.0).all()
+    for r, row in enumerate(rows):
+        band = sol.geometry(grid.band(row))
+        alone = sym.two_form_table(band, [jacobi_from_family(sol, band, n) for n in names],
+                                   params, [row])
+        assert np.array_equal(table[:, r], alone[:, 0]), row
+
+
 @pytest.mark.parametrize("kind", ["omega", "gauge-check"])
 def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
-    """omega and gauge-check build every geometry on the band of a slice:
-    three slices for omega, one band and its two reparametrized rebuilds
-    for gauge-check."""
+    """omega and gauge-check build every geometry on the bands of their
+    slices: one build of omega's three bands stacked, one band and its two
+    reparametrized rebuilds for gauge-check."""
     from stringlab import experiments, solutions
 
     shapes = []
@@ -626,7 +651,9 @@ def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
     monkeypatch.setattr(solutions, "build_geometry", recording_build)
     monkeypatch.setattr(sym, "build_geometry", recording_build)
     experiments.EXPERIMENTS[kind](pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
-    assert shapes == [(2 * BAND_RADIUS + 1, grid129.n_sigma)] * 3
+    width = 2 * BAND_RADIUS + 1
+    expected = {"omega": [(3 * width, grid129.n_sigma)], "gauge-check": [(width, grid129.n_sigma)] * 3}
+    assert shapes == expected[kind]
 
 
 @pytest.mark.parametrize(
