@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import NORMAL, Field
+from .grid import NORMAL, WORLDSHEET_LOWER, Field
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -140,8 +140,6 @@ def riemann_slots(
     ``points`` (the embedding values, shape (n_tau, n_sigma, dim)).  Output
     indices (a, b, i, j).  Identically zero on flat backgrounds.
     """
-    from .grid import WORLDSHEET_LOWER
-
     e = tangents.values
     n = normals.values
     if e.shape[-1] != bg.dim or n.shape[-1] != bg.dim:

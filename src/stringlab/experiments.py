@@ -271,11 +271,10 @@ def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1
     p = replace(action, gb_coupling=float(beta))
     row = grid.n_tau // 2 if slice is None else int(slice)
     geo, f1, f2 = _slices(sol, grid, [row], jacobi)
-    smooth = sym.gauge_invariance_check(
-        geo, f1, f2, p, lambda s: s + epsilon * np.sin(s), row
-    )
     shift = 3 * grid.h_sigma
-    rigid = sym.gauge_invariance_check(geo, f1, f2, p, lambda s: s + shift, row)
+    smooth, rigid = sym.gauge_invariance_check(
+        geo, f1, f2, p, [lambda s: s + epsilon * np.sin(s), lambda s: s + shift], row
+    )
     results = {"smooth_reparam_relative_change": smooth, "rigid_shift_relative_change": rigid}
     tol = {"smooth_reparam_relative_change": 1e-3, "rigid_shift_relative_change": 1e-10}
     passed = smooth <= tol["smooth_reparam_relative_change"] and rigid <= tol["rigid_shift_relative_change"]

@@ -375,7 +375,7 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     sym = (
         np.einsum("...bdc->...dbc", dgam)      # d_b gamma_dc
         + np.einsum("...cdb->...dbc", dgam)    # d_c gamma_db
-        - np.einsum("...dbc->...dbc", dgam)    # d_d gamma_bc
+        - dgam                                 # d_d gamma_bc
     )
     p_num = -0.5 * np.einsum("...ad,...dbc->...abc", adj, sym)
     del dgam, sym  # each stage frees its stencil intermediates: the peak heap is what a build touches

@@ -38,7 +38,9 @@ grid, one per band on a :class:`RowBand` that stacks the bands of several
 rows.  Every tau operation views a field through
 :meth:`WorldsheetGrid.by_block`, as (rows per block, blocks, ...), so the
 tau stencil restarts at each seam between blocks; sigma operations act row
-by row and need no view.
+by row and need no view.  Which rows are a row's band is one rule, the full
+grid's ``_band_span``: a stack is built by it, finds a row's block by it,
+and a slice's band is checked against the mask by it.
 """
 
 from __future__ import annotations
@@ -135,28 +137,24 @@ class WorldsheetGrid:
             raise GridError(f"tau_index {tau_index} out of range [0, {self.n_tau})")
         return tau_index
 
-    def _band_start(self, tau_index: int) -> int:
-        """The first row of the band of tau row ``tau_index``: the rows
-        within BAND_RADIUS of it, shifted to stay inside the grid (all of it
-        if it has fewer rows)."""
-        width = min(2 * BAND_RADIUS + 1, self.n_tau)
-        return max(0, min(self.local_row(tau_index) - BAND_RADIUS, self.n_tau - width))
+    def _band_span(self, tau_index: int) -> tuple[int, int]:
+        """The band of tau row ``tau_index`` as (first row, height), in
+        full-grid numbers: the rows within BAND_RADIUS of it, shifted to
+        stay inside the grid (all of it if it has fewer rows)."""
+        height = min(2 * BAND_RADIUS + 1, self.n_tau)
+        return max(0, min(self.local_row(tau_index) - BAND_RADIUS, self.n_tau - height)), height
 
     def bands(self, rows) -> "RowBand":
         """The bands of tau rows ``rows`` stacked as one grid, one block per
         distinct band in the order of their first rows: rows with the same
         band share its block, and overlapping bands are separate blocks."""
-        starts = sorted({self._band_start(r) for r in rows})
-        if not starts:
+        spans = sorted({self._band_span(r) for r in rows})
+        if not spans:
             raise GridError("no tau rows to take the bands of")
-        width = min(2 * BAND_RADIUS + 1, self.n_tau)
+        (first, height), (last, _) = spans[0], spans[-1]
         tau = self.tau
-        return RowBand(len(starts) * width, self.n_sigma, float(tau[starts[0]]),
-                       float(tau[starts[-1] + width - 1]), self, tuple(starts))
-
-    def band(self, tau_index: int) -> "RowBand":
-        """The band of tau row ``tau_index``: a stack of one block."""
-        return self.bands([tau_index])
+        return RowBand(len(spans) * height, self.n_sigma, float(tau[first]),
+                       float(tau[last + height - 1]), self, tuple(lo for lo, _ in spans))
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,9 @@ class RowBand(WorldsheetGrid):
     millionfold; with the same values, every stencil and chart evaluation
     repeats the full grid's arithmetic on the rows they share.  The rows
     keep their full-grid numbers, in :meth:`local_row` and
-    :meth:`full_row` and in the errors that name them."""
+    :meth:`full_row` and in the errors that name them.  A row's band is
+    the one its ``parent`` spans, and the bands of more rows are taken in
+    the parent too, never of the stack itself."""
 
     parent: WorldsheetGrid = field(repr=False)
     first_rows: tuple[int, ...]
@@ -187,11 +187,6 @@ class RowBand(WorldsheetGrid):
     @property
     def block_rows(self) -> int:
         return self.n_tau // len(self.first_rows)
-
-    @property
-    def first_row(self) -> int:
-        """The full-grid number of the first row."""
-        return self.first_rows[0]
 
     @property
     def where(self) -> str:
@@ -215,10 +210,13 @@ class RowBand(WorldsheetGrid):
         """The index of tau row ``tau_index`` in the block that is its own
         band: the rows its two-form reads.  A row whose band is not a block
         here is a GridError."""
-        lo = self.parent._band_start(tau_index)
+        lo, _ = self._band_span(tau_index)
         if lo not in self.first_rows:
             raise GridError(f"the band of tau row {tau_index} is not a block of the grid{self.where}")
         return self.first_rows.index(lo) * self.block_rows + tau_index - lo
+
+    def _band_span(self, tau_index: int) -> tuple[int, int]:
+        return self.parent._band_span(tau_index)
 
     def bands(self, rows) -> "RowBand":
         """The bands of ``rows`` in the full grid."""
@@ -268,17 +266,18 @@ class Mask:
         """The index in this grid of the slice on tau row ``tau_index``
         (numbered as in the full grid).  A GridError names the row unless it
         lies in the grid and its band is active: the row itself, and every
-        row its two-form's nested tau stencils reach.  On a stack of bands
-        that is the block that is the row's own band, whatever the blocks
-        beside it hold."""
+        row its two-form's nested tau stencils reach, as the full grid
+        spans its band; no grid is built for the check.  On a stack of
+        bands that is the block that is the row's own band, whatever the
+        blocks beside it hold."""
         row = self.grid.local_row(tau_index)
         if not self.active[row].all():
             raise GridError(f"tau row {tau_index} intersects the masked region")
-        band = self.grid.band(tau_index)
-        lo = row - (tau_index - band.first_row)
-        if not self.active[lo:lo + band.n_tau].all():
-            raise GridError(f"the stencils of tau row {tau_index} reach the masked region: "
-                            f"its band{band.where} is not all active")
+        first, height = self.grid._band_span(tau_index)
+        lo = row - (tau_index - first)
+        if not self.active[lo:lo + height].all():
+            raise GridError(f"the stencils of tau row {tau_index} reach the masked region: its "
+                            f"band on tau rows {first} to {first + height - 1} is not all active")
         return row
 
 

@@ -24,13 +24,15 @@ two must agree to roundoff (an independent check of the simplification).
 The closed form is a pointwise kernel in the current's cached coefficients
 (:func:`~stringlab.dynamics.current_coefficients`, not the operator's
 fourth-derivative ones) and the fields' normal gradients, split into a
-tension part A and a topological part B so that j = T A + b B:
-:func:`bilinear_current` runs it on the whole grid.  The two-form is
-evaluated as a table, :func:`two_form_table`, over a list of fields, a
-list of couplings and a list of tau rows.  Each field's normal gradient is
-taken once on the geometry's grid; the kernel runs once per ordered pair of
-fields, on the requested rows stacked together; A and B then serve every
-coupling, and each row is summed over the slice.  Every cell equals, bit
+tension part A and a topological part B so that j = T A + b B.  Every
+evaluator reads a field through one helper, :func:`_field_operands`: its
+values, its normal gradient (taken once, on the geometry's grid) and that
+gradient raised, on the rows the caller asks for.  :func:`bilinear_current`
+runs the kernel on the whole grid.  The two-form is evaluated as a table,
+:func:`two_form_table`, over a list of fields, a list of couplings and a
+list of tau rows: the kernel runs once per ordered pair of fields, on the
+requested rows stacked together; A and B then serve every coupling, and
+each row is summed over the slice.  Every cell equals, bit
 for bit, the kernel run on that pair, coupling and row alone, so
 :func:`symplectic_form` is one cell of a one-row table.
 
@@ -44,8 +46,8 @@ the tau stencils restarting at each seam, so one build and one table serve
 every slice.  The rows keep their full-grid numbers, each row is read from
 the block that is its own band, and every cell equals the one of its band
 alone and, on the probed grids, the full grid's, bit for bit.  The gauge
-check compares the two-form of one band's geometry with that of its
-reparametrized rebuild on the same rows.
+check compares the two-form of one band's geometry, evaluated once, with
+that of each of its reparametrized rebuilds on the same rows.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -81,14 +83,14 @@ from .grid import (
 )
 
 
-def _pair_setup(geo: GeometryBundle, phi1: Field, phi2: Field):
-    c = current_coefficients(geo)
-    g1 = normal_gradient(geo, phi1).values
-    g2 = normal_gradient(geo, phi2).values
-    gi = c.gi
-    up1 = np.einsum("...ab,...bi->...ai", gi, g1)
-    up2 = np.einsum("...ab,...bi->...ai", gi, g2)
-    return c, phi1.values, phi2.values, g1, g2, up1, up2
+def _field_operands(geo: GeometryBundle, phi: Field, rows=slice(None)):
+    """What the current reads of one field, on tau rows ``rows`` (local
+    indices, all of them by default): its values phi_i, its normal gradient
+    grad_b phi_i (taken on the whole grid, where the tau stencil spans
+    rows) and that gradient raised, grad^a phi_i."""
+    g = normal_gradient(geo, phi).values[rows]
+    up = np.einsum("...ab,...bi->...ai", current_coefficients(geo).gi[rows], g)
+    return phi.values[rows], g, up
 
 
 def current_pieces(
@@ -102,7 +104,8 @@ def current_pieces(
     Each piece is its own sum of the terms below, every contraction taken
     in pairs; none of the closed form's intermediates or regrouping is
     used, so the two evaluators stay independent."""
-    c, f1, f2, g1, g2, up1, up2 = _pair_setup(geo, phi1, phi2)
+    c = current_coefficients(geo)
+    (f1, g1, up1), (f2, g2, up2) = _field_operands(geo, phi1), _field_operands(geo, phi2)
     gi, b = c.gi, p.gb_coupling
     sh = geo.grid.shape + (2,)
     grid = geo.grid
@@ -165,16 +168,19 @@ def current_pieces(
     )
 
 
-def _current_parts(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, topological):
+def _current_parts(coefficients, field1, field2, topological):
     """Pointwise kernel of the simplified current, split by coupling: the
     tension part A and the raised topological covector B, so that
-    j = T A + b B (B is None when ``topological`` is false).  Every operand
-    carries the same leading point axes (the full grid, one tau row or a
-    stack of rows), so the caller chooses where the current is evaluated.
+    j = T A + b B (B is None when ``topological`` is false).  It reads the
+    current's coefficients and each field's :func:`_field_operands`, all on
+    the same leading point axes (the full grid, one tau row or a stack of
+    rows), so the caller chooses where the current is evaluated.
 
     The fields are contracted into K and grad K first; every topological
     term then ends in gamma^{ae}, so the terms are summed into one covector
     and raised once."""
+    gi, k_low, k_upup, gk, kk = coefficients
+    (f1, g1, up1), (f2, g2, up2) = field1, field2
     tension = -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
     if not topological:
         return tension, None
@@ -208,29 +214,18 @@ def _couple(tension: np.ndarray, topological, p: ActionParams) -> np.ndarray:
     return j
 
 
-def _current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p) -> np.ndarray:
-    """The current of one coupling: :func:`_current_parts` composed with
-    :func:`_couple`."""
-    parts = _current_parts(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2,
-                           p.gb_coupling != 0.0)
-    return _couple(*parts, p)
-
-
 def bilinear_current(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
     """The worldsheet current j^a of the ordered pair (phi1, phi2) in its
     simplified closed form (two of the piece terms cancel when everything
     is written out); evaluated directly, not by summing
     :func:`current_pieces`."""
-    c, *operands = _pair_setup(geo, phi1, phi2)
-    j = _current_values(*c, *operands, p)
-    return Field(geo.grid, j, (WORLDSHEET_UPPER,))
+    parts = _current_parts(current_coefficients(geo), _field_operands(geo, phi1),
+                           _field_operands(geo, phi2), p.gb_coupling != 0.0)
+    return Field(geo.grid, _couple(*parts, p), (WORLDSHEET_UPPER,))
 
 
 def sum_of_pieces(geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams) -> Field:
-    pieces = current_pieces(geo, phi1, phi2, p)
-    total = np.zeros(geo.grid.shape + (2,))
-    for piece in pieces:
-        total = total + piece.values
+    total = sum(piece.values for piece in current_pieces(geo, phi1, phi2, p))
     return Field(geo.grid, total, (WORLDSHEET_UPPER,))
 
 
@@ -306,18 +301,14 @@ def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
     (1/2) [raw(A, B) - raw(B, A)]; a diagonal entry takes one kernel pass
     and is exactly 0.0 (or NaN where the current is not finite)."""
     rows = [geo.mask.slice_row(tau_index) for tau_index in rows]
-    c = current_coefficients(geo)
-    coeffs = c._make(a[rows] for a in c)
-    operands = []
-    for phi in fields:
-        g = normal_gradient(geo, phi).values[rows]
-        operands.append((phi.values[rows], g, np.einsum("...ab,...bi->...ai", coeffs.gi, g)))
+    coeffs = [a[rows] for a in current_coefficients(geo)]
+    operands = [_field_operands(geo, phi, rows) for phi in fields]
     topological = any(p.gb_coupling != 0.0 for p in params)
     weight = geo.vol.values[rows]
     raw = np.empty((len(params), len(rows), len(fields), len(fields)))
-    for a, (f1, g1, up1) in enumerate(operands):
-        for b, (f2, g2, up2) in enumerate(operands):
-            parts = _current_parts(*coeffs, f1, f2, g1, g2, up1, up2, topological)
+    for a, field1 in enumerate(operands):
+        for b, field2 in enumerate(operands):
+            parts = _current_parts(coeffs, field1, field2, topological)
             for k, p in enumerate(params):
                 j = _couple(*parts, p)
                 raw[k, :, a, b] = (weight * j[..., 0]).sum(axis=-1) * geo.grid.h_sigma
@@ -412,24 +403,25 @@ def gauge_invariance_check(
     phi1: Field,
     phi2: Field,
     p: ActionParams,
-    sigma_map,
+    sigma_maps,
     tau_index: int,
-) -> float:
-    """Relative change of the two-form under a circle reparametrization.
+) -> list[float]:
+    """Relative change of the two-form under each circle reparametrization
+    of ``sigma_maps``, one per map.
 
-    ``sigma_map`` sends the grid sigma values to new source points s(sigma)
-    (orientation preserving).  The two-form on ``geo`` is compared with
-    :func:`reparametrized_form` on the same row and grid: on the band of the
-    row (``grid.band``), both read only the rows the two-form needs.
+    Each map sends the grid sigma values to new source points s(sigma)
+    (orientation preserving); every map is checked to be invertible on the
+    grid before any arithmetic.  The two-form on ``geo``, evaluated once, is
+    compared with :func:`reparametrized_form` on the same row and grid: on
+    the band of the row (``grid.bands([row])``), both read only the rows the
+    two-form needs.
     """
-    grid = geo.grid
-    s = np.asarray(sigma_map(grid.sigma), dtype=float)
-    wrapped = np.concatenate([s, [s[0] + 2.0 * np.pi]])
-    if not (np.diff(wrapped) > 0).all():
+    sources = [np.asarray(sigma_map(geo.grid.sigma), dtype=float) for sigma_map in sigma_maps]
+    if not all((np.diff(np.append(s, s[0] + 2.0 * np.pi)) > 0).all() for s in sources):
         raise GridError("reparametrization is not invertible on the grid")
     omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
-    omega1 = reparametrized_form(geo, phi1, phi2, p, s, tau_index)
-    return relative_change(omega1 - omega0, omega0)
+    return [relative_change(reparametrized_form(geo, phi1, phi2, p, s, tau_index) - omega0, omega0)
+            for s in sources]
 
 
 def relative_change(change: float, reference: float) -> float:

@@ -340,8 +340,8 @@ def test_criterion_11_gauge_invariance(family):
     jr = jacobi_from_family(sol, geo, modulus)
     p = dyn.ActionParams(1.0, 0.0)
     row = geo.grid.n_tau // 2
-    smooth = sym.gauge_invariance_check(geo, jt, jr, p, lambda s: s + 1e-2 * np.sin(s), row)
-    rigid = sym.gauge_invariance_check(geo, jt, jr, p, lambda s: s + 4 * geo.grid.h_sigma, row)
+    [smooth] = sym.gauge_invariance_check(geo, jt, jr, p, [lambda s: s + 1e-2 * np.sin(s)], row)
+    [rigid] = sym.gauge_invariance_check(geo, jt, jr, p, [lambda s: s + 4 * geo.grid.h_sigma], row)
     ok = smooth <= 1e-3 and rigid <= 1e-10
     assert _verdict(
         11, ok,

@@ -12,7 +12,8 @@ from stringlab.grid import WORLDSHEET_UPPER, Field, masked_max_abs
 
 
 def _fused_current_pieces(geo, phi1, phi2, p):
-    c, f1, f2, g1, g2, up1, up2 = sym._pair_setup(geo, phi1, phi2)
+    c = dyn.current_coefficients(geo)
+    (f1, g1, up1), (f2, g2, up2) = sym._field_operands(geo, phi1), sym._field_operands(geo, phi2)
     gi, b = c.gi, p.gb_coupling
     sh = geo.grid.shape + (2,)
     grid = geo.grid
@@ -61,7 +62,9 @@ def _fused_current_pieces(geo, phi1, phi2, p):
     )
 
 
-def _fused_current_values(gi, k_low, k_upup, gk, kk, f1, f2, g1, g2, up1, up2, p):
+def _fused_current_values(coefficients, field1, field2, p):
+    gi, k_low, k_upup, gk, kk = coefficients
+    (f1, g1, up1), (f2, g2, up2) = field1, field2
     b = p.gb_coupling
     j = p.tension * (
         -np.einsum("...i,...ai->...a", f1, up2) + np.einsum("...ai,...i->...a", up1, f2)
@@ -98,14 +101,16 @@ def test_current_kernels_match_fused_reference(request, geometry, beta):
     phi_b = dfm.random_normal_components(geo.grid, geo.codim, seed=22)
     row = geo.grid.n_tau // 2
     for phi1, phi2 in ((phi_a, phi_b), (phi_b, phi_a)):
-        c, *operands = sym._pair_setup(geo, phi1, phi2)
-        reference = _fused_current_values(*c, *operands, p)
+        operands = (dyn.current_coefficients(geo), sym._field_operands(geo, phi1),
+                    sym._field_operands(geo, phi2))
+        reference = _fused_current_values(*operands, p)
         bound = 1e-12 * masked_max_abs(reference, act)
         current = sym.bilinear_current(geo, phi1, phi2, p).values
         assert masked_max_abs(current - reference, act) <= bound
 
-        on_row = [a[row] for a in (*c, *operands)]
-        row_gap = sym._current_values(*on_row, p) - _fused_current_values(*on_row, p)
+        on_row = [[a[row] for a in arrays] for arrays in operands]
+        parts = sym._current_parts(*on_row, beta != 0.0)
+        row_gap = sym._couple(*parts, p) - _fused_current_values(*on_row, p)
         assert masked_max_abs(row_gap, act[row]) <= bound
 
         pieces = sym.current_pieces(geo, phi1, phi2, p)

@@ -546,8 +546,8 @@ def test_errors_on_a_band_name_full_grid_points():
     def build(g):
         return build_geometry(Embedding(minkowski(3), Field(g, chart(*g.meshgrid()), (SPACETIME,))))
 
-    band = grid.band(70)
-    assert band.first_row == 64
+    band = grid.bands([70])
+    assert band.first_rows[0] == 64
     with pytest.raises(GeometryError) as on_grid:
         build(grid)
     with pytest.raises(GeometryError) as on_band:

@@ -314,8 +314,8 @@ def test_stacked_operators_match_each_block_on_its_own_band(dims):
     for values in (c_order, grid_innermost(c_order)):
         f = Field(stack, values, labels)
         for row in rows:
-            band = grid.band(row)
-            lo = stack.local_row(row) - (row - band.first_row)  # the block's first row
+            band = grid.bands([row])
+            lo = stack.local_row(row) - (row - band.first_rows[0])  # the block's first row
             block = slice(lo, lo + h)
             alone = Field(band, values[block], labels)
             for op in ops:
@@ -350,7 +350,7 @@ def test_band_rows_keep_their_full_grid_numbers():
     assert [stack.local_row(r) for r in (0, 2, 64, 66)] == [0, 2, 19, 32]
     assert np.array_equal(stack.tau, grid.tau[[stack.full_row(i) for i in range(39)]])
     assert stack.where == " on tau rows 0 to 12, 58 to 70, 60 to 72"
-    assert stack.band(64) == grid.band(64) and stack.bands([0, 64]) == grid.bands([0, 64])
+    assert stack.bands([64]) == grid.bands([64]) and stack.bands([0, 64]) == grid.bands([0, 64])
     with pytest.raises(GridError, match="the band of tau row 62 is not a block"):
         stack.local_row(62)
     with pytest.raises(GridError, match="tau_index 129 out of range"):
@@ -365,6 +365,6 @@ def test_sigma_derivative_of_a_row_ignores_the_rows_beside_it(n_sigma):
     values = np.random.default_rng(n_sigma).normal(size=grid.shape)
     full = d_sigma(Field(grid, values)).values
     for row in (0, 64, 128):
-        band = grid.band(row)
-        rows = slice(band.first_row, band.first_row + band.n_tau)
+        band = grid.bands([row])
+        rows = slice(band.first_rows[0], band.first_rows[0] + band.n_tau)
         assert np.array_equal(d_sigma(Field(band, values[rows])).values, full[rows]), row

@@ -367,12 +367,12 @@ def test_omega_evaluates_current_on_one_row(pulsating_geo, jacobi_pair, monkeypa
 def _per_cell_form(geo, phi1, phi2, p, row):
     """omega of one pair on one row, cell by cell: both orderings of the
     current kernel on that row alone, each summed over the slice."""
-    c, *operands = sym._pair_setup(geo, phi1, phi2)
-    coeffs = [a[row] for a in c]
-    f1, f2, g1, g2, up1, up2 = (a[row] for a in operands)
+    coeffs = [a[row] for a in dyn.current_coefficients(geo)]
+    field1, field2 = ([a[row] for a in sym._field_operands(geo, phi)] for phi in (phi1, phi2))
     vol = geo.vol.values[row]
-    j12 = sym._current_values(*coeffs, f1, f2, g1, g2, up1, up2, p)
-    j21 = sym._current_values(*coeffs, f2, f1, g2, g1, up2, up1, p)
+    topological = p.gb_coupling != 0.0
+    j12 = sym._couple(*sym._current_parts(coeffs, field1, field2, topological), p)
+    j21 = sym._couple(*sym._current_parts(coeffs, field2, field1, topological), p)
     raw12 = float((vol * j12[:, 0]).sum() * geo.grid.h_sigma)
     raw21 = float((vol * j21[:, 0]).sum() * geo.grid.h_sigma)
     return 0.5 * (raw12 - raw21)
@@ -419,8 +419,9 @@ def test_two_form_table_is_exactly_antisymmetric(spinning_geo):
 
 def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, monkeypatch):
     """Each field's normal gradient is taken once, however many rows,
-    couplings and partners it meets; the omega kind takes two for all its
-    slices, on the bands of their rows."""
+    couplings and partners it meets, and once by each full-grid evaluator
+    of the current; the omega kind takes two for all its slices, on the
+    bands of their rows."""
     from stringlab import experiments
 
     calls = []
@@ -435,10 +436,33 @@ def test_two_form_table_takes_one_gradient_per_field(pulsating, pulsating_geo, m
     params = [dyn.ActionParams(1.0, beta) for beta in (0.0, 0.25, 0.5)]
     sym.two_form_table(geo, fields, params, [10, 64, 100])
     assert [id(phi) for phi in calls] == [id(phi) for phi in fields]
+    for evaluate in (sym.bilinear_current, sym.current_pieces):
+        calls.clear()
+        evaluate(geo, fields[0], fields[1], params[1])
+        assert [id(phi) for phi in calls] == [id(phi) for phi in fields[:2]], evaluate
     calls.clear()
     experiments.run_omega(pulsating, geo.grid, dyn.ActionParams(1.0, 0.0), 0)
     assert len(calls) == 2
     assert all(isinstance(phi.grid, RowBand) for phi in calls)
+
+
+def test_two_form_table_on_a_stack_builds_no_grid(pulsating, pulsating_geo, monkeypatch):
+    """Each row's band is checked by the full grid's band rule alone: the
+    table takes no bands of the grid, so it builds no grid per row."""
+    rows = [32, 64, 96]
+    geo = pulsating.geometry(pulsating_geo.grid.bands(rows))
+    calls = []
+    bands = WorldsheetGrid.bands
+
+    def counting_bands(grid, rows):
+        calls.append(rows)
+        return bands(grid, rows)
+
+    monkeypatch.setattr(WorldsheetGrid, "bands", counting_bands)
+    table = sym.two_form_table(geo, _random_pair(geo.grid, geo.codim),
+                               [dyn.ActionParams(1.0, 0.3)], rows)
+    assert (table[..., 0, 1] != 0.0).all()
+    assert calls == []
 
 
 def test_two_form_table_checks_every_row_first(rotating_geo, pulsating_geo, monkeypatch):
@@ -531,11 +555,11 @@ def test_gauge_invariance(pulsating_geo, jacobi_pair):
     jt, jr = jacobi_pair
     p = dyn.ActionParams(1.0, 0.0)
     row = geo.grid.n_tau // 2
-    assert sym.gauge_invariance_check(geo, jt, jr, p, lambda s: s, row) <= 1e-12
+    assert sym.gauge_invariance_check(geo, jt, jr, p, [lambda s: s], row)[0] <= 1e-12
     shift = 5 * geo.grid.h_sigma
-    assert sym.gauge_invariance_check(geo, jt, jr, p, lambda s: s + shift, row) <= 1e-10
-    wobble = sym.gauge_invariance_check(
-        geo, jt, jr, p, lambda s: s + 1e-2 * np.sin(s), row
+    assert sym.gauge_invariance_check(geo, jt, jr, p, [lambda s: s + shift], row)[0] <= 1e-10
+    [wobble] = sym.gauge_invariance_check(
+        geo, jt, jr, p, [lambda s: s + 1e-2 * np.sin(s)], row
     )
     assert wobble <= 1e-3
 
@@ -547,7 +571,7 @@ def test_gauge_check_rejects_noninvertible(pulsating_geo, jacobi_pair):
 
     with pytest.raises(GridError):
         sym.gauge_invariance_check(
-            geo, jt, jr, dyn.ActionParams(1.0, 0.0), lambda s: s + 1.5 * np.sin(s),
+            geo, jt, jr, dyn.ActionParams(1.0, 0.0), [lambda s: s + 1.5 * np.sin(s)],
             geo.grid.n_tau // 2,
         )
 
@@ -557,19 +581,19 @@ def test_slice_band_stays_inside_the_grid():
     grid = WorldsheetGrid(129, 32, 0.1, 0.9)
 
     def rows(band):
-        return slice(band.first_row, band.first_row + band.n_tau)
+        return slice(band.first_rows[0], band.first_rows[0] + band.n_tau)
 
-    assert rows(grid.band(64)) == slice(64 - BAND_RADIUS, 65 + BAND_RADIUS)
-    assert rows(grid.band(0)) == rows(grid.band(2)) == slice(0, width)
-    assert rows(grid.band(128)) == slice(129 - width, 129)
-    assert rows(WorldsheetGrid(9, 32, 0.1, 0.9).band(4)) == slice(0, 9)
+    assert rows(grid.bands([64])) == slice(64 - BAND_RADIUS, 65 + BAND_RADIUS)
+    assert rows(grid.bands([0])) == rows(grid.bands([2])) == slice(0, width)
+    assert rows(grid.bands([128])) == slice(129 - width, 129)
+    assert rows(WorldsheetGrid(9, 32, 0.1, 0.9).bands([4])) == slice(0, 9)
     with pytest.raises(GridError, match="tau_index 129 out of range"):
-        grid.band(129)
+        grid.bands([129])
 
 
 def test_row_band_keeps_the_spacing():
     grid = WorldsheetGrid(129, 32, 0.1, 0.9)
-    band = grid.band(11)
+    band = grid.bands([11])
     assert band.shape == (13, 32)
     assert (band.tau_min, band.tau_max) == (grid.tau[5], grid.tau[17])
     # recomputed from the band's window, the spacing would differ in the last bit
@@ -582,8 +606,8 @@ def test_band_keeps_the_full_grid_tau_values(n_tau, tau_max):
     which the nested edge stencils amplify; a band reads its grid's values."""
     grid = WorldsheetGrid(n_tau, 16, 0.1, tau_max)
     for row in range(n_tau):
-        band = grid.band(row)
-        lo = band.first_row
+        band = grid.bands([row])
+        lo = band.first_rows[0]
         assert np.array_equal(band.tau, grid.tau[lo:lo + band.n_tau]), row
         assert np.array_equal(band.meshgrid()[0], grid.meshgrid()[0][lo:lo + band.n_tau])
 
@@ -604,7 +628,7 @@ def test_band_two_form_matches_full_grid(request, solution, geometry, modulus):
     full = sym.two_form_table(geo, [jacobi_from_family(sol, geo, n) for n in names], params, rows)
     scale = np.abs(full).max()
     for r, row in enumerate(rows):
-        band = sol.geometry(geo.grid.band(row))
+        band = sol.geometry(geo.grid.bands([row]))
         fields = [jacobi_from_family(sol, band, n) for n in names]
         table = sym.two_form_table(band, fields, params, [row])
         assert np.abs(table[:, 0] - full[:, r]).max() <= 1e-15 * scale, row
@@ -629,7 +653,7 @@ def test_stacked_two_form_matches_each_band(request, solution, geometry, modulus
     table = sym.two_form_table(stack, fields, params, rows)
     assert (table[..., 0, 1] != 0.0).all()
     for r, row in enumerate(rows):
-        band = sol.geometry(grid.band(row))
+        band = sol.geometry(grid.bands([row]))
         alone = sym.two_form_table(band, [jacobi_from_family(sol, band, n) for n in names],
                                    params, [row])
         assert np.array_equal(table[:, r], alone[:, 0]), row
@@ -656,6 +680,23 @@ def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
     assert shapes == expected[kind]
 
 
+def test_gauge_check_evaluates_its_base_two_form_once(pulsating, grid129, monkeypatch):
+    """One gauge-check run takes the two-form of its band once and of each
+    of its two reparametrized rebuilds once."""
+    from stringlab import experiments
+
+    geos = []
+    form = sym.symplectic_form
+
+    def recording_form(geo, *args):
+        geos.append(geo)
+        return form(geo, *args)
+
+    monkeypatch.setattr(sym, "symplectic_form", recording_form)
+    experiments.run_gauge_check(pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
+    assert len(geos) == 3 and len({id(geo) for geo in geos}) == 3
+
+
 @pytest.mark.parametrize(
     "solution,geometry,modulus",
     [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
@@ -678,7 +719,7 @@ def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, mod
         g1, g2 = (Field(grid, sym.resample_sigma(f.values, s), (NORMAL,)) for f in (f1, f2))
         for row in (0, 2, grid.n_tau // 2, grid.n_tau - 1):
             reference = sym.symplectic_form(full, g1, g2, p, row)
-            band_geo = sol.geometry(grid.band(row))
+            band_geo = sol.geometry(grid.bands([row]))
             b1, b2 = (jacobi_from_family(sol, band_geo, name) for name in names)
             band = sym.reparametrized_form(band_geo, b1, b2, p, s, row)
             assert abs(band - reference) <= 1e-13 * abs(reference), (row, band, reference)
@@ -691,7 +732,7 @@ def test_gauge_check_rejects_masked_row(rotating, rotating_geo):
 
     with pytest.raises(GridError, match="intersects the masked region"):
         sym.gauge_invariance_check(
-            geo, jt, ja, dyn.ActionParams(1.0, 0.0), lambda s: s + 0.1, geo.grid.n_tau // 2
+            geo, jt, ja, dyn.ActionParams(1.0, 0.0), [lambda s: s + 0.1], geo.grid.n_tau // 2
         )
 
 

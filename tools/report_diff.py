@@ -4,9 +4,10 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) once per checkout, each checkout in its own child process that
-imports ``stringlab`` from that checkout's ``src/``.  Both sides run the
-configs of this checkout's ``perfbench/``, which is only read.
+× nine kinds) and the seven slice-path configs of :func:`slice_configs`
+once per checkout, each checkout in its own child process that imports
+``stringlab`` from that checkout's ``src/``.  Both sides run the configs of
+this checkout's ``perfbench/``, which is only read.
 
 For each config it prints both exit codes.  Where two reports differ it
 prints each differing leaf key with both values and their relative
@@ -47,6 +48,28 @@ for key, raw in json.load(sys.stdin).items():
     out[key] = [outcome.code, outcome.text]
 json.dump(out, sys.stdout)
 """
+
+
+def slice_configs(seed: int) -> dict:
+    """Configs that take every branch of ``Mask.slice_row`` and
+    ``WorldsheetGrid.bands``: a shared band, overlapping bands and both
+    edges' bands on pulsating 129x32 and spinning 129x64; and, on the
+    pulsating collapse (257x16, tau in [0.5, 1.6], rows 246 to 252 masked),
+    bands that meet the masked region and a masked row."""
+    pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
+    collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
+    cases = {
+        "omega 0,2,64,66,128": (pulsating["omega"], {}, {"slices": [0, 2, 64, 66, 128]}),
+        "gauge-check 0": (pulsating["gauge-check"], {}, {"slice": 0, "beta": 0.3}),
+        "gauge-check 128": (pulsating["gauge-check"], {}, {"slice": 128, "beta": 0.3}),
+        "spinning omega 1,64,127": (spinning["omega"], {}, {"slices": [1, 64, 127],
+                                                           "jacobi": ["rotation_xy", "scale"]}),
+        "collapse omega 255,256": (pulsating["omega"], collapse, {"slices": [255, 256]}),
+        "collapse gauge-check 256": (pulsating["gauge-check"], collapse, {"slice": 256}),
+        "collapse gauge-check 250": (pulsating["gauge-check"], collapse, {"slice": 250}),
+    }
+    return {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
+            for key, (raw, over, options) in cases.items()}
 
 
 def run_checkout(checkout: Path, configs: dict) -> dict:
@@ -109,6 +132,7 @@ def main(argv=None) -> int:
 
     configs = {f"{name}/{kind}": raw for name in WORKLOADS
                for kind, raw in raw_configs(name, args.seed).items()}
+    configs.update(slice_configs(args.seed))
     parent = run_checkout(args.parent.resolve(), configs)
     this = run_checkout(ROOT, configs)
     identical = codes_changed = 0
@@ -117,7 +141,7 @@ def main(argv=None) -> int:
         same = old_text == text
         identical += same
         codes_changed += old_code != code
-        print(f"{key:28s} exit {old_code} -> {code}  {'identical' if same else 'differs'}")
+        print(f"{key:38s} exit {old_code} -> {code}  {'identical' if same else 'differs'}")
         if not same:
             for line in differing_leaves(old_text, text):
                 print(f"    {line}")
