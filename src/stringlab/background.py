@@ -88,15 +88,18 @@ def _const_evaluator(arr: np.ndarray) -> Evaluator:
     return ev
 
 
+def minkowski_metric(n: int) -> np.ndarray:
+    """The Minkowski metric diag(-1, 1, ..., 1) of dimension ``n``."""
+    return np.diag([-1.0] + [1.0] * (n - 1))
+
+
 def minkowski(n: int) -> BackgroundSpacetime:
     """Flat diag(-1, 1, ..., 1) background with vanishing connection/curvature."""
     if n < 3:
         raise BackgroundError(f"minkowski background needs n >= 3, got {n}")
-    eta = np.eye(n)
-    eta[0, 0] = -1.0
     return BackgroundSpacetime(
         dim=n,
-        metric=_const_evaluator(eta),
+        metric=_const_evaluator(minkowski_metric(n)),
         christoffel=_const_evaluator(np.zeros((n, n, n))),
         riemann=_const_evaluator(np.zeros((n, n, n, n))),
         name=f"minkowski{n}",
@@ -114,8 +117,7 @@ def synthetic_constant_curvature(n: int, curvature: float) -> BackgroundSpacetim
     """
     if n < 3:
         raise BackgroundError(f"need n >= 3, got {n}")
-    eta = np.eye(n)
-    eta[0, 0] = -1.0
+    eta = minkowski_metric(n)
     riem = curvature * (np.einsum("ac,bd->abcd", eta, eta) - np.einsum("ad,bc->abcd", eta, eta))
     return BackgroundSpacetime(
         dim=n,

@@ -19,6 +19,8 @@ an output path (``--out``, the ``csv`` option) that cannot be written;
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import inspect
 import json
 import sys
@@ -228,8 +230,28 @@ def _plain(obj):
     return obj
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Fix glibc's heap thresholds at the ceilings its dynamic rule climbs
+    to (mmap above 32 MiB, trim above 64 MiB), so the memory one experiment
+    frees stays in the heap for the next.
+
+    An experiment allocates and frees a few MiB of arrays.  Under the
+    dynamic rule the freed heap top goes back to the system unless some
+    long-lived block happens to sit above it, which changes with the
+    process's address layout; the next experiment in the process then faults
+    its working set back in, a quarter of a 129x32 geometry run, in some
+    processes and not in others.  Without glibc's ``mallopt`` this does
+    nothing."""
+    mallopt = getattr(ctypes.CDLL(None) if sys.platform != "win32" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(config: ExperimentConfig, with_timings: bool = False) -> dict:
     """Execute one experiment and assemble the report dictionary."""
+    _keep_freed_heap()
     start = time.perf_counter()
     results, tolerances, passed = experiments.EXPERIMENTS[config.kind](
         config.solution, config.grid, config.action, config.seed, **config.options

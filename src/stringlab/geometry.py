@@ -49,6 +49,7 @@ from .grid import (
     GridError,
     Mask,
     WorldsheetGrid,
+    dilate,
     divergence,
     gradient,
     grid_full,
@@ -305,17 +306,6 @@ def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
         )
 
 
-def _dilate(points: np.ndarray, grid: WorldsheetGrid) -> np.ndarray:
-    """``points`` grown by one grid step in every direction (the 3x3 block
-    around each): clipped at the tau edges of each block of ``grid``,
-    wrapping in sigma."""
-    rows = points.copy()
-    grown, src = grid.by_block(rows), grid.by_block(points)
-    grown[1:] |= src[:-1]
-    grown[:-1] |= src[1:]
-    return rows | np.roll(rows, 1, axis=1) | np.roll(rows, -1, axis=1)
-
-
 def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryBundle:
     """Compute the full geometry bundle of an embedding: the intrinsic stage,
     then the frame stage on top of it.
@@ -346,9 +336,10 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     gamma = np.einsum("...am,...bm->...ab", e_vals, e_low)
     det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
 
-    # degeneracy scan: points where the tangent Gram matrix collapses get a
-    # 3x3 rectangle masked around them (folds, collapse instants)
-    detected = _dilate(np.abs(det) < DEGENERACY_TOL, grid)
+    # degeneracy scan: the points where the tangent Gram matrix collapses
+    # (folds, collapse instants), grown by one grid step as a solution's
+    # declared degenerate points are
+    detected = dilate(np.abs(det) < DEGENERACY_TOL, grid)
     active = emb.mask.active & ~detected
     mask = Mask(grid, active)  # re-validates the 50% active floor
 

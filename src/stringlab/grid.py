@@ -41,6 +41,11 @@ tau stencil restarts at each seam between blocks; sigma operations act row
 by row and need no view.  Which rows are a row's band is one rule, the full
 grid's ``_band_span``: a stack is built by it, finds a row's block by it,
 and a slice's band is checked against the mask by it.
+
+A :class:`Mask` leaves out the degenerate points of a worldsheet, declared
+by its solution or detected by the geometry build, and every point one
+grid step from them: :func:`dilate` grows both the same way, within each
+block of rows and wrapping in sigma.
 """
 
 from __future__ import annotations
@@ -227,8 +232,10 @@ class RowBand(WorldsheetGrid):
 class Mask:
     """Active-point mask; True entries participate in norms and integrals.
 
-    Masked-out regions are unions of grid rectangles (sigma wraps).  A run
-    is rejected when fewer than half the points stay active.
+    The masked-out points are those within one grid step of a degenerate
+    point (:func:`dilate`), declared by a solution or detected by the
+    geometry build.  A run is rejected when fewer than half the points stay
+    active.
     """
 
     grid: WorldsheetGrid
@@ -248,20 +255,6 @@ class Mask:
     def full(cls, grid: WorldsheetGrid) -> "Mask":
         return cls(grid, np.ones(grid.shape, dtype=bool))
 
-    @classmethod
-    def from_rectangles(cls, grid: WorldsheetGrid, rectangles) -> "Mask":
-        """Mask out a union of inclusive index rectangles (t0, t1, s0, s1).
-
-        tau indices are clipped to the grid; sigma indices wrap around the
-        circle (s0 may exceed s1 after wrapping).
-        """
-        act = np.ones(grid.shape, dtype=bool)
-        for t0, t1, s0, s1 in rectangles:
-            tt = np.arange(max(0, t0), min(grid.n_tau - 1, t1) + 1)
-            ss = np.arange(s0, s1 + 1) % grid.n_sigma
-            act[np.ix_(tt, ss)] = False
-        return cls(grid, act)
-
     def slice_row(self, tau_index: int) -> int:
         """The index in this grid of the slice on tau row ``tau_index``
         (numbered as in the full grid).  A GridError names the row unless it
@@ -279,6 +272,18 @@ class Mask:
             raise GridError(f"the stencils of tau row {tau_index} reach the masked region: its "
                             f"band on tau rows {first} to {first + height - 1} is not all active")
         return row
+
+
+def dilate(points: np.ndarray, grid: WorldsheetGrid) -> np.ndarray:
+    """``points`` grown by one grid step in every direction (the 3x3 block
+    around each): clipped at the tau edges of each block of ``grid``,
+    wrapping in sigma."""
+    rows = points.copy()
+    grown, src = grid.by_block(rows), grid.by_block(points)
+    grown[1:] |= src[:-1]
+    grown[:-1] |= src[1:]
+    wrapped = np.concatenate((rows[:, -1:], rows, rows[:, :1]), axis=1)
+    return wrapped[:, :-2] | wrapped[:, 1:-1] | wrapped[:, 2:]
 
 
 def _is_grid_innermost(values: np.ndarray) -> bool:

@@ -9,19 +9,22 @@ isometries and the scale modulus) project onto the normal frame to give
 exact solutions of the linearized equations, sidestepping any PDE solver: a
 symmetry-generated field isolates operator bugs from solver bugs.
 
-Masked regions (string folds, collapse instants) are part of each
-solution's definition; the geometry builder's degeneracy scan re-detects
-them at runtime and the tests cross-check the two.
+Degenerate points (string folds, collapse instants) are part of each
+solution's definition.  A solution's declared mask is its degenerate points
+grown by one grid step with :func:`stringlab.grid.dilate`, the rule by
+which the geometry builder's degeneracy scan grows the points it detects at
+runtime, and the tests cross-check the two.
 
 Each fact about a family is stated once.  Its factory holds the chart, the
-``sigma_shift`` direction, the declared mask (folded's fold columns, or the
-closed-form weight that ``_degenerate_rows`` turns into masked rows) and,
-for spinning, the analytic frame.  ``_family`` derives every other direction
-from the chart: translations, the rotations and boosts of ``_GENERATORS``,
-and the modulus as ``chart / scale``.  The registry takes each family's name
-and parameters from its factory, and ``make_solution`` checks given values
-against the factory's annotations with ``read_arguments``, which the CLI
-also applies to the grid and action sections.
+``sigma_shift`` direction, the declared degenerate points (folded's fold
+columns, or the closed-form weight that ``_degenerate_rows`` turns into
+degenerate rows) and, for spinning, the analytic frame.  ``_family``
+derives every other direction from the chart: translations, the rotations
+and boosts of ``_GENERATORS``, and the modulus as ``chart / scale``.  The
+registry takes each family's name and parameters from its factory, and
+``make_solution`` checks given values against the factory's annotations
+with ``read_arguments``, which the CLI also applies to the grid and action
+sections.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .background import BackgroundSpacetime, minkowski
+from .background import BackgroundSpacetime, minkowski, minkowski_metric
 from .geometry import Embedding, GeometryBundle, build_geometry
-from .grid import NORMAL, SPACETIME, Field, Mask, WorldsheetGrid
+from .grid import NORMAL, SPACETIME, Field, Mask, WorldsheetGrid, dilate
 
 ChartFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -49,6 +52,10 @@ class SolutionError(ValueError):
 @dataclass(frozen=True)
 class ExactSolution:
     """An exact worldsheet: analytic chart, family derivatives, known masks.
+
+    ``degenerate`` gives a grid's degenerate points, as a boolean array of
+    the grid's shape; :meth:`mask` masks them and every point one grid step
+    from them.
 
     ``modulus`` names the family direction that changes the solution's
     parameter, not an isometry: the second field of the default Jacobi pair.
@@ -67,11 +74,12 @@ class ExactSolution:
     chart: ChartFn
     family: dict[str, ChartFn] = field(repr=False)
     modulus: str
-    masked_rectangles: Callable[[WorldsheetGrid], list] = field(repr=False, default=lambda g: [])
+    degenerate: Callable[[WorldsheetGrid], np.ndarray] = field(
+        repr=False, default=lambda g: np.zeros(g.shape, dtype=bool))
     frame: ChartFn | None = field(repr=False, default=None)
 
     def mask(self, grid: WorldsheetGrid) -> Mask:
-        return Mask.from_rectangles(grid, self.masked_rectangles(grid))
+        return Mask(grid, ~dilate(self.degenerate(grid), grid))
 
     def embedding(self, grid: WorldsheetGrid) -> Embedding:
         tt, ss = grid.meshgrid()
@@ -140,20 +148,15 @@ def _family(chart: ChartFn, dim: int, modulus: str, scale: float, sigma_shift: C
     return {"background": minkowski(dim), "family": family, "modulus": modulus}
 
 
-def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], list]:
-    """Declared mask of the rows where a closed-form weight drops below
-    1e-2, plus one row on each side within the row's block of the grid."""
+def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], np.ndarray]:
+    """Declared degenerate points: the rows where a closed-form weight,
+    evaluated on the grid's tau and sigma axes, drops below 1e-2."""
 
-    def masked_rectangles(grid: WorldsheetGrid) -> list:
-        near = (weight(*grid.meshgrid()) < 1e-2).any(axis=1)
-        rects = []
-        for it in np.nonzero(near)[0]:
-            lo = it - it % grid.block_rows  # the first row of its block
-            rects.append((max(it - 1, lo), min(it + 1, lo + grid.block_rows - 1),
-                          0, grid.n_sigma - 1))
-        return rects
+    def degenerate(grid: WorldsheetGrid) -> np.ndarray:
+        near = (weight(grid.tau[:, None], grid.sigma[None, :]) < 1e-2).any(axis=1)
+        return np.repeat(near[:, None], grid.n_sigma, axis=1)
 
-    return masked_rectangles
+    return degenerate
 
 
 def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolution:
@@ -185,7 +188,7 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
         name="pulsating_circular_string",
         params={"radius": r, "dim": dim},
         chart=chart,
-        masked_rectangles=_degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))),
+        degenerate=_degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))),
         **_family(chart, dim, "radius", r, sigma_shift),
     )
 
@@ -193,8 +196,9 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
 def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
     """Rigidly rotating straight string: X = (A tau, A cos sigma cos tau,
     A cos sigma sin tau).  The endpoints sigma = 0, pi move at the speed of
-    light (tangent degeneracy); three-column bands around both folds are
-    part of the solution's declared mask.
+    light (tangent degeneracy): the two fold columns are the solution's
+    declared degenerate points, so three-column bands around both are
+    masked.
     """
     if amplitude <= 0:
         raise SolutionError(f"amplitude must be positive, got {amplitude}")
@@ -211,18 +215,16 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
             axis=-1,
         )
 
-    def masked_rectangles(grid: WorldsheetGrid) -> list:
-        half = grid.n_sigma // 2
-        return [
-            (0, grid.n_tau - 1, -1, 1),
-            (0, grid.n_tau - 1, half - 1, half + 1),
-        ]
+    def degenerate(grid: WorldsheetGrid) -> np.ndarray:
+        folds = np.zeros(grid.shape, dtype=bool)
+        folds[:, ::grid.n_sigma // 2] = True  # columns 0 and n_sigma/2
+        return folds
 
     return ExactSolution(
         name="rotating_folded_string",
         params={"amplitude": a},
         chart=chart,
-        masked_rectangles=masked_rectangles,
+        degenerate=degenerate,
         **_family(chart, 3, "amplitude", a, sigma_shift),
     )
 
@@ -239,12 +241,17 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
     two-form picks up a nonzero topological-coupling contribution (on
     worldsheets curved along a single normal direction that contribution
     cancels identically).  Cusps occur where cos(tau+sigma) sin(tau-sigma)
-    = -1, i.e. on the rows tau = 3 pi/4 mod pi; rows too close to a cusp
-    are declared masked.
+    = -1, i.e. on the rows tau = 3 pi/4 mod pi.  The rows too close to a
+    cusp are declared degenerate by the weight (1 + sin 2 tau)/2: the exact
+    minimum over a row of 1 + cos(tau+sigma) sin(tau-sigma) =
+    1 + (sin 2 tau - sin 2 sigma)/2, taken at sigma = pi/4 mod pi.  A grid
+    samples that sigma only when n_sigma is a multiple of 8, so the weight
+    on the grid's own points would declare different rows at other widths.
     """
     if scale <= 0:
         raise SolutionError(f"scale must be positive, got {scale}")
     a = float(scale)
+    eta = np.diag(minkowski_metric(4))  # the metric's diagonal, for the frame
 
     def chart(tt, ss):
         u = tt + ss
@@ -274,12 +281,12 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         xl2 = a * np.stack([zero, -np.cos(u), -np.sin(u), zero], axis=-1)
 
         def dot(p, q):
-            return np.einsum("...m,...m->...", p * _ETA, q)
+            return np.einsum("...m,...m->...", p * eta, q)
 
         cross = dot(xl1, xr1)  # = -a^2 (1 + cos u sin v), nonzero off cusps
         w1 = xl2 - (dot(xl2, xr1) / cross)[..., None] * xl1
         n1 = w1 / np.sqrt(dot(w1, w1))[..., None]
-        n2 = _ETA * _levi_civita_dual(xl1 + xr1, xl1 - xr1, n1)  # index raised
+        n2 = eta * _levi_civita_dual(xl1 + xr1, xl1 - xr1, n1)  # index raised
         n2 = n2 / np.sqrt(np.abs(dot(n2, n2)))[..., None]
         return np.stack([n1, n2], axis=-2)
 
@@ -287,13 +294,10 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         name="spinning_two_plane_string",
         params={"scale": a},
         chart=chart,
-        masked_rectangles=_degenerate_rows(lambda tt, ss: 1.0 + np.cos(tt + ss) * np.sin(tt - ss)),
+        degenerate=_degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))),
         frame=frame,
         **_family(chart, 4, "scale", a, sigma_shift, boosts=True),
     )
-
-
-_ETA = np.array([-1.0, 1.0, 1.0, 1.0])  # the Minkowski metric's diagonal
 
 
 def _levi_civita_dual(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
+import ctypes
 import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -619,6 +621,20 @@ def test_run_builds_no_solution_and_no_grid(monkeypatch):
     )
     cli.run(config)
     assert built == []
+
+
+def test_a_repeated_run_faults_in_no_memory():
+    """The memory a run frees stays in the heap, so the same run again
+    reuses it instead of faulting its arrays back in (about 1,200 minor
+    faults when glibc returns the heap top after the first run)."""
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the heap thresholds are glibc's")
+    grid = {"n_tau": 129, "n_sigma": 32, "tau_min": 0.1, "tau_max": 0.9}
+    config = cli.ExperimentConfig.from_dict({**BASE, "grid": grid, "kind": "geometry"})
+    cli.run(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.run(config)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_driver_with_library_objects_matches_run():

@@ -15,7 +15,6 @@ from stringlab.geometry import (
     Embedding,
     DEGENERACY_TOL,
     GeometryError,
-    _dilate,
     _orient_frame,
     build_geometry,
     covariant_gradient,
@@ -35,6 +34,7 @@ from stringlab.grid import (
     GridError,
     Mask,
     WorldsheetGrid,
+    dilate,
     masked_max_abs,
 )
 from stringlab.solutions import _degenerate_rows, jacobi_from_family, make_solution
@@ -257,13 +257,13 @@ def test_dilation_matches_pointwise_reference(rotating_geo):
     degenerate = np.abs(rotating_geo.gamma_det) < DEGENERACY_TOL
     assert degenerate.any()
     grid = rotating_geo.grid
-    assert np.array_equal(_dilate(degenerate, grid), _dilate_reference(degenerate))
-    assert np.array_equal(rotating_geo.detected, _dilate(degenerate, grid))
+    assert np.array_equal(dilate(degenerate, grid), _dilate_reference(degenerate))
+    assert np.array_equal(rotating_geo.detected, dilate(degenerate, grid))
     points = np.random.default_rng(0).random((12, 16)) < 0.1
     points[0, 3] = points[-1, 9] = True    # on both tau edges
     points[5, 0] = points[7, -1] = True    # wrapping through sigma = 0
     grid = WorldsheetGrid(12, 16, 0.0, 1.0)
-    assert np.array_equal(_dilate(points, grid), _dilate_reference(points))
+    assert np.array_equal(dilate(points, grid), _dilate_reference(points))
 
 
 def test_rotating_analytic_geometry(rotating_geo):
@@ -597,11 +597,11 @@ def test_degeneracy_does_not_cross_a_seam():
     for row, neighbour in ((h - 1, h), (h, h - 1)):  # either side of the seam
         points = np.zeros(stack.shape, dtype=bool)
         points[row, 5] = True
-        grown = _dilate(points, stack)
+        grown = dilate(points, stack)
         assert grown[row, 4:7].all() and not grown[neighbour].any()
         full_row = grid.tau[stack.full_row(row)]
-        rects = _degenerate_rows(lambda tt, ss: np.where(tt == full_row, 0.0, 1.0))(stack)
-        active = Mask.from_rectangles(stack, rects).active
+        declared = _degenerate_rows(lambda tt, ss: np.where(tt == full_row, 0.0, 1.0))(stack)
+        active = Mask(stack, ~dilate(declared, stack)).active
         assert not active[row].any() and active[neighbour].all()
         assert (~active).sum() == 2 * stack.n_sigma  # the row and its neighbour in the block
 

@@ -196,14 +196,6 @@ def test_patch_quadrature(grid):
 def test_mask_validation(grid):
     with pytest.raises(GridError):
         Mask(grid, np.zeros(grid.shape, dtype=bool))  # nothing active
-    m = Mask.from_rectangles(grid, [(0, 5, 2, 4)])
-    assert not m.active[3, 3]
-    assert m.active[10, 3]
-    # sigma wrap-around rectangle
-    m2 = Mask.from_rectangles(grid, [(0, 32, 30, 33)])
-    assert not m2.active[5, 31]
-    assert not m2.active[5, 1]
-    assert m2.active[5, 10]
 
 
 def test_masked_max_abs(grid):

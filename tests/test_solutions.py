@@ -132,6 +132,23 @@ def test_rotating_folds_detected(rotating, grid129):
     assert not declared.active[:, 0].any()
     # runtime degeneracy scan never widens past the declared fold bands
     assert not (geo.detected & declared.active).any()
+    # and the declared bands are exactly what it detects, at every width
+    for n_sigma in (32, 64, 128):
+        grid = WorldsheetGrid(grid129.n_tau, n_sigma, grid129.tau_min, grid129.tau_max)
+        assert np.array_equal(~rotating.mask(grid).active, rotating.geometry(grid).detected)
+
+
+def test_spinning_cusp_rows_do_not_depend_on_the_width():
+    """The rows declared around the cusp at tau = 3 pi/4 are the same
+    whether or not the sigma grid samples sigma = pi/4, where the cusp
+    weight takes its minimum over a row (n_sigma a multiple of 8)."""
+    spinning = spinning_two_plane_string(1.0)
+    rows = {n_sigma: np.flatnonzero(~spinning.mask(WorldsheetGrid(129, n_sigma, 2.0, 2.7)).active
+                                    .all(axis=1))
+            for n_sigma in (20, 30, 32, 64)}
+    assert len(rows[32]) == 39
+    for n_sigma, masked in rows.items():
+        assert np.array_equal(masked, rows[32]), n_sigma
 
 
 def test_translation_jacobi_fields_solve_linearized_equation(pulsating, pulsating_geo):
@@ -205,9 +222,9 @@ def test_masked_rows_near_pulsating_collapse():
     assert not mask.active[near].any()
 
 
-# Literal copies of each family's directions and declared degenerate rows as
-# the factories once wrote them out one by one.  The generated directions and
-# masks are pinned to these bit for bit.
+# Literal copies of each family's directions and declared masks (as index
+# rectangles) as the factories once wrote them out one by one.  The generated
+# directions and masks are pinned to these bit for bit.
 def _ref_translations(dim):
     names = ["translation_t", "translation_x", "translation_y", "translation_z"][:dim]
     out = {}
@@ -324,6 +341,15 @@ def _ref_spinning(a, chart):
     return family, masked_rectangles
 
 
+def _render(grid, rectangles):
+    """The active points left by inclusive index rectangles (t0, t1, s0,
+    s1): tau clipped to the grid, sigma wrapping around the circle."""
+    active = np.ones(grid.shape, dtype=bool)
+    for t0, t1, s0, s1 in rectangles:
+        active[max(0, t0):t1 + 1, np.arange(s0, s1 + 1) % grid.n_sigma] = False
+    return active
+
+
 def _reference(sol):
     p = sol.params
     if sol.name == "pulsating_circular_string":
@@ -356,6 +382,6 @@ def test_family_directions_and_masks_are_pinned(name, params, window, masked):
     assert sol.family_names() == sorted(family)
     for which, vel in family.items():
         assert np.array_equal(sol.family_velocity(grid, which).values, vel(tt, ss)), which
-    rects = sol.masked_rectangles(grid)
-    assert rects == masked_rectangles(grid)
+    rects = masked_rectangles(grid)
+    assert np.array_equal(sol.mask(grid).active, _render(grid, rects))
     assert bool(rects) == masked

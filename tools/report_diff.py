@@ -4,8 +4,8 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the seven slice-path configs of :func:`slice_configs`
-once per checkout, each checkout in its own child process that imports
+× nine kinds) and the twelve slice-path and declared-mask configs of
+:func:`extra_configs` once per checkout, each checkout in its own child process that imports
 ``stringlab`` from that checkout's ``src/``.  Both sides run the configs of
 this checkout's ``perfbench/``, which is only read.
 
@@ -50,14 +50,26 @@ json.dump(out, sys.stdout)
 """
 
 
-def slice_configs(seed: int) -> dict:
-    """Configs that take every branch of ``Mask.slice_row`` and
-    ``WorldsheetGrid.bands``: a shared band, overlapping bands and both
-    edges' bands on pulsating 129x32 and spinning 129x64; and, on the
-    pulsating collapse (257x16, tau in [0.5, 1.6], rows 246 to 252 masked),
-    bands that meet the masked region and a masked row."""
+def extra_configs(seed: int) -> dict:
+    """Configs beyond the workloads'.  Slice paths: configs that take every
+    branch of ``Mask.slice_row`` and ``WorldsheetGrid.bands``, that is a
+    shared band, overlapping bands and both edges' bands on pulsating
+    129x32 and spinning 129x64; and, on the pulsating collapse (257x16, tau
+    in [0.5, 1.6], rows 246 to 252 masked), bands that meet the masked
+    region and a masked row.  Declared masks, through full builds: rows
+    around spinning's cusp (129x64, tau in [2.0, 2.7]), folded's fold
+    columns at 129x64, and rows around the pulsating collapse."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
+    folded = raw_configs("folded", seed)["geometry"]
     collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
+    cusp = {"grid": {"n_tau": 129, "n_sigma": 64, "tau_min": 2.0, "tau_max": 2.7}}
+    masks = {
+        "spinning cusp geometry": (spinning["geometry"], cusp),
+        "spinning cusp eom": (spinning["eom"], cusp),
+        "folded 129x64 geometry": (folded, {"grid": {**folded["grid"], "n_sigma": 64}}),
+        "collapse geometry": (pulsating["geometry"], collapse),
+        "collapse eom": (pulsating["eom"], collapse),
+    }
     cases = {
         "omega 0,2,64,66,128": (pulsating["omega"], {}, {"slices": [0, 2, 64, 66, 128]}),
         "gauge-check 0": (pulsating["gauge-check"], {}, {"slice": 0, "beta": 0.3}),
@@ -68,8 +80,10 @@ def slice_configs(seed: int) -> dict:
         "collapse gauge-check 256": (pulsating["gauge-check"], collapse, {"slice": 256}),
         "collapse gauge-check 250": (pulsating["gauge-check"], collapse, {"slice": 250}),
     }
-    return {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
-            for key, (raw, over, options) in cases.items()}
+    out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
+           for key, (raw, over, options) in cases.items()}
+    out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
+    return out
 
 
 def run_checkout(checkout: Path, configs: dict) -> dict:
@@ -132,7 +146,7 @@ def main(argv=None) -> int:
 
     configs = {f"{name}/{kind}": raw for name in WORKLOADS
                for kind, raw in raw_configs(name, args.seed).items()}
-    configs.update(slice_configs(args.seed))
+    configs.update(extra_configs(args.seed))
     parent = run_checkout(args.parent.resolve(), configs)
     this = run_checkout(ROOT, configs)
     identical = codes_changed = 0
