@@ -35,7 +35,7 @@ are the same two kernels, one axis at a time.
 
 A grid's tau rows come in blocks of equal height: one block on a full
 grid, one per band on a :class:`RowBand` that stacks the bands of several
-rows.  Every tau operation views a field through
+rows or copies of a grid.  Every tau operation views a field through
 :meth:`WorldsheetGrid.by_block`, as (rows per block, blocks, ...), so the
 tau stencil restarts at each seam between blocks; sigma operations act row
 by row and need no view.  Which rows are a row's band is one rule, the full
@@ -51,7 +51,7 @@ block of rows and wrapping in sigma.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,21 +161,29 @@ class WorldsheetGrid:
         return RowBand(len(spans) * height, self.n_sigma, float(tau[first]),
                        float(tau[last + height - 1]), self, tuple(lo for lo, _ in spans))
 
+    def copies(self, k: int) -> "RowBand":
+        """``k`` copies of this grid stacked in tau as one grid, its blocks
+        repeated ``k`` times: a field built on the stack is, copy by copy,
+        the one built on this grid alone."""
+        return RowBand(k * self.n_tau, self.n_sigma, self.tau_min, self.tau_max, self, (0,) * k)
+
 
 @dataclass(frozen=True)
 class RowBand(WorldsheetGrid):
     """The bands of some tau rows of a full grid, stacked in tau as one grid
-    of their own (:meth:`WorldsheetGrid.bands`).
+    of their own (:meth:`WorldsheetGrid.bands`), or copies of a grid
+    (:meth:`WorldsheetGrid.copies`).
 
     Each band is a block of the same number of consecutive full-grid rows,
     and ``first_rows`` holds the full-grid number of each block's first
-    row.  The tau stencils restart at every block (:meth:`by_block`) and a
-    row's sigma derivative does not depend on the rows beside it
-    (``_LEAST_PRODUCT``), so every field built on the stack is, block by
-    block and bit for bit, the one built on that band alone (a normal frame
-    seeded by coordinate axes up to one sign per slot and block, which the
-    two-form does not see); and a build of many bands pays the fixed cost
-    of one.  Each band's tau values and spacing are the full grid's, to
+    row; on copies the same first rows recur, once per copy, and a row is
+    found in the first block that is its band.  The tau stencils restart
+    at every block (:meth:`by_block`) and a row's sigma derivative does not
+    depend on the rows beside it (``_LEAST_PRODUCT``), so every field built
+    on the stack is, block by block and bit for bit, the one built on that
+    band alone (a normal frame seeded by coordinate axes up to one sign per
+    slot and block, which the two-form does not see); and a build of many
+    bands pays the fixed cost of one.  Each band's tau values and spacing are the full grid's, to
     the last bit.  Recomputed from the band's own window they differ in the
     last bits (``linspace`` puts up to 7 of the 13 rows 1 or 2 ulps off on
     a 129-row grid), and the nested one-sided edge stencils amplify that a
@@ -226,6 +234,9 @@ class RowBand(WorldsheetGrid):
     def bands(self, rows) -> "RowBand":
         """The bands of ``rows`` in the full grid."""
         return self.parent.bands(rows)
+
+    def copies(self, k: int) -> "RowBand":
+        return replace(self, n_tau=k * self.n_tau, first_rows=self.first_rows * k)
 
 
 @dataclass(frozen=True)

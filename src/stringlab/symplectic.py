@@ -47,7 +47,11 @@ every slice.  The rows keep their full-grid numbers, each row is read from
 the block that is its own band, and every cell equals the one of its band
 alone and, on the probed grids, the full grid's, bit for bit.  The gauge
 check compares the two-form of one band's geometry, evaluated once, with
-that of each of its reparametrized rebuilds on the same rows.
+that of each of its reparametrized rebuilds on the same row.  The rebuilds
+are one build too: one copy of the band per circle map, stacked in the
+same way (:meth:`~stringlab.grid.WorldsheetGrid.copies`), each field pulled
+back through every map with one FFT, and one kernel pass over the copies'
+slice rows; every copy equals, bit for bit, its map's rebuild alone.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -78,6 +82,7 @@ from .grid import (
     WORLDSHEET_UPPER,
     Field,
     GridError,
+    Mask,
     divergence,
     masked_max_abs,
 )
@@ -300,7 +305,12 @@ def two_form_table(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
     rule of :func:`~stringlab.grid.integrate_sigma_slice`, and the entry is
     (1/2) [raw(A, B) - raw(B, A)]; a diagonal entry takes one kernel pass
     and is exactly 0.0 (or NaN where the current is not finite)."""
-    rows = [geo.mask.slice_row(tau_index) for tau_index in rows]
+    return _two_form_rows(geo, fields, params, [geo.mask.slice_row(t) for t in rows])
+
+
+def _two_form_rows(geo: GeometryBundle, fields, params, rows) -> np.ndarray:
+    """:func:`two_form_table` on the checked local rows ``rows`` of
+    ``geo``'s grid: one kernel pass per ordered pair of fields."""
     coeffs = [a[rows] for a in current_coefficients(geo)]
     operands = [_field_operands(geo, phi, rows) for phi in fields]
     topological = any(p.gb_coupling != 0.0 for p in params)
@@ -365,9 +375,12 @@ def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.
 # gauge invariance
 
 
-def resample_sigma(values: np.ndarray, new_sigma: np.ndarray) -> np.ndarray:
+def resample_sigma(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid data (axis 1 periodic)
-    at arbitrary sigma points; exact for resolved trigonometric content."""
+    at the sigma points of each row of ``sources`` (maps, points), or of its
+    one row; exact for resolved trigonometric content.  One FFT serves every
+    map, and the results are stacked in tau as one copy of the grid per map,
+    shape (maps * n_tau, points, ...)."""
     n = values.shape[1]
     coeff = np.fft.rfft(values, axis=1)
     k = np.arange(coeff.shape[1])
@@ -375,27 +388,40 @@ def resample_sigma(values: np.ndarray, new_sigma: np.ndarray) -> np.ndarray:
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
-    phase = np.exp(1j * np.outer(new_sigma, k)) * weights  # (ns_new, nk)
-    rest = values.shape[2:]
+    sources = np.atleast_2d(sources)
+    phase = np.exp(1j * sources[..., None] * k) * weights  # (maps, points, nk)
     flat = coeff.reshape(coeff.shape[0], coeff.shape[1], -1)
-    out = np.einsum("sk,tkr->tsr", phase, flat).real / n
-    return out.reshape(values.shape[:1] + new_sigma.shape + rest)
+    out = np.einsum("csk,tkr->ctsr", phase, flat).real / n
+    return out.reshape((-1, sources.shape[1]) + values.shape[2:])
 
 
-def reparametrized_form(
-    geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, s: np.ndarray, tau_index: int
-) -> float:
-    """The two-form on row ``tau_index`` after pulling the embedding, the
-    normal frame and the field components back through the new source points
-    ``s`` of the grid sigma values.  The geometry is rebuilt from scratch on
-    ``geo``'s grid, seeded with the pulled-back frame (the components'
-    basis)."""
-    grid, emb = geo.grid, geo.embedding
-    x2 = Field(grid, resample_sigma(emb.x.values, s), emb.x.indices)
-    geo2 = build_geometry(Embedding(emb.background, x2, emb.mask),
-                          frame=resample_sigma(geo.n.values, s))
-    f1, f2 = (Field(grid, resample_sigma(phi.values, s), (NORMAL,)) for phi in (phi1, phi2))
-    return symplectic_form(geo2, f1, f2, p, tau_index)
+def reparametrized_rebuild(geo: GeometryBundle, fields, sources):
+    """``geo`` rebuilt from scratch after pulling its embedding and normal
+    frame back through each row of ``sources`` (new source points of the
+    grid sigma values, one row per map), and ``fields`` pulled back
+    likewise.  One build serves every map: its grid is one copy of
+    ``geo``'s per map (:meth:`~stringlab.grid.WorldsheetGrid.copies`),
+    copy c seeded with frame c (the components' basis) and holding the
+    declared mask of ``geo``.  Every copy is, bit for bit, the rebuild
+    through its map alone."""
+    emb, stack = geo.embedding, geo.grid.copies(len(sources))
+    x, frame, *pulled = (resample_sigma(f.values, sources) for f in (emb.x, geo.n, *fields))
+    mask = Mask(stack, np.tile(emb.mask.active, (len(sources), 1)))
+    rebuilt = build_geometry(Embedding(emb.background, Field(stack, x, emb.x.indices), mask), frame)
+    return rebuilt, [Field(stack, phi, (NORMAL,)) for phi in pulled]
+
+
+def reparametrized_forms(
+    geo: GeometryBundle, phi1: Field, phi2: Field, p: ActionParams, sources, tau_index: int
+) -> np.ndarray:
+    """The two-form on row ``tau_index`` of each copy of
+    :func:`reparametrized_rebuild`, one per map.  Each copy's slice row is
+    checked against that copy's mask (:meth:`~stringlab.grid.Mask.slice_row`),
+    in order, then one kernel pass covers every copy's row."""
+    stack, fields = reparametrized_rebuild(geo, [phi1, phi2], sources)
+    rows = [Mask(geo.grid, active).slice_row(tau_index) + c * geo.grid.n_tau
+            for c, active in enumerate(np.split(stack.mask.active, len(sources)))]
+    return _two_form_rows(stack, fields, [p], rows)[0, :, 0, 1]
 
 
 def gauge_invariance_check(
@@ -410,18 +436,27 @@ def gauge_invariance_check(
     of ``sigma_maps``, one per map.
 
     Each map sends the grid sigma values to new source points s(sigma)
-    (orientation preserving); every map is checked to be invertible on the
-    grid before any arithmetic.  The two-form on ``geo``, evaluated once, is
-    compared with :func:`reparametrized_form` on the same row and grid: on
-    the band of the row (``grid.bands([row])``), both read only the rows the
-    two-form needs.
+    (orientation preserving).  Before any arithmetic every map is checked
+    to give one source point per grid column and to be invertible on the
+    grid.  The two-form on ``geo``, evaluated once, is compared with
+    :func:`reparametrized_forms` on the same row: one rebuild of one copy
+    of ``geo``'s grid per map.  On the band of the row
+    (``grid.bands([row])``), both read only the rows the two-form needs.
+    No maps give an empty list, and nothing is rebuilt.
     """
-    sources = [np.asarray(sigma_map(geo.grid.sigma), dtype=float) for sigma_map in sigma_maps]
+    sigma = geo.grid.sigma
+    sources = [np.asarray(sigma_map(sigma), dtype=float) for sigma_map in sigma_maps]
+    for c, s in enumerate(sources):
+        if s.shape != sigma.shape:
+            raise GridError(f"sigma map {c} returned shape {s.shape}, not one source point "
+                            f"per grid column {sigma.shape}")
     if not all((np.diff(np.append(s, s[0] + 2.0 * np.pi)) > 0).all() for s in sources):
         raise GridError("reparametrization is not invertible on the grid")
     omega0 = symplectic_form(geo, phi1, phi2, p, tau_index)
-    return [relative_change(reparametrized_form(geo, phi1, phi2, p, s, tau_index) - omega0, omega0)
-            for s in sources]
+    if not sources:
+        return []
+    return [relative_change(w - omega0, omega0)
+            for w in reparametrized_forms(geo, phi1, phi2, p, sources, tau_index)]
 
 
 def relative_change(change: float, reference: float) -> float:

@@ -557,7 +557,7 @@ def test_zero_two_form_fails(monkeypatch, kind, key):
     def zero(geo, fields, params, rows):
         return np.zeros((len(params), len(rows), len(fields), len(fields)))
 
-    monkeypatch.setattr(symplectic, "two_form_table", zero)
+    monkeypatch.setattr(symplectic, "_two_form_rows", zero)
     report = cli.run(cli.ExperimentConfig.from_dict({**BASE, "kind": kind}))
     assert report["pass"] is False
     assert report["results"][key] == "nan"

@@ -349,6 +349,21 @@ def test_band_rows_keep_their_full_grid_numbers():
         stack.local_row(129)
 
 
+def test_copies_of_a_grid_keep_its_blocks_and_row_numbers():
+    """k copies of a full grid or of a stack of bands repeat its blocks k
+    times, with the same tau values and full-grid row numbers."""
+    grid = WorldsheetGrid(129, 16, 0.1, 0.9)
+    for base in (grid, grid.bands([0, 64])):
+        copies = base.copies(2)
+        assert copies.shape == (2 * base.n_tau, 16) and copies.h_tau == grid.h_tau
+        assert copies.block_rows == base.block_rows
+        assert np.array_equal(copies.tau, np.tile(base.tau, 2))
+        assert [copies.full_row(i) for i in range(copies.n_tau)] == 2 * [
+            base.full_row(i) for i in range(base.n_tau)]
+    assert grid.copies(2).where == " on tau rows 0 to 128, 0 to 128"
+    assert grid.bands([64]).copies(3).first_rows == (58, 58, 58)
+
+
 @pytest.mark.parametrize("n_sigma", [16, 32, 64, 128])
 def test_sigma_derivative_of_a_row_ignores_the_rows_beside_it(n_sigma):
     """A scalar's sigma derivative on a band, one small product, has the

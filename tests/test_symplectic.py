@@ -576,6 +576,42 @@ def test_gauge_check_rejects_noninvertible(pulsating_geo, jacobi_pair):
         )
 
 
+@pytest.mark.parametrize(
+    "sigma_map,message",
+    [
+        (lambda s: 0.5, r"sigma map 1 returned shape \(\), not one source point per grid "
+                        r"column \(32,\)"),
+        (lambda s: s[:16], r"sigma map 1 returned shape \(16,\), not one source point"),
+        (lambda s: s + np.nan, "reparametrization is not invertible on the grid"),
+    ],
+)
+def test_gauge_check_rejects_a_malformed_map(pulsating_geo, jacobi_pair, sigma_map, message,
+                                            monkeypatch):
+    """A map that does not give one finite source point per grid column is a
+    GridError naming the map's position and what it returned, raised before
+    any arithmetic: nothing is built."""
+    jt, jr = jacobi_pair
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a geometry")
+
+    monkeypatch.setattr(sym, "build_geometry", no_build)
+    with pytest.raises(GridError, match=message):
+        sym.gauge_invariance_check(pulsating_geo, jt, jr, dyn.ActionParams(1.0, 0.0),
+                                   [lambda s: s, sigma_map], 64)
+
+
+def test_gauge_check_without_maps_builds_nothing(pulsating_geo, jacobi_pair, monkeypatch):
+    jt, jr = jacobi_pair
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a geometry")
+
+    monkeypatch.setattr(sym, "build_geometry", no_build)
+    assert sym.gauge_invariance_check(pulsating_geo, jt, jr, dyn.ActionParams(1.0, 0.0), [],
+                                      64) == []
+
+
 def test_slice_band_stays_inside_the_grid():
     width = 2 * BAND_RADIUS + 1
     grid = WorldsheetGrid(129, 32, 0.1, 0.9)
@@ -662,8 +698,8 @@ def test_stacked_two_form_matches_each_band(request, solution, geometry, modulus
 @pytest.mark.parametrize("kind", ["omega", "gauge-check"])
 def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
     """omega and gauge-check build every geometry on the bands of their
-    slices: one build of omega's three bands stacked, one band and its two
-    reparametrized rebuilds for gauge-check."""
+    slices: one build of omega's three bands stacked; for gauge-check one
+    band, then one build of its two reparametrized rebuilds stacked."""
     from stringlab import experiments, solutions
 
     shapes = []
@@ -676,25 +712,87 @@ def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
     monkeypatch.setattr(sym, "build_geometry", recording_build)
     experiments.EXPERIMENTS[kind](pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
     width = 2 * BAND_RADIUS + 1
-    expected = {"omega": [(3 * width, grid129.n_sigma)], "gauge-check": [(width, grid129.n_sigma)] * 3}
+    expected = {"omega": [(3 * width, grid129.n_sigma)],
+                "gauge-check": [(width, grid129.n_sigma), (2 * width, grid129.n_sigma)]}
     assert shapes == expected[kind]
 
 
 def test_gauge_check_evaluates_its_base_two_form_once(pulsating, grid129, monkeypatch):
-    """One gauge-check run takes the two-form of its band once and of each
-    of its two reparametrized rebuilds once."""
+    """One gauge-check run takes the two-form of its band once, then one
+    table covers the slice rows of both reparametrized rebuilds."""
     from stringlab import experiments
 
-    geos = []
-    form = sym.symplectic_form
+    geos, tables = [], []
+    form, rows_body = sym.symplectic_form, sym._two_form_rows
 
     def recording_form(geo, *args):
         geos.append(geo)
         return form(geo, *args)
 
+    def recording_rows(geo, fields, params, rows):
+        tables.append((geo, list(rows)))
+        return rows_body(geo, fields, params, rows)
+
     monkeypatch.setattr(sym, "symplectic_form", recording_form)
+    monkeypatch.setattr(sym, "_two_form_rows", recording_rows)
     experiments.run_gauge_check(pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
-    assert len(geos) == 3 and len({id(geo) for geo in geos}) == 3
+    width = 2 * BAND_RADIUS + 1
+    assert len(geos) == 1 and [geo for geo, _ in tables] == [geos[0], tables[1][0]]
+    assert tables[1][0].grid.shape == (2 * width, grid129.n_sigma)
+    assert tables[1][1] == [BAND_RADIUS, width + BAND_RADIUS]
+
+
+def test_gauge_check_pulls_each_field_back_with_one_fft(pulsating, grid129, monkeypatch):
+    """The chart, the frame and the two Jacobi fields are each pulled back
+    through both maps of a gauge-check run with one FFT."""
+    from stringlab import experiments
+
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(values, *args, **kwargs):
+        shapes.append(values.shape)
+        return rfft(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    experiments.run_gauge_check(pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
+    assert len(shapes) == 4
+
+
+@pytest.mark.parametrize(
+    "solution,geometry,modulus",
+    [("pulsating", "pulsating_geo", "radius"), ("spinning", "spinning_geo", "scale")],
+)
+def test_stacked_rebuilds_match_each_rebuild_alone(request, solution, geometry, modulus):
+    """One rebuild of a copy of the grid per map is, copy by copy and bit for
+    bit, that map's rebuild alone: its geometry, its two-form and the
+    relative change, on bands of edge and interior rows and on the full
+    grid, with the two maps of the CLI and the identity."""
+    sol = request.getfixturevalue(solution)
+    full = request.getfixturevalue(geometry)
+    grid = full.grid
+    names = ("translation_t", modulus)
+    maps = [lambda s: s + 1e-2 * np.sin(s), lambda s: s + 3 * grid.h_sigma, lambda s: s]
+    sources = [sigma_map(grid.sigma) for sigma_map in maps]
+    cases = [(sol.geometry(grid.bands([row])), row) for row in (0, 2, 64, 126, 128)]
+    for geo, row in cases + [(full, 64)]:
+        f1, f2 = (jacobi_from_family(sol, geo, name) for name in names)
+        stack, _ = sym.reparametrized_rebuild(geo, [f1, f2], sources)
+        n = geo.grid.n_tau
+        for c, s in enumerate(sources):
+            alone, _ = sym.reparametrized_rebuild(geo, [f1, f2], [s])
+            for name in ("vol", "K", "normal_conn"):
+                copy = getattr(stack, name).values[c * n:(c + 1) * n]
+                assert np.array_equal(copy, getattr(alone, name).values), (row, c, name)
+        for beta in (0.0, 0.3):
+            p = dyn.ActionParams(1.0, beta)
+            forms = sym.reparametrized_forms(geo, f1, f2, p, sources, row)
+            changes = sym.gauge_invariance_check(geo, f1, f2, p, maps, row)
+            for c, (s, sigma_map) in enumerate(zip(sources, maps)):
+                alone = sym.reparametrized_forms(geo, f1, f2, p, [s], row)
+                assert np.array_equal(forms[c:c + 1], alone), (row, beta, c)
+                assert changes[c] == sym.gauge_invariance_check(
+                    geo, f1, f2, p, [sigma_map], row)[0], (row, beta, c)
 
 
 @pytest.mark.parametrize(
@@ -721,7 +819,7 @@ def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, mod
             reference = sym.symplectic_form(full, g1, g2, p, row)
             band_geo = sol.geometry(grid.bands([row]))
             b1, b2 = (jacobi_from_family(sol, band_geo, name) for name in names)
-            band = sym.reparametrized_form(band_geo, b1, b2, p, s, row)
+            [band] = sym.reparametrized_forms(band_geo, b1, b2, p, [s], row)
             assert abs(band - reference) <= 1e-13 * abs(reference), (row, band, reference)
 
 

@@ -14,7 +14,7 @@ either checkout is written.
 For each end-to-end metric of this checkout's ``BENCHMARK.json`` it prints
 the median per side, their ratio (this / parent), the distance between the
 quartiles of the parent's runs (NaN for one pair) and the number of pairs
-this checkout won.  Exits 1 if a run is not ``correct`` or if the two
+this checkout won; then every run's value, in pair order.  Exits 1 if a run is not ``correct`` or if the two
 sides' ``failed`` counts differ, else 0.
 """
 
@@ -86,6 +86,13 @@ def main(argv=None) -> int:
             iqr = q3 - q1
         print(f"{name:16s} {medians['parent']:11.5g} {medians['this']:11.5g} {ratio:7.3f} "
               f"{iqr:11.3g}  {won}/{args.pairs}")
+
+    print("runs in pair order, parent | this:")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        cells = {side: " ".join(f"{r['metrics'][name]['value']:.5g}" for r in runs[side])
+                 for side in sides}
+        print(f"{name:16s} {cells['parent']} | {cells['this']}")
 
     ok = True
     for side in sides:

@@ -4,7 +4,7 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the twelve slice-path and declared-mask configs of
+× nine kinds) and the fifteen slice-path and declared-mask configs of
 :func:`extra_configs` once per checkout, each checkout in its own child process that imports
 ``stringlab`` from that checkout's ``src/``.  Both sides run the configs of
 this checkout's ``perfbench/``, which is only read.
@@ -56,9 +56,12 @@ def extra_configs(seed: int) -> dict:
     shared band, overlapping bands and both edges' bands on pulsating
     129x32 and spinning 129x64; and, on the pulsating collapse (257x16, tau
     in [0.5, 1.6], rows 246 to 252 masked), bands that meet the masked
-    region and a masked row.  Declared masks, through full builds: rows
-    around spinning's cusp (129x64, tau in [2.0, 2.7]), folded's fold
-    columns at 129x64, and rows around the pulsating collapse."""
+    region and a masked row; and gauge-check on spinning at beta 0.3, so
+    the stacked reparametrized rebuilds see a nonzero normal connection,
+    the topological part and a near-edge row.  Declared masks, through full
+    builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]),
+    folded's fold columns at 129x64, and rows around the pulsating
+    collapse."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
     folded = raw_configs("folded", seed)["geometry"]
     collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
@@ -79,6 +82,10 @@ def extra_configs(seed: int) -> dict:
         "collapse omega 255,256": (pulsating["omega"], collapse, {"slices": [255, 256]}),
         "collapse gauge-check 256": (pulsating["gauge-check"], collapse, {"slice": 256}),
         "collapse gauge-check 250": (pulsating["gauge-check"], collapse, {"slice": 250}),
+        "spinning gauge-check": (spinning["gauge-check"], {}, {"beta": 0.3}),
+        "spinning gauge-check rotation": (spinning["gauge-check"], {},
+                                          {"beta": 0.3, "jacobi": ["rotation_xy", "scale"]}),
+        "spinning gauge-check 1": (spinning["gauge-check"], {}, {"slice": 1, "beta": 0.3}),
     }
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
