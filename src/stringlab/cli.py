@@ -172,13 +172,14 @@ def _check_grid(build, where: str, *args, **kwargs) -> WorldsheetGrid:
 def _check_option_values(kind: str, options: dict, grid: WorldsheetGrid,
                          families: list[str]) -> None:
     """Reject option values the experiments cannot run with (a repeated
-    slice collapses omega's table, a repeated level divides by log 1), or
-    with which a check would pass vacuously (a zero deformation amplitude
-    or reparametrization size, a Jacobi field paired with itself, one
-    slice, whose spread is 0)."""
+    slice or beta collapses a report's table, a repeated level divides by
+    log 1), or with which a check would pass vacuously (a zero deformation
+    amplitude or reparametrization size, a Jacobi field paired with itself,
+    one slice or one eom beta, whose spread is 0)."""
     floors = experiments._CONVERGENCE_FLOORS
     lo, hi = ORACLE_EPS_RANGE
     n_tau = grid.n_tau
+    fewest_betas = 2 if kind == "eom" else 1
 
     def is_row(val) -> bool:
         return _is_int(val) and 0 <= val < n_tau
@@ -195,7 +196,8 @@ def _check_option_values(kind: str, options: dict, grid: WorldsheetGrid,
         "beta": (_is_finite, "a finite number"),
         "amplitude": (_is_nonzero_finite, "a nonzero finite number"),
         "epsilon": epsilon.get(kind),
-        "betas": (_list_of(_is_finite), "a non-empty list of finite numbers"),
+        "betas": (_distinct_list_of(_is_finite, fewest_betas),
+                  f"a list of at least {fewest_betas} distinct finite numbers"),
         "seeds": (_list_of(lambda v: _is_int(v) and v >= 0),
                   "a non-empty list of non-negative integers"),
         "levels": (_distinct_list_of(_is_int, 2), "a list of at least 2 distinct integers"),

@@ -18,6 +18,15 @@ one place: :func:`linearized_residual` and the on-shell
 :func:`stability_operator_apply` differ only in the mean-curvature terms and
 the Einstein blocks, which :func:`linearized_residual` returns beside the
 full residual so that each block is evaluated once.
+
+What the evaluators share are their inputs, each computed once per
+geometry and kept in ``geo.cache``: the coefficient fields, and each
+field's grad phi, grad grad phi and lap phi (:func:`_phi_derivatives`).
+The two symplectic potentials likewise share one connection variation per
+deformation.  Sharing inputs that both already took from the same function
+removes no independent check: the assembly of each operator (einsum
+against index loops) and of each potential (general against string form)
+stays separate.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .deformation import DeformationField, deform_embedding, vary_connection
 from .geometry import (
     GeometryBundle,
     build_geometry,
+    cached,
     covariant_gradient,
     normal_gradient,
     normal_laplacian,
@@ -120,7 +130,7 @@ def symplectic_potential(geo: GeometryBundle, d: DeformationField, p: ActionPara
         g_up = np.einsum("...ac,...bd,...cd->...ab", gi, gi, geo.einstein.values)
         phi_low = np.einsum("...ab,...b->...a", geo.gamma.values, d.phi_tangent.values)
         out = out - 2.0 * beta * np.einsum("...ab,...b->...a", g_up, phi_low)
-        dconn = vary_connection(geo, d).values
+        dconn = _connection_variation(geo, d)
         out = out + beta * np.einsum("...cd,...acd->...a", gi, dconn)
         out = out - beta * np.einsum("...ab,...ccb->...a", gi, dconn)
     return Field(geo.grid, geo.vol.values[..., None] * out, (WORLDSHEET_UPPER,))
@@ -130,7 +140,7 @@ def symplectic_potential_string(geo: GeometryBundle, d: DeformationField, p: Act
     """String-specialized potential (no Einstein term), coded independently
     with explicit index loops."""
     beta = p.gb_coupling
-    dconn = vary_connection(geo, d).values if beta != 0.0 else None
+    dconn = _connection_variation(geo, d) if beta != 0.0 else None
     gi = geo.gamma_inv.values
     vol = geo.vol.values
     out = np.zeros(geo.grid.shape + (2,))
@@ -146,6 +156,12 @@ def symplectic_potential_string(geo: GeometryBundle, d: DeformationField, p: Act
             acc = acc + beta * (trace - mixed)
         out[..., a] = vol * acc
     return Field(geo.grid, out, (WORLDSHEET_UPPER,))
+
+
+def _connection_variation(geo: GeometryBundle, d: DeformationField) -> np.ndarray:
+    """The values of :func:`vary_connection`, computed once per geometry
+    and deformation: both potentials read them, at every beta."""
+    return cached(geo, ("vary_connection", d), lambda: vary_connection(geo, d).values)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +181,14 @@ class CurrentCoefficients(NamedTuple):
 
 def current_coefficients(geo: GeometryBundle) -> CurrentCoefficients:
     """The current's coefficients, computed once per geometry."""
-    if "current_coeffs" not in geo.cache:
-        k = geo.K
-        k_upup = geo.K_upup.values
-        geo.cache["current_coeffs"] = CurrentCoefficients(
-            gi=geo.gamma_inv.values,
-            k_low=k.values,
-            k_upup=k_upup,
-            gk=covariant_gradient(geo, k).values,
-            kk=np.einsum("...abi,...abj->...ij", k_upup, k.values),
-        )
-    return geo.cache["current_coeffs"]
+    k, k_upup = geo.K, geo.K_upup.values
+    return cached(geo, "current_coeffs", lambda: CurrentCoefficients(
+        gi=geo.gamma_inv.values,
+        k_low=k.values,
+        k_upup=k_upup,
+        gk=covariant_gradient(geo, k).values,
+        kk=np.einsum("...abi,...abj->...ij", k_upup, k.values),
+    ))
 
 
 class _LinearizedCoefficients:
@@ -201,16 +214,16 @@ class _LinearizedCoefficients:
 
 
 def operator_coefficients(geo: GeometryBundle) -> _LinearizedCoefficients:
-    if "linearized_coeffs" not in geo.cache:
-        geo.cache["linearized_coeffs"] = _LinearizedCoefficients(geo)
-    return geo.cache["linearized_coeffs"]
+    return cached(geo, "linearized_coeffs", lambda: _LinearizedCoefficients(geo))
 
 
 def _phi_derivatives(geo: GeometryBundle, phi: Field):
+    """grad phi, grad grad phi (outer derivative first) and lap phi,
+    computed once per geometry and field: both evaluators read them, at
+    every beta."""
     gphi = normal_gradient(geo, phi)
-    ggphi = covariant_gradient(geo, gphi).values  # (d, c, i) outer derivative first
-    lap = normal_laplacian(geo, phi).values
-    return gphi.values, ggphi, lap
+    return cached(geo, ("phi_derivatives", phi), lambda: (
+        gphi.values, covariant_gradient(geo, gphi).values, normal_laplacian(geo, phi).values))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ class GeometryBundle(IntrinsicGeometry):
     K_upup: Field              # K^{ab i}, both worldsheet indices raised, indices (A, A, i)
     K_mean: Field              # K^i = gamma^ab K_ab^i
     normal_conn: Field         # omega_a^{ij}, indices (a, i, i), antisymmetric in ij
+    # values derived from this geometry, each computed on first use (see
+    # :func:`cached`): the current's and the operator's coefficients
+    # ("current_coeffs", "linearized_coeffs"), and per input object, keyed
+    # by the object itself, ("normal_gradient", phi), ("phi_derivatives",
+    # phi) and the connection variation ("vary_connection", deformation)
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -502,6 +507,16 @@ def _validate_frame(geo: GeometryBundle) -> None:
         getattr(geo, name).check_finite(geo.mask, name=name)
 
 
+def cached(geo: GeometryBundle, key, compute):
+    """``compute()``, evaluated on the first call with ``key`` and kept in
+    ``geo.cache``.  A key naming an input holds the input object itself,
+    so a recycled id() can never serve another object's value.  Every
+    caller gets the same arrays, so none may write into them."""
+    if key not in geo.cache:
+        geo.cache[key] = compute()
+    return geo.cache[key]
+
+
 # ---------------------------------------------------------------------------
 # index algebra and covariant derivatives
 
@@ -575,14 +590,20 @@ def covariant_gradient(geo: GeometryBundle, f: Field) -> Field:
 
 def normal_gradient(geo: GeometryBundle, phi: Field) -> Field:
     """Normal-bundle covariant derivative of a normal-components field:
-    (grad phi)_a^i = d_a phi^i + omega_a^i_j phi^j."""
+    (grad phi)_a^i = d_a phi^i + omega_a^i_j phi^j.
+
+    Taken once per geometry and field object, after the field's checks:
+    the Laplacian, both operator evaluators and the current all read the
+    one Field kept in ``geo.cache``.  Tangential and higher-rank
+    derivatives are not kept: they would hold large fields as long as the
+    geometry."""
     if phi.indices != (NORMAL,):
         raise GridError(f"normal_gradient expects a pure normal field, got {phi.indices}")
     if phi.values.shape[-1] != geo.codim:
         raise GridError(
             f"normal field has {phi.values.shape[-1]} components, geometry has codim {geo.codim}"
         )
-    return covariant_gradient(geo, phi)
+    return cached(geo, ("normal_gradient", phi), lambda: covariant_gradient(geo, phi))
 
 
 def normal_laplacian(geo: GeometryBundle, phi: Field) -> Field:

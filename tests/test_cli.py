@@ -148,6 +148,10 @@ def test_tolerance_failure_exit_code(tmp_path):
         ("deform-check", {"amplitude": float("nan")}),
         ("deform-check", {"amplitude": float("-inf")}),
         ("omega", {"slices": [32]}),  # the spread of one slice is 0
+        ("eom", {"betas": [0.5]}),  # nor is the spread over one beta
+        ("eom", {"betas": [0.0, 0.0]}),
+        ("linearize", {"betas": [0.3, 0.3]}),  # a repeated beta shares one report key
+        ("omega", {"betas": [0.25, 0.25]}),
     ],
 )
 def test_out_of_range_option_rejected(tmp_path, capsys, kind, options):

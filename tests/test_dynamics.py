@@ -6,9 +6,10 @@ import pytest
 from conftest import interior
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
+from stringlab import experiments
 from stringlab.background import minkowski, synthetic_constant_curvature
 from stringlab.experiments import run_linearize
-from stringlab.geometry import Embedding, build_geometry
+from stringlab.geometry import Embedding, build_geometry, covariant_gradient, normal_gradient
 from stringlab.grid import (
     NORMAL,
     SPACETIME,
@@ -162,16 +163,16 @@ def test_linearize_evaluates_each_einstein_block_once(pulsating_geo, monkeypatch
     geo = pulsating_geo
     phi = dfm.random_normal_components(geo.grid, geo.codim, seed=3)
     p = dyn.ActionParams(1.0, 0.3)
-    _, ggphi, _ = dyn._phi_derivatives(geo, phi)
     laplacians = []
     real_laplacian = dyn.normal_laplacian
     monkeypatch.setattr(
         dyn, "normal_laplacian", lambda *a: laplacians.append(1) or real_laplacian(*a)
     )
-    block = dyn.einstein_block(geo, dyn.operator_coefficients(geo), phi.values, ggphi, 0.3)
-    assert laplacians == []  # the block takes no Laplacian of phi
     _, blocks = dyn.linearized_residual(geo, phi, p)
-    assert laplacians == [1]  # and the full residual takes one
+    assert laplacians == [1]  # the full residual takes one Laplacian of a fresh phi
+    _, ggphi, _ = dyn._phi_derivatives(geo, phi)
+    block = dyn.einstein_block(geo, dyn.operator_coefficients(geo), phi.values, ggphi, 0.3)
+    assert laplacians == [1]  # the block takes none, and phi's derivatives are kept
     assert (blocks.values == block).all()
 
     # a default linearize run evaluates the block once, at its one nonzero beta
@@ -185,6 +186,83 @@ def test_linearize_evaluates_each_einstein_block_once(pulsating_geo, monkeypatch
         dyn.ActionParams(1.0, 0.0), 0,
     )
     assert blocks_evaluated == [1]
+
+
+def _count_derivatives(monkeypatch) -> dict:
+    """Record the random normal fields drawn, every covariant derivative
+    taken (its field and its result), and every Laplacian and connection
+    variation evaluated, as the lists of one dict."""
+    from stringlab import geometry
+
+    seen = {"fields": [], "derivatives": [], "laplacians": [], "connections": []}
+
+    def recording(name, real, record=lambda args, out: args):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen[name].append(record(args, out))
+            return out
+        return call
+
+    monkeypatch.setattr(dfm, "random_normal_components", recording(
+        "fields", dfm.random_normal_components, lambda args, out: out))
+    gradient = recording("derivatives", geometry.covariant_gradient,
+                         lambda args, out: (args[1], out))
+    monkeypatch.setattr(geometry, "covariant_gradient", gradient)
+    monkeypatch.setattr(dyn, "covariant_gradient", gradient)
+    monkeypatch.setattr(dyn, "normal_laplacian", recording("laplacians", dyn.normal_laplacian))
+    monkeypatch.setattr(dyn, "vary_connection", recording("connections", dyn.vary_connection))
+    return seen
+
+
+def _taken(seen, field) -> list:
+    """The results of every covariant derivative taken of ``field``."""
+    return [out for f, out in seen["derivatives"] if f is field]
+
+
+def test_linearize_differentiates_its_field_once(monkeypatch):
+    """A default linearize run takes grad phi, grad grad phi, lap phi and
+    the connection variation once each: both evaluators, at both betas,
+    and both potentials read the same arrays."""
+    seen = _count_derivatives(monkeypatch)
+    run_linearize(
+        pulsating_circular_string(radius=1.0), WorldsheetGrid(65, 32, 0.1, 0.9),
+        dyn.ActionParams(1.0, 0.0), 0,
+    )
+    [phi] = seen["fields"]
+    [grad] = _taken(seen, phi)
+    assert len(_taken(seen, grad)) == 1
+    assert len(seen["laplacians"]) == 1
+    assert len(seen["connections"]) == 1
+
+
+def test_self_adjoint_takes_one_normal_gradient_per_field(monkeypatch, pulsating):
+    seen = _count_derivatives(monkeypatch)
+    experiments.run_self_adjoint(
+        pulsating, WorldsheetGrid(65, 32, 0.1, 0.9), dyn.ActionParams(1.0, 0.0), 0
+    )
+    assert [len(_taken(seen, phi)) for phi in seen["fields"]] == [1, 1]
+
+
+@pytest.mark.parametrize("solution", ["pulsating", "spinning", "rotating"])
+def test_kept_derivatives_equal_a_fresh_geometrys(request, solution):
+    """What a geometry keeps of a field is, bit for bit, what a fresh build
+    of the same embedding computes: with a nonzero normal connection
+    (spinning) and with masked fold points (rotating).  A second field of
+    the same shape gets its own derivatives."""
+    sol = request.getfixturevalue(solution)
+    geo = request.getfixturevalue(f"{solution}_geo")
+    fresh = sol.geometry(geo.grid)
+    phi1, phi2 = (dfm.random_normal_components(geo.grid, geo.codim, seed=s) for s in (11, 12))
+    for phi in (phi1, phi2):
+        d = dfm.DeformationField.normal_only(phi)
+        kept = [normal_gradient(geo, phi).values, *dyn._phi_derivatives(geo, phi),
+                dyn._connection_variation(geo, d)]
+        assert normal_gradient(geo, phi) is normal_gradient(geo, phi)
+        assert dyn._connection_variation(geo, d) is kept[-1]
+        again = [covariant_gradient(fresh, phi).values, *dyn._phi_derivatives(fresh, phi),
+                 dyn.vary_connection(fresh, d).values]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(kept, again))
+    assert not np.array_equal(normal_gradient(geo, phi1).values, normal_gradient(geo, phi2).values)
 
 
 def test_linearization_matches_fd(pulsating_geo):

@@ -293,6 +293,23 @@ def test_normal_gradient_constant_field(pulsating_geo):
     assert masked_max_abs(grad.values, geo.mask.active) <= 1e-9
 
 
+def test_normal_gradient_checks_before_the_kept_gradients(pulsating_geo):
+    """A field of the wrong codimension or index fails with the same error
+    on every way in, whatever the geometry already keeps, and is not kept."""
+    geo = pulsating_geo
+    phi = Field(geo.grid, np.ones(geo.grid.shape + (geo.codim,)), (NORMAL,))
+    normal_gradient(geo, phi)
+    kept = len(geo.cache)
+    wide = Field(geo.grid, np.ones(geo.grid.shape + (geo.codim + 1,)), (NORMAL,))
+    tangent = Field(geo.grid, np.ones(geo.grid.shape + (2,)), (WORLDSHEET_UPPER,))
+    for evaluate in (normal_gradient, normal_laplacian):
+        with pytest.raises(GridError, match="normal field has 3 components, geometry has codim 2"):
+            evaluate(geo, wide)
+        with pytest.raises(GridError, match=r"expects a pure normal field, got \('A',\)"):
+            evaluate(geo, tangent)
+    assert len(geo.cache) == kept
+
+
 def test_flat_laplacian_hand_value(cylinder_geo):
     geo = cylinder_geo
     _, ss = geo.grid.meshgrid()

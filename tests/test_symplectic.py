@@ -836,13 +836,15 @@ def test_gauge_check_rejects_masked_row(rotating, rotating_geo):
 
 def test_current_reads_only_its_own_coefficients(pulsating):
     """The two-form and the conservation check fill the current's
-    coefficients, not the operator's fourth-derivative ones."""
+    coefficients and each field's normal gradient, not the operator's
+    fourth-derivative coefficients or its second derivatives of a field."""
     geo = pulsating.geometry(WorldsheetGrid(33, 16, 0.1, 0.9))
     phi1, phi2 = _random_pair(geo.grid, geo.codim)
     p = dyn.ActionParams(1.0, 0.3)
     sym.symplectic_form(geo, phi1, phi2, p, geo.grid.n_tau // 2)
     sym.conservation_residual(geo, phi1, phi2, p)
-    assert list(geo.cache) == ["current_coeffs"]
+    assert {key if isinstance(key, str) else key[0] for key in geo.cache} == {
+        "current_coeffs", "normal_gradient"}
     assert isinstance(geo.cache["current_coeffs"], dyn.CurrentCoefficients)
 
 

@@ -4,10 +4,11 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the fifteen slice-path and declared-mask configs of
-:func:`extra_configs` once per checkout, each checkout in its own child process that imports
-``stringlab`` from that checkout's ``src/``.  Both sides run the configs of
-this checkout's ``perfbench/``, which is only read.
+× nine kinds) and the twenty slice-path, declared-mask and shared-derivative
+configs of :func:`extra_configs` once per checkout, each checkout in its own
+child process that imports ``stringlab`` from that checkout's ``src/``.
+Both sides run the configs of this checkout's ``perfbench/``, which is only
+read.
 
 For each config it prints both exit codes.  Where two reports differ it
 prints each differing leaf key with both values and their relative
@@ -61,9 +62,14 @@ def extra_configs(seed: int) -> dict:
     the topological part and a near-edge row.  Declared masks, through full
     builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]),
     folded's fold columns at 129x64, and rows around the pulsating
-    collapse."""
+    collapse.  Shared derivatives: linearize at three betas on pulsating
+    and spinning and at two nonzero betas on folded (masked fills), and
+    self-adjoint and conserve on spinning (nonzero normal connection), so
+    every evaluator and coupling reads one set of each field's
+    derivatives."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
-    folded = raw_configs("folded", seed)["geometry"]
+    folded_kinds = raw_configs("folded", seed)
+    folded = folded_kinds["geometry"]
     collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
     cusp = {"grid": {"n_tau": 129, "n_sigma": 64, "tau_min": 2.0, "tau_max": 2.7}}
     masks = {
@@ -87,8 +93,18 @@ def extra_configs(seed: int) -> dict:
                                           {"beta": 0.3, "jacobi": ["rotation_xy", "scale"]}),
         "spinning gauge-check 1": (spinning["gauge-check"], {}, {"slice": 1, "beta": 0.3}),
     }
+    shared = {
+        "linearize": (pulsating["linearize"], {"betas": [0, 0.3, 1]}),
+        "spinning linearize": (spinning["linearize"], {"betas": [0, 0.3, 1]}),
+        "folded linearize": (folded_kinds["linearize"], {"betas": [0.3, 1]}),
+        "spinning self-adjoint": (spinning["self-adjoint"], {"beta": 0}),
+        "spinning conserve": (spinning["conserve"], {"jacobi": ["rotation_xy", "scale"],
+                                                     "beta": 0.3}),
+    }
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
+    out.update({f"derivatives/{key}": {**raw, "options": {**raw.get("options", {}), **options}}
+                for key, (raw, options) in shared.items()})
     out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
     return out
 
