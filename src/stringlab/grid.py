@@ -482,6 +482,11 @@ def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     Central 5-point stencil in the interior, one-sided 6-point stencils on
     the first and last two rows.  Requires n >= 9 so the one-sided rows do
     not overlap.  Writes into ``out`` (same shape) when given, and returns it.
+
+    A non-finite input makes every output row whose stencil reads it
+    non-finite, for :meth:`Field.check_finite` to report; as in
+    :func:`_sigma_derivative`, the invalid flag that inf - inf raises there
+    is not turned into a warning.
     """
     v = values
     n = v.shape[0]
@@ -489,21 +494,22 @@ def fd4_axis0(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np
         raise ValueError(f"fd4_axis0 needs at least 9 rows, got {n}")
     if out is None:
         out = np.empty_like(v)  # keeps the input's memory layout
-    inv12h = 1.0 / (12.0 * h)
-    # (v[:-4] - 8 v[1:-3] + 8 v[3:-1] - v[4:]) / 12h, accumulated in the
-    # output: full-size temporaries cost more than the arithmetic
-    acc = out[2:-2]
-    np.multiply(v[1:-3], 8.0, out=acc)
-    np.subtract(v[:-4], acc, out=acc)
-    acc += 8.0 * v[3:-1]
-    acc -= v[4:]
-    acc *= inv12h
-    # both edge rows of a side in one contraction; the last rows mirror the
-    # first, on the reversed rows and with the opposite sign
-    rows, width = _EDGES.shape
-    edges = _EDGES / h
-    out[:rows] = np.einsum("rm,m...->r...", edges, v[:width])
-    out[:-rows - 1:-1] = -np.einsum("rm,m...->r...", edges, v[:-width - 1:-1])
+    with np.errstate(invalid="ignore"):
+        inv12h = 1.0 / (12.0 * h)
+        # (v[:-4] - 8 v[1:-3] + 8 v[3:-1] - v[4:]) / 12h, accumulated in the
+        # output: full-size temporaries cost more than the arithmetic
+        acc = out[2:-2]
+        np.multiply(v[1:-3], 8.0, out=acc)
+        np.subtract(v[:-4], acc, out=acc)
+        acc += 8.0 * v[3:-1]
+        acc -= v[4:]
+        acc *= inv12h
+        # both edge rows of a side in one contraction; the last rows mirror the
+        # first, on the reversed rows and with the opposite sign
+        rows, width = _EDGES.shape
+        edges = _EDGES / h
+        out[:rows] = np.einsum("rm,m...->r...", edges, v[:width])
+        out[:-rows - 1:-1] = -np.einsum("rm,m...->r...", edges, v[:-width - 1:-1])
     return out
 
 

@@ -16,15 +16,16 @@ which the geometry builder's degeneracy scan grows the points it detects at
 runtime, and the tests cross-check the two.
 
 Each fact about a family is stated once.  Its factory holds the chart, the
-``sigma_shift`` direction, the declared degenerate points (folded's fold
-columns, or the closed-form weight that ``_degenerate_rows`` turns into
-degenerate rows) and, for spinning, the analytic frame.  ``_family``
-derives every other direction from the chart: translations, the rotations
-and boosts of ``_GENERATORS``, and the modulus as ``chart / scale``.  The
-registry takes each family's name and parameters from its factory, and
-``make_solution`` checks given values against the factory's annotations
-with ``read_arguments``, which the CLI also applies to the grid and action
-sections.
+declared degenerate points (folded's fold columns, or the closed-form
+weight that ``_degenerate_rows`` turns into degenerate rows) and, for
+spinning, the analytic frame.  ``_family``, the one constructor of a
+family, checks the scale parameter and derives every direction from the
+chart: translations, the rotations and boosts of ``_GENERATORS``, the
+modulus as ``chart / scale``, and ``sigma_shift`` as the complex-step
+sigma derivative of the chart.  The registry takes each family's name and
+parameters from its factory, and ``make_solution`` checks given values
+against the factory's annotations with ``read_arguments``, which the CLI
+also applies to the grid and action sections.
 """
 
 from __future__ import annotations
@@ -117,14 +118,24 @@ _GENERATORS = (
 )
 
 
-def _family(chart: ChartFn, dim: int, modulus: str, scale: float, sigma_shift: ChartFn,
-            boosts: bool = False) -> dict:
-    """The ``ExactSolution`` fields of a family in ``dim``-dimensional
-    Minkowski space: the background, the modulus name, and every family
-    direction.  Those are the translations, the rotations (and boosts when
-    asked) of ``_GENERATORS`` evaluated along the worldsheet, the modulus,
-    and the sigma shift.  Every chart is linear in its one scale parameter,
-    so the modulus velocity is ``chart / scale``."""
+def _family(name: str, params: dict, chart: ChartFn, dim: int, modulus: str,
+            degenerate: Callable[[WorldsheetGrid], np.ndarray], frame: ChartFn | None = None,
+            boosts: bool = False) -> ExactSolution:
+    """The family ``name`` in ``dim``-dimensional Minkowski space, with every
+    direction derived from its chart: the translations, the rotations (and
+    boosts when asked) of ``_GENERATORS`` evaluated along the worldsheet,
+    the modulus and the sigma shift.  Every chart is linear in its one scale
+    parameter ``params[modulus]``, which must be positive, so the modulus
+    velocity is ``chart / scale``.
+
+    The sigma shift is the complex step ``chart(tau, sigma + i h).imag / h``
+    with h = 2**-60: exact to the last bit, with no subtraction, and the
+    division by a power of two is exact.  So a chart must be analytic in
+    sigma: numpy arithmetic and elementary functions only, with no ``abs``,
+    ``where``, ``maximum`` or comparison."""
+    scale, h = params[modulus], 2.0 ** -60
+    if not scale > 0:
+        raise SolutionError(f"{modulus} must be positive, got {scale}")
 
     def translation(tt, ss, mu):
         v = np.zeros(tt.shape + (dim,))
@@ -139,13 +150,14 @@ def _family(chart: ChartFn, dim: int, modulus: str, scale: float, sigma_shift: C
         return v
 
     names = ["translation_t", "translation_x", "translation_y", "translation_z"][:dim]
-    family = {name: partial(translation, mu=mu) for mu, name in enumerate(names)}
-    for name, i, j, sign in _GENERATORS:
+    family = {direction: partial(translation, mu=mu) for mu, direction in enumerate(names)}
+    for direction, i, j, sign in _GENERATORS:
         if j < dim and (boosts or i > 0):
-            family[name] = partial(generator, i=i, j=j, sign=sign)
+            family[direction] = partial(generator, i=i, j=j, sign=sign)
     family[modulus] = lambda tt, ss: chart(tt, ss) / scale
-    family["sigma_shift"] = sigma_shift
-    return {"background": minkowski(dim), "family": family, "modulus": modulus}
+    family["sigma_shift"] = lambda tt, ss: chart(tt, ss + 1j * h).imag / h
+    return ExactSolution(name=name, params=params, background=minkowski(dim), chart=chart,
+                         family=family, modulus=modulus, degenerate=degenerate, frame=frame)
 
 
 def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], np.ndarray]:
@@ -166,8 +178,6 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
     Collapses at cos tau = 0; rows too close to a collapse instant are
     declared masked (irrelevant for the usual tau windows inside (0, pi/2)).
     """
-    if radius <= 0:
-        raise SolutionError(f"radius must be positive, got {radius}")
     if dim not in (3, 4):
         raise SolutionError(f"dim must be 3 or 4, got {dim}")
     r = float(radius)
@@ -178,19 +188,8 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
             comps.append(np.zeros_like(tt))
         return np.stack(comps, axis=-1)
 
-    def sigma_shift(tt, ss):
-        comps = [np.zeros_like(tt), -r * np.cos(tt) * np.sin(ss), r * np.cos(tt) * np.cos(ss)]
-        if dim == 4:
-            comps.append(np.zeros_like(tt))
-        return np.stack(comps, axis=-1)
-
-    return ExactSolution(
-        name="pulsating_circular_string",
-        params={"radius": r, "dim": dim},
-        chart=chart,
-        degenerate=_degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))),
-        **_family(chart, dim, "radius", r, sigma_shift),
-    )
+    return _family("pulsating_circular_string", {"radius": r, "dim": dim}, chart, dim, "radius",
+                   _degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))))
 
 
 def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
@@ -200,8 +199,6 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
     declared degenerate points, so three-column bands around both are
     masked.
     """
-    if amplitude <= 0:
-        raise SolutionError(f"amplitude must be positive, got {amplitude}")
     a = float(amplitude)
 
     def chart(tt, ss):
@@ -209,24 +206,12 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
             [a * tt, a * np.cos(ss) * np.cos(tt), a * np.cos(ss) * np.sin(tt)], axis=-1
         )
 
-    def sigma_shift(tt, ss):
-        return np.stack(
-            [np.zeros_like(tt), -a * np.sin(ss) * np.cos(tt), -a * np.sin(ss) * np.sin(tt)],
-            axis=-1,
-        )
-
     def degenerate(grid: WorldsheetGrid) -> np.ndarray:
         folds = np.zeros(grid.shape, dtype=bool)
         folds[:, ::grid.n_sigma // 2] = True  # columns 0 and n_sigma/2
         return folds
 
-    return ExactSolution(
-        name="rotating_folded_string",
-        params={"amplitude": a},
-        chart=chart,
-        degenerate=degenerate,
-        **_family(chart, 3, "amplitude", a, sigma_shift),
-    )
+    return _family("rotating_folded_string", {"amplitude": a}, chart, 3, "amplitude", degenerate)
 
 
 def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
@@ -248,8 +233,6 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
     samples that sigma only when n_sigma is a multiple of 8, so the weight
     on the grid's own points would declare different rows at other widths.
     """
-    if scale <= 0:
-        raise SolutionError(f"scale must be positive, got {scale}")
     a = float(scale)
     eta = np.diag(minkowski_metric(4))  # the metric's diagonal, for the frame
 
@@ -258,14 +241,6 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         v = tt - ss
         return np.stack(
             [2 * a * tt, a * np.cos(u), a * np.sin(u) + a * np.cos(v), a * np.sin(v)], axis=-1
-        )
-
-    def sigma_shift(tt, ss):
-        u = tt + ss
-        v = tt - ss
-        return np.stack(
-            [np.zeros_like(tt), -a * np.sin(u), a * np.cos(u) + a * np.sin(v), -a * np.cos(v)],
-            axis=-1,
         )
 
     def frame(tt, ss):
@@ -290,14 +265,9 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
         n2 = n2 / np.sqrt(np.abs(dot(n2, n2)))[..., None]
         return np.stack([n1, n2], axis=-2)
 
-    return ExactSolution(
-        name="spinning_two_plane_string",
-        params={"scale": a},
-        chart=chart,
-        degenerate=_degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))),
-        frame=frame,
-        **_family(chart, 4, "scale", a, sigma_shift, boosts=True),
-    )
+    return _family("spinning_two_plane_string", {"scale": a}, chart, 4, "scale",
+                   _degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))),
+                   frame=frame, boosts=True)
 
 
 def _levi_civita_dual(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -625,7 +625,11 @@ def test_degeneracy_does_not_cross_a_seam():
 
 def test_collapse_geometry_builds_without_warnings(pulsating):
     """Through the pulsating collapse at tau = pi/2 the frame's second
-    Gram-Schmidt pass meets zero norms at masked points; under the suite's
-    warnings-as-errors the build must still finish."""
+    Gram-Schmidt pass meets zero norms at masked points, and at 1025 rows
+    the tau stencil of the frame's derivative meets inf - inf on the masked
+    rows; under the suite's warnings-as-errors the build must still finish."""
     geo = pulsating.geometry(WorldsheetGrid(257, 16, 0.5, 1.6))
     assert not geo.mask.active[246:253].any() and geo.mask.active[:246].all()
+    geo = pulsating.geometry(WorldsheetGrid(1025, 16, 0.5, 1.6))
+    assert not geo.mask.active[987:1008].any() and geo.mask.active[:987].all()
+    assert geo.mask.active[1008:].all()

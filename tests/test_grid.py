@@ -120,6 +120,22 @@ def test_nonfinite_value_spreads_along_its_row(grid, bad):
         d_sigma(f).check_finite()
 
 
+def test_nonfinite_rows_spread_along_tau(grid):
+    """Two adjacent inf rows make non-finite exactly the rows whose tau
+    stencil reads them, NaN where the stencil meets inf - inf, with no
+    warning; ``check_finite`` names the first."""
+    vals = np.random.default_rng(4).normal(size=grid.shape + (2,))
+    vals[10:12, 3, 1] = np.inf
+    dt = d_tau(Field(grid, vals, ("i",)))
+    reached = np.zeros(dt.values.shape, dtype=bool)
+    reached[8:14, 3, 1] = True  # rows 10 and 11, each read two rows away
+    assert not np.isfinite(dt.values[reached]).any()
+    assert np.isfinite(dt.values[~reached]).all()
+    assert np.isnan(dt.values[[9, 12], 3, 1]).all()
+    with pytest.raises(GridError, match=r"tau=8, sigma=3"):
+        dt.check_finite()
+
+
 def test_d_tau_polynomial_exact(grid):
     tt, _ = grid.meshgrid()
     assert np.abs(d_tau(Field(grid, tt)).values - 1.0).max() <= 1e-12

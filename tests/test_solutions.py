@@ -8,7 +8,7 @@ import pytest
 from conftest import interior
 from stringlab import dynamics as dyn
 from stringlab import solutions
-from stringlab.grid import WorldsheetGrid, d_sigma, d_tau, masked_max_abs
+from stringlab.grid import SPACETIME, Field, WorldsheetGrid, d_sigma, d_tau, masked_max_abs
 from stringlab.solutions import (
     SolutionError,
     jacobi_from_family,
@@ -29,6 +29,19 @@ def test_parameter_validation():
         rotating_folded_string(0.0)
     with pytest.raises(SolutionError):
         spinning_two_plane_string(-2.0)
+    with pytest.raises(SolutionError, match="amplitude must be positive, got nan"):
+        rotating_folded_string(float("nan"))
+
+
+@pytest.mark.parametrize("name,params,text", [
+    ("pulsating_circular_string", {"radius": -1}, "radius must be positive, got -1.0"),
+    ("pulsating_circular_string", {"dim": 5}, "dim must be 3 or 4, got 5"),
+    ("rotating_folded_string", {"amplitude": 0}, "amplitude must be positive, got 0.0"),
+    ("spinning_two_plane_string", {"scale": -2.0}, "scale must be positive, got -2.0"),
+])
+def test_invalid_parameter_keeps_its_text(name, params, text):
+    with pytest.raises(SolutionError, match=f"^{re.escape(text)}$"):
+        make_solution(name, params)
 
 
 def test_registry():
@@ -181,6 +194,32 @@ def test_sigma_shift_has_no_normal_part(pulsating, pulsating_geo, spinning, spin
     for sol, geo in ((pulsating, pulsating_geo), (spinning, spinning_geo)):
         phi = jacobi_from_family(sol, geo, "sigma_shift")
         assert masked_max_abs(phi.values, geo.mask.active) <= 1e-10
+
+
+def _sigma_shift_gap(sol, grid):
+    """Max gap between the sigma shift and the spectral sigma derivative of
+    the chart, relative to 1 + max |X|."""
+    x = Field(grid, sol.chart(*grid.meshgrid()), (SPACETIME,))
+    gap = np.abs(sol.family_velocity(grid, "sigma_shift").values - d_sigma(x).values).max()
+    return gap / (1.0 + np.abs(x.values).max())
+
+
+@pytest.mark.parametrize("grid", [WorldsheetGrid(129, 32, 0.1, 0.9),
+                                  WorldsheetGrid(33, 8, 0.1, 0.9)])
+def test_sigma_shift_is_the_chart_sigma_derivative(grid):
+    """The complex-step sigma shift equals the chart's spectral sigma
+    derivative on every family; on a chart that breaks the analyticity
+    rule (abs) it misses by O(1), so this test guards that rule."""
+    for name in solution_names():
+        assert _sigma_shift_gap(make_solution(name, {}), grid) <= 1e-12, name
+
+    def chart(tt, ss):
+        return np.stack([tt, np.abs(np.cos(ss)) * np.cos(tt), np.abs(np.cos(ss)) * np.sin(tt)],
+                        axis=-1)
+
+    bent = solutions._family("bent", {"amplitude": 1.0}, chart, 3, "amplitude",
+                             lambda g: np.zeros(g.shape, dtype=bool))
+    assert _sigma_shift_gap(bent, grid) > 0.1
 
 
 def test_unknown_family_rejected(pulsating, pulsating_geo):

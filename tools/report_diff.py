@@ -4,11 +4,11 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the twenty slice-path, declared-mask and shared-derivative
-configs of :func:`extra_configs` once per checkout, each checkout in its own
-child process that imports ``stringlab`` from that checkout's ``src/``.
-Both sides run the configs of this checkout's ``perfbench/``, which is only
-read.
+× nine kinds) and the twenty-five slice-path, declared-mask,
+shared-derivative and sigma-shift configs of :func:`extra_configs` once per
+checkout, each checkout in its own child process that imports ``stringlab``
+from that checkout's ``src/``.  Both sides run the configs of this
+checkout's ``perfbench/``, which is only read.
 
 For each config it prints both exit codes.  Where two reports differ it
 prints each differing leaf key with both values and their relative
@@ -62,15 +62,19 @@ def extra_configs(seed: int) -> dict:
     the topological part and a near-edge row.  Declared masks, through full
     builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]),
     folded's fold columns at 129x64, and rows around the pulsating
-    collapse.  Shared derivatives: linearize at three betas on pulsating
-    and spinning and at two nonzero betas on folded (masked fills), and
-    self-adjoint and conserve on spinning (nonzero normal connection), so
-    every evaluator and coupling reads one set of each field's
-    derivatives."""
+    collapse at 257x16 and at 1025x16, where the tau stencil meets inf -
+    inf on masked rows.  Shared derivatives: linearize at three betas on
+    pulsating and spinning and at two nonzero betas on folded (masked
+    fills), and self-adjoint and conserve on spinning (nonzero normal
+    connection), so every evaluator and coupling reads one set of each
+    field's derivatives.  Sigma shift: conserve with the ``sigma_shift``
+    Jacobi field on pulsating, spinning and folded, whose error text
+    carries the roundoff size of the shift's normal part."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
     folded_kinds = raw_configs("folded", seed)
     folded = folded_kinds["geometry"]
     collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
+    fine_collapse = {"grid": {**collapse["grid"], "n_tau": 1025}}
     cusp = {"grid": {"n_tau": 129, "n_sigma": 64, "tau_min": 2.0, "tau_max": 2.7}}
     masks = {
         "spinning cusp geometry": (spinning["geometry"], cusp),
@@ -78,6 +82,8 @@ def extra_configs(seed: int) -> dict:
         "folded 129x64 geometry": (folded, {"grid": {**folded["grid"], "n_sigma": 64}}),
         "collapse geometry": (pulsating["geometry"], collapse),
         "collapse eom": (pulsating["eom"], collapse),
+        "collapse 1025 geometry": (pulsating["geometry"], fine_collapse),
+        "collapse 1025 eom": (pulsating["eom"], fine_collapse),
     }
     cases = {
         "omega 0,2,64,66,128": (pulsating["omega"], {}, {"slices": [0, 2, 64, 66, 128]}),
@@ -101,11 +107,16 @@ def extra_configs(seed: int) -> dict:
         "spinning conserve": (spinning["conserve"], {"jacobi": ["rotation_xy", "scale"],
                                                      "beta": 0.3}),
     }
+    sigma_shift = {"pulsating": pulsating["conserve"], "spinning": spinning["conserve"],
+                   "folded": folded_kinds["conserve"]}
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
     out.update({f"derivatives/{key}": {**raw, "options": {**raw.get("options", {}), **options}}
                 for key, (raw, options) in shared.items()})
     out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
+    out.update({f"sigma-shift/{key} conserve":
+                {**raw, "options": {"jacobi": ["translation_t", "sigma_shift"]}}
+                for key, raw in sigma_shift.items()})
     return out
 
 
