@@ -4,6 +4,16 @@ Each driver composes the library modules into one named experiment, returns
 a results dictionary plus the tolerance table it asserted against, and a
 pass flag.  Everything is deterministic for fixed inputs and seed.
 
+One rule turns results and tolerances into the pass flag of every kind but
+``convergence``, :func:`failing_checks`: ``tolerances[NAME]`` bounds |x|
+for every number x under a key NAME of the results, at any depth,
+``tolerances[NAME_min]`` bounds them from below, and a NaN misses every
+bound.  The kind passes when no number misses.  ``convergence`` passes when
+every refinement pair converges (:func:`refinement_verdict`): its observed
+order is at least ``min_order``, or both its errors are finite and the
+smaller is at the ``roundoff_floor``.  That is a rule on pairs of results,
+not a bound on each.
+
 A driver takes the library objects of one run, ``(sol, grid, action,
 seed)``: the exact solution, its grid, the couplings and the random seed.
 A kind with a ``beta`` or ``betas`` option sets the topological coupling of
@@ -74,13 +84,9 @@ def run_geometry(sol, grid, action, seed, *, csv=None) -> Outcome:
         "active_fraction": float(act.mean()),
     }
     tol = {"max_abs_einstein": 1e-6, "gauss_relation_gap": 5e-6}
-    passed = (
-        results["max_abs_einstein"] <= tol["max_abs_einstein"]
-        and results["gauss_relation_gap"] <= tol["gauss_relation_gap"]
-    )
     if csv:
         _dump_csv(csv, geo, geo.einstein, "einstein")
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def _dump_csv(path: str, geo, f: Field, name: str) -> None:
@@ -132,9 +138,9 @@ def run_deform_check(sol, grid, action, seed, *, epsilon=1e-4, amplitude=0.5,
             )
             rel = masked_max_abs(analytic.values - oracle.values, interior) / scale
             worst[name] = float(np.maximum(worst.get(name, 0.0), rel))  # NaN propagates
+    results = {"max_relative_discrepancy": worst}
     tol = {name: 1e-6 for name in worst}
-    passed = all(worst[name] <= tol[name] for name in worst)
-    return {"max_relative_discrepancy": worst}, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def run_eom(sol, grid, action, seed, *, betas=(0.0, 0.5, 1.0), csv=None) -> Outcome:
@@ -148,10 +154,9 @@ def run_eom(sol, grid, action, seed, *, betas=(0.0, 0.5, 1.0), csv=None) -> Outc
     results = {"max_residual": float(np.max(values)), "residuals": residuals,
                "beta_spread": spread}
     tol = {"max_residual": 5e-5 * action.tension, "beta_spread": 1e-6}
-    passed = results["max_residual"] <= tol["max_residual"] and spread <= tol["beta_spread"]
     if csv:
         _dump_csv(csv, geo, dyn.eom_residual(geo, action), "eom_residual")
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def run_linearize(sol, grid, action, seed, *, betas=(0.0, 0.3), epsilon=1e-4) -> Outcome:
@@ -182,9 +187,7 @@ def run_linearize(sol, grid, action, seed, *, betas=(0.0, 0.3), epsilon=1e-4) ->
         results["potential_agreement"][key] = rel_psi
     tol = {"fd_match": 1e-4, "evaluator_agreement": 1e-10,
            "einstein_blocks": 1e-6, "potential_agreement": 1e-6}
-    # a NaN discrepancy compares False, so it fails
-    passed = all(v <= tol[name] for name in tol for v in results[name].values())
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def run_self_adjoint(sol, grid, action, seed, *, beta=0.3) -> Outcome:
@@ -200,8 +203,7 @@ def run_self_adjoint(sol, grid, action, seed, *, beta=0.3) -> Outcome:
     rel_sum = masked_max_abs(direct.values - summed.values, geo.mask.active) / jscale
     results = {"identity_residual": rel, "simplification_gap": rel_sum, "scale": scale}
     tol = {"identity_residual": 1e-4, "simplification_gap": 1e-9}
-    passed = rel <= tol["identity_residual"] and rel_sum <= tol["simplification_gap"]
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def run_conserve(sol, grid, action, seed, *, jacobi=("translation_x", "translation_t"),
@@ -219,8 +221,7 @@ def run_conserve(sol, grid, action, seed, *, jacobi=("translation_x", "translati
     results = {"max_divergence": worst, "relative": worst / scale,
                "negative_control": control, "control_ratio": control / max(worst, 1e-30)}
     tol = {"relative": 5e-4, "control_ratio_min": 10.0}
-    passed = results["relative"] <= tol["relative"] and results["control_ratio"] >= tol["control_ratio_min"]
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def _conservation_scale(geo, f1, f2, p) -> float:
@@ -262,8 +263,7 @@ def run_omega(sol, grid, action, seed, *, jacobi=None, betas=(0.0, 0.25, 0.5),
     results = {"omega": table, "slice_relative_spread": rel_spread,
                "self_pairing": antisym_zero, "beta_shift": delta}
     tol = {"slice_relative_spread": 1e-3, "self_pairing": 0.0}
-    passed = rel_spread <= tol["slice_relative_spread"] and antisym_zero == 0.0
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1e-2,
@@ -277,8 +277,7 @@ def run_gauge_check(sol, grid, action, seed, *, jacobi=None, beta=0.0, epsilon=1
     )
     results = {"smooth_reparam_relative_change": smooth, "rigid_shift_relative_change": rigid}
     tol = {"smooth_reparam_relative_change": 1e-3, "rigid_shift_relative_change": 1e-10}
-    passed = smooth <= tol["smooth_reparam_relative_change"] and rigid <= tol["rigid_shift_relative_change"]
-    return results, tol, passed
+    return results, tol, not failing_checks(results, tol)
 
 
 # roundoff floors per convergence quantity: below these the error carries no
@@ -328,6 +327,38 @@ def refinement_verdict(levels, errors, floor: float) -> tuple[list[float], bool]
         orders.append(order)
         pair_ok.append(order >= MIN_ORDER or (finite and min(e1, e2) <= floor))
     return orders, bool(pair_ok) and all(pair_ok)
+
+
+def failing_checks(results: dict, tolerances: dict) -> list[tuple[str, float | None, float]]:
+    """``(path, value, tolerance)`` for every checked number that misses
+    its bound, the one verdict rule of every kind but ``convergence``:
+    ``tolerances[NAME]`` bounds |x| for every number x under a key NAME of
+    ``results``, at any depth, and ``tolerances[NAME_min]`` bounds those
+    numbers from below.  A NaN misses every bound, and a tolerance that
+    names no result misses with value None (and its own name as path).  A
+    path is dotted, with ``[i]`` for a list item; the strings "nan", "inf"
+    and "-inf" of a parsed report are the numbers they stand for."""
+    numbers = list(_numbers(results))
+    out = []
+    for key, tol in tolerances.items():
+        name = key.removesuffix("_min")
+        named = [(path, x) for path, keys, x in numbers if name in keys] or [(key, None)]
+        # a NaN compares False, so it misses
+        out += [(path, x, tol) for path, x in named
+                if x is None or not (abs(x) <= tol if name == key else x >= tol)]
+    return out
+
+
+def _numbers(obj, path: str = "", keys: tuple = ()):
+    """``(path, the keys along it, value)`` for every number in ``obj``."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _numbers(val, f"{path}.{key}" if path else key, keys + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for i, val in enumerate(obj):
+            yield from _numbers(val, f"{path}[{i}]", keys)
+    elif isinstance(obj, (int, float)) or obj in ("nan", "inf", "-inf"):
+        yield path, keys, float(obj)
 
 
 EXPERIMENTS = {

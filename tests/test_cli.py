@@ -534,6 +534,57 @@ def test_refinement_verdict(errors, orders, passed):
     assert ok is passed
 
 
+NESTED = {"metric": 2.5e-7, "connection": 1.485e-6, "ricci": 2.1e-4, "volume": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "results,tolerances,failing",
+    [
+        # deform-check's table: the tolerances name keys one level down
+        ({"max_relative_discrepancy": NESTED}, {name: 1e-6 for name in NESTED},
+         ["max_relative_discrepancy.connection", "max_relative_discrepancy.ricci"]),
+        # linearize's per-beta tables: a tolerance bounds every entry under its key
+        ({"fd_match": {"beta=0.0": 2e-5, "beta=0.3": 2e-4},
+          "evaluator_agreement": {"beta=0.0": 1e-9, "beta=0.3": 1e-12},
+          "einstein_blocks": {"beta=0.0": 0.0, "beta=0.3": 3e-8}},
+         {"fd_match": 1e-4, "evaluator_agreement": 1e-10, "einstein_blocks": 1e-6},
+         ["fd_match.beta=0.3", "evaluator_agreement.beta=0.0"]),
+        # a lower bound
+        ({"relative": 1e-5, "control_ratio": 9.99}, {"relative": 5e-4, "control_ratio_min": 10.0},
+         ["control_ratio"]),
+        ({"relative": 1e-5, "control_ratio": 10.0}, {"relative": 5e-4, "control_ratio_min": 10.0},
+         []),
+        # a zero bound holds |x|: the slightest negative value misses it
+        ({"self_pairing": -1e-17}, {"self_pairing": 0.0}, ["self_pairing"]),
+        ({"self_pairing": -0.0}, {"self_pairing": 0.0}, []),
+        # non-finite numbers, and a parsed report's strings for them
+        ({"a": float("nan"), "b": ["nan", 1.0], "c": {"d": "inf"}, "e": 1.0},
+         {"a": 1.0, "b": 1.0, "c": 1.0, "e": 1.0}, ["a", "b[0]", "c.d"]),
+        ({"control_ratio": "-inf"}, {"control_ratio_min": 10.0}, ["control_ratio"]),
+        ({"control_ratio": float("nan")}, {"control_ratio_min": 10.0}, ["control_ratio"]),
+        # a number under no bounded key is not checked
+        ({"scale": float("nan"), "relative": 1e-5}, {"relative": 5e-4}, []),
+    ],
+)
+def test_failing_checks_names_exactly_the_failing_values(results, tolerances, failing):
+    got = experiments.failing_checks(results, tolerances)
+    assert [path for path, _, _ in got] == failing
+
+
+def test_a_tolerance_that_names_no_result_fails():
+    got = experiments.failing_checks({"observed_orders": [4.0, 4.1]}, {"min_order": 3.5})
+    assert got == [("min_order", None, 3.5)]
+
+
+@pytest.mark.parametrize("kind", [k for k in experiments.EXPERIMENTS if k != "convergence"])
+def test_every_tolerance_names_a_result(kind):
+    """A misspelled tolerance key would bound nothing and fail every run."""
+    results, tolerances, passed = experiments.EXPERIMENTS[kind](*BASE_RUN)
+    failing = experiments.failing_checks(results, tolerances)
+    assert [key for key, value, _ in failing if value is None] == []
+    assert passed is (not failing)
+
+
 def test_nan_omega_on_a_late_slice_fails(monkeypatch):
     """max() and min() skip a NaN that is not their first item; the slice
     spread must not."""

@@ -10,48 +10,40 @@ that imports ``stringlab`` from this checkout's ``src/``, as
 classified by ``workloads.failure``.
 
 Per seed and workload it prints the failing count out of nine and, for each
-failing kind, why: for exit 1 the result values beyond their tolerance, for
-exit 3 the error text.  Then the seed's total out of 36.
+failing kind, why: for exit 1 each result value that misses its tolerance,
+by ``stringlab.experiments.failing_checks`` from this checkout's ``src/``,
+for exit 3 the error text.  Then the seed's total out of 36.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 sys.dont_write_bytecode = True  # nothing under tools/ or perfbench/ is written
 
-from report_diff import ROOT, leaves, run_checkout  # noqa: E402
-from workloads import KINDS, WORKLOADS, Outcome, failure, raw_configs  # noqa: E402
+from report_diff import ROOT, run_checkout  # noqa: E402
+from workloads import KINDS, WORKLOADS, Outcome, failure, load_stringlab, raw_configs  # noqa: E402
 
-
-def beyond_tolerance(report: dict) -> list[str]:
-    """``path value (tolerance)`` for each result value beyond its
-    tolerance: a numeric leaf of ``results`` one of whose dotted path
-    segments is the tolerance's name, above it in magnitude, or below it
-    for a lower bound ``NAME_min``."""
-    values = leaves(report["results"])
-    out = []
-    for key, tol in report["tolerances"].items():
-        name = key.removesuffix("_min")
-        for path, value in values.items():
-            if name not in re.split(r"[.\[]", path) or not isinstance(value, (int, float)):
-                continue
-            if (value < tol) if name != key else (abs(value) > tol):
-                out.append(f"{path} {value:.4g} (tolerance {tol:g})")
-    return out
+failing_checks = load_stringlab(ROOT).experiments.failing_checks
 
 
 def why(name: str, kind: str, code, text: str) -> str | None:
-    """Why one run failed, or None when it passed."""
+    """Why one run failed, or None when it passed.  A failing
+    ``convergence`` lists its observed orders below ``min_order`` and its
+    errors above ``roundoff_floor``: a pair fails when it misses both."""
     reason = failure(name, kind, Outcome(code, text))
     if reason is None or code == 0:
         return reason
     if code == 1:
-        values = beyond_tolerance(json.loads(text)) or ["no result named by a tolerance"]
-        return f"{reason}: {', '.join(values)}"
+        report = json.loads(text)
+        tol = report["tolerances"]
+        if kind == "convergence":
+            tol = {"observed_orders_min": tol["min_order"], "errors": tol["roundoff_floor"]}
+        return f"{reason}: " + ", ".join(
+            f"{path} {value if value is None else format(value, '.4g')} (tolerance {bound:g})"
+            for path, value, bound in failing_checks(report["results"], tol))
     return f"{reason}: {text.strip().splitlines()[-1]}"
 
 

@@ -4,7 +4,7 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the twenty-five slice-path, declared-mask,
+× nine kinds) and the twenty-six slice-path, declared-mask,
 shared-derivative and sigma-shift configs of :func:`extra_configs` once per
 checkout, each checkout in its own child process that imports ``stringlab``
 from that checkout's ``src/``.  Both sides run the configs of this
@@ -61,9 +61,10 @@ def extra_configs(seed: int) -> dict:
     the stacked reparametrized rebuilds see a nonzero normal connection,
     the topological part and a near-edge row.  Declared masks, through full
     builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]),
-    folded's fold columns at 129x64, and rows around the pulsating
-    collapse at 257x16 and at 1025x16, where the tau stencil meets inf -
-    inf on masked rows.  Shared derivatives: linearize at three betas on
+    folded's fold columns at 129x64, also under ``convergence``, whose
+    negative orders fail it, and rows around the pulsating collapse at
+    257x16 and at 1025x16, where the tau stencil meets inf - inf on masked
+    rows.  Shared derivatives: linearize at three betas on
     pulsating and spinning and at two nonzero betas on folded (masked
     fills), and self-adjoint and conserve on spinning (nonzero normal
     connection), so every evaluator and coupling reads one set of each
@@ -75,11 +76,13 @@ def extra_configs(seed: int) -> dict:
     folded = folded_kinds["geometry"]
     collapse = {"grid": {"n_tau": 257, "n_sigma": 16, "tau_min": 0.5, "tau_max": 1.6}}
     fine_collapse = {"grid": {**collapse["grid"], "n_tau": 1025}}
+    folded_64 = {"grid": {**folded["grid"], "n_sigma": 64}}
     cusp = {"grid": {"n_tau": 129, "n_sigma": 64, "tau_min": 2.0, "tau_max": 2.7}}
     masks = {
         "spinning cusp geometry": (spinning["geometry"], cusp),
         "spinning cusp eom": (spinning["eom"], cusp),
-        "folded 129x64 geometry": (folded, {"grid": {**folded["grid"], "n_sigma": 64}}),
+        "folded 129x64 geometry": (folded, folded_64),
+        "folded 129x64 convergence": (folded_kinds["convergence"], folded_64),
         "collapse geometry": (pulsating["geometry"], collapse),
         "collapse eom": (pulsating["eom"], collapse),
         "collapse 1025 geometry": (pulsating["geometry"], fine_collapse),
