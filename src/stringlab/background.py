@@ -81,9 +81,11 @@ class BackgroundSpacetime:
 
 
 def _const_evaluator(arr: np.ndarray) -> Evaluator:
+    """The evaluator of a constant: a read-only view of ``arr`` broadcast to
+    every point, so the one copy is the caller's, in the layout it needs."""
     def ev(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points)
-        return np.broadcast_to(arr, points.shape[:-1] + arr.shape).copy()
+        return np.broadcast_to(arr, points.shape[:-1] + arr.shape)
 
     return ev
 

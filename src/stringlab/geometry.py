@@ -35,6 +35,7 @@ spectral stencils.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,40 +189,53 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
     coordinate axes in order, point by point) whose projection off the
     tangents and slots < k has norm above SEED_SKIP_TOL, normalized.  Only
     coordinate seeds are oriented, so their frame cannot flip mid-grid.
+
+    Each piece of work is done once: a coordinate axis is projected off the
+    tangents once for all the slots that try it; each slot is lowered
+    (g . n) once per pass, for the slots after it; a seed is divided and
+    stored only at the points that accept it, and not at all when none does.
     """
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
     k_needed = dim - 2
     floor = SEED_SKIP_TOL * SEED_SKIP_TOL
     normals = grid_full((nt, ns, k_needed, dim), np.nan)
 
-    def project(v, e_dot_v, slot):
+    def off_tangents(v, e_dot_v):
         """v minus e_a gamma^{ab} (e_b . v), given e_b . v (contracted
-        pairwise, a fraction of one three-operand einsum), and minus its parts
-        along the (orthonormal) slots before ``slot``; and g(v, v)."""
-        v = v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
-        for m in range(slot):
-            nm = normals[..., m, :]
-            v = v - nm * np.einsum("...m,...m->...", np.einsum("...mn,...n->...m", g, nm), v)[..., None]
+        pairwise, a fraction of one three-operand einsum)."""
+        return v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
+
+    # coordinate axis s off the tangents (their dots with it are e_low[..., s]),
+    # read, never written, by every slot that tries it
+    axis = functools.cache(lambda s: off_tangents(np.eye(dim)[s], e_low[..., :, s]))
+
+    def off_slots(v, slot, lowered):
+        """v minus its parts along the (orthonormal) slots before ``slot``,
+        each lowered (g . n) into ``lowered`` on first use; and g(v, v)."""
+        while len(lowered) < slot:
+            lowered.append(np.einsum("...mn,...n->...m", g, normals[..., len(lowered), :]))
+        for m, low in enumerate(lowered):
+            v = v - normals[..., m, :] * np.einsum("...m,...m->...", low, v)[..., None]
         return v, np.einsum("...mn,...m,...n->...", g, v, v)
 
+    lowered = []
     for slot in range(k_needed):
-        if frame is None:  # the tangents' dots with axis s are e_low[..., s]
-            axes = enumerate(np.eye(dim))
-            seeds = ((grid_full((nt, ns, dim), 0.0) + u, e_low[..., :, s]) for s, u in axes)
+        if frame is None:
+            seeds = (axis(s) for s in range(dim))
         else:
             given = frame[..., slot, :]
-            seeds = [(given, np.einsum("...am,...m->...a", e_low, given))]
+            seeds = [off_tangents(given, np.einsum("...am,...m->...a", e_low, given))]
         filled = np.zeros((nt, ns), dtype=bool)
-        for seed, e_dot_seed in seeds:
-            todo = ~filled
-            if not todo.any():
-                break
-            v, norm2 = project(seed, e_dot_seed, slot)
-            ok = todo & (norm2 > floor)
-            with np.errstate(invalid="ignore"):
-                unit = v / np.sqrt(np.maximum(norm2, floor))[..., None]
-            normals[ok, slot, :] = unit[ok]
-            filled |= ok
+        for seed in seeds:
+            v, norm2 = off_slots(seed, slot, lowered)
+            ok = ~filled & (norm2 > floor)
+            if ok.any():
+                with np.errstate(invalid="ignore"):
+                    np.divide(v, np.sqrt(np.maximum(norm2, floor))[..., None],
+                              out=normals[..., slot, :], where=ok[..., None])
+                filled |= ok
+                if filled.all():
+                    break
         missing = mask.active & ~filled
         if missing.any():
             it, isig = np.argwhere(missing)[0]
@@ -231,9 +245,10 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
             )
     # second orthogonalization pass: seeds accepted with a small residual
     # norm lose digits to cancellation, one refinement restores them
+    lowered = []
     for slot in range(k_needed):
         v = normals[..., slot, :]
-        v, norm2 = project(v, np.einsum("...am,...m->...a", e_low, v), slot)
+        v, norm2 = off_slots(off_tangents(v, np.einsum("...am,...m->...a", e_low, v)), slot, lowered)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm at a masked point
             normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
     if frame is None:
@@ -248,6 +263,11 @@ def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
     signs propagate down its column in tau (no row above it is active), then
     from it along each row in sigma (wrapping), skipping masked points.
 
+    The anchor and the row walks' order are found once for all slots.  The
+    walks read each slot's contiguous component planes in place; only an
+    anchor off column 0 makes the row walks read a copy rolled to start at
+    it.  See :func:`_walk_signs` for the dots and the signs.
+
     On a grid of several blocks the column walk crosses the seams, so a
     block's slot may come out with the opposite sign to a build of that
     block alone: at every point of the block when the block's first active
@@ -256,36 +276,43 @@ def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
     normal index of the current is contracted with another, and a product
     of two negated floats is exact.
     """
-    nt, ns, k, _ = normals.shape
-    t0, s0 = map(int, np.argwhere(active)[0])
-    walk = (s0 + np.arange(ns)) % ns
+    ns, k = normals.shape[1], normals.shape[2]
+    t0, s0 = divmod(int(np.argmax(active)), ns)
+    part = np.roll(active, -s0, axis=1)  # the row walks' order: column s0 first
     for slot in range(k):
-        sl = normals[:, :, slot, :]
-        anchor = sl[t0, s0]
+        planes = np.moveaxis(normals[:, :, slot, :], -1, 0)  # (dim, nt, ns), views
+        anchor = planes[:, t0, s0]
         if anchor[np.argmax(np.abs(anchor))] < 0:
-            sl[t0, s0] = -anchor
-        column = sl[t0:, s0]
-        column *= _walk_signs(column[None], active[t0:, s0][None])[0, :, None]
-        signs = np.empty((nt, ns))
-        signs[:, walk] = _walk_signs(sl[:, walk], active[:, walk])
-        sl *= signs[..., None]
+            anchor *= -1.0
+        planes[:, t0:, s0] *= _walk_signs(planes[:, None, t0:, s0], active[None, t0:, s0])[0]
+        signs = _walk_signs(np.roll(planes, -s0, axis=2) if s0 else planes, part)
+        planes *= np.roll(signs, s0, axis=1)
 
 
-def _walk_signs(values: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Signs of the steps of walks along axis 1 of ``values`` (walks, steps,
-    dim) that start at step 0 and visit the steps where ``part`` is set: a
-    step flips when its dot with the previous one, as flipped, is negative,
-    so its sign counts negative dots since the last dot of 0 or NaN."""
-    n, steps, dim = values.shape
-    part = part.copy()
-    part[:, 0] = True
-    prev = np.maximum.accumulate(np.where(part, np.arange(steps), 0), axis=1)[:, :-1]
-    prev += steps * np.arange(n)[:, None]  # flat index of the previous step taking part
-    dots = np.einsum("...m,...m->...", values.reshape(n * steps, dim)[prev], values[:, 1:])
-    dots = np.pad(dots, ((0, 0), (1, 0)))  # a dot of 0 restarts every walk at step 0
-    count = np.cumsum(part & (dots < 0), axis=1)
-    count -= np.maximum.accumulate(np.where(part & ~(dots < 0) & ~(dots > 0), count, 0), axis=1)
-    return np.where(part, 1.0 - 2.0 * (count % 2), 1.0)
+def _walk_signs(planes: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Signs of the steps of walks along the last axis of ``planes`` (dim,
+    walks, steps), one plane per component, that start at step 0 and visit
+    the steps where ``part`` is set: a step flips when its dot with the
+    previous one, as flipped, is negative, so its sign is the parity of the
+    negative dots since the last dot of 0 or NaN.
+
+    The walks run as one flat sequence, each restarting at its step 0 with
+    a dot of 0.  Every dot of neighbouring steps is taken on the planes as
+    they lie; only a step after masked steps gathers the last one visited."""
+    n, steps = part.shape
+    flat = planes.reshape(len(planes), n * steps)
+    part = part.flatten()
+    part[::steps] = True
+    dots = np.concatenate([[0.0], np.einsum("mi,mi->i", flat[:, :-1], flat[:, 1:])])
+    at = np.flatnonzero(part[1:] & ~part[:-1]) + 1
+    if at.size:
+        last = np.maximum.accumulate(np.where(part, np.arange(n * steps), 0))
+        dots[at] = np.einsum("mi,mi->i", flat[:, last[at - 1]], flat[:, at])
+    dots[::steps] = 0.0
+    flips = part & (dots < 0)
+    count = np.cumsum(flips)
+    count -= np.maximum.accumulate(np.where(part & ~flips & ~(dots > 0), count, 0))
+    return np.where(part & (count % 2 == 1), -1.0, 1.0).reshape(n, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +328,10 @@ def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
     """
     vals = x.values
     h = x.grid.h_sigma
-    local = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * h)
-    scale = 1.0 + np.abs(local).max()
-    gap = np.abs(dx_s - local).max()
+    with np.errstate(invalid="ignore"):  # a displaced chart may be inf on masked rows
+        local = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * h)
+        scale = 1.0 + np.abs(local).max()
+        gap = np.abs(dx_s - local).max()
     if gap > 0.5 * scale:
         raise GeometryError(
             "chart is not periodic in sigma (spectral and local derivatives "

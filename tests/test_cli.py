@@ -737,3 +737,15 @@ def test_every_experiment_kind_passes(tmp_path, kind, n_tau, options):
     out = tmp_path / "r.json"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("kind", ["deform-check", "linearize"])
+def test_displaced_collapse_fails_typed_without_a_warning(tmp_path, capsys, kind):
+    """The displaced charts of the collapse are not finite on its masked
+    rows; under the suite's warnings-as-errors the periodicity check reads
+    them without a warning, and the run exits 3 naming the first bad point."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**COLLAPSE, "kind": kind}))
+    assert cli.main(["run", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: conn is not finite at grid point (tau=245, sigma=4)\n")

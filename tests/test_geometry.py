@@ -14,8 +14,10 @@ from stringlab.dynamics import (
 from stringlab.geometry import (
     Embedding,
     DEGENERACY_TOL,
+    SEED_SKIP_TOL,
     GeometryError,
     _orient_frame,
+    _orthonormal_normal_frame,
     build_geometry,
     covariant_gradient,
     fill_masked_along_sigma,
@@ -35,6 +37,7 @@ from stringlab.grid import (
     Mask,
     WorldsheetGrid,
     dilate,
+    grid_full,
     masked_max_abs,
 )
 from stringlab.solutions import _degenerate_rows, jacobi_from_family, make_solution
@@ -224,23 +227,126 @@ def _orient_frame_reference(normals, active):
                     ref = sl[t, s].copy()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_orient_frame_matches_pointwise_reference(seed):
+@pytest.mark.parametrize("seed,case", [(seed, "masked") for seed in range(6)]
+                         + [(6, "all active"), (7, "anchor off column 0")])
+def test_orient_frame_matches_pointwise_reference(seed, case):
     rng = np.random.default_rng(seed)
     nt, ns, k, dim = 9, 7, 2, 4
     # a smooth frame with random sign flips, so the walks have work to do
     normals = rng.normal(size=(k, dim)) + 0.3 * rng.normal(size=(nt, ns, k, dim))
     normals *= rng.choice([-1.0, 1.0], size=(nt, ns, k, 1))
-    active = rng.random((nt, ns)) >= 0.3
-    active[0] = False                       # the anchor is not on the first row
-    active[4, 2] = False                    # a gap in the anchor column
-    normals[~active & (rng.random((nt, ns)) < 0.5)] = np.nan  # unfilled masked points
-    normals[5, 3] = 0.0                     # a zero dot restarts the walk
+    if case == "masked":
+        active = rng.random((nt, ns)) >= 0.3
+        active[0] = False                       # the anchor is not on the first row
+        active[4, 2] = False                    # a gap in the anchor column
+        normals[~active & (rng.random((nt, ns)) < 0.5)] = np.nan  # unfilled masked points
+        normals[5, 3] = 0.0                     # a zero dot restarts the walk
+    else:
+        active = np.ones((nt, ns), dtype=bool)
+        if case == "anchor off column 0":
+            active[:, [0, 1, 4]] = False        # the rows start at column 2 and wrap
+            active[6, 5] = False
+            normals[~active] = np.nan
     expected = normals.copy()
     _orient_frame_reference(expected, active)
     _orient_frame(normals, active)
     assert np.array_equal(normals, expected, equal_nan=True)
     assert np.array_equal(np.signbit(normals), np.signbit(expected))
+
+
+def _orthonormal_normal_frame_reference(g, e, e_low, gamma_inv, mask, frame=None):
+    """The frame rule as first written, each projection from scratch, with
+    the point-by-point orientation: the reference."""
+    nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
+    k_needed = dim - 2
+    floor = SEED_SKIP_TOL * SEED_SKIP_TOL
+    normals = grid_full((nt, ns, k_needed, dim), np.nan)
+
+    def project(v, e_dot_v, slot):
+        v = v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
+        for m in range(slot):
+            nm = normals[..., m, :]
+            v = v - nm * np.einsum("...m,...m->...", np.einsum("...mn,...n->...m", g, nm), v)[..., None]
+        return v, np.einsum("...mn,...m,...n->...", g, v, v)
+
+    for slot in range(k_needed):
+        if frame is None:
+            axes = enumerate(np.eye(dim))
+            seeds = ((grid_full((nt, ns, dim), 0.0) + u, e_low[..., :, s]) for s, u in axes)
+        else:
+            given = frame[..., slot, :]
+            seeds = [(given, np.einsum("...am,...m->...a", e_low, given))]
+        filled = np.zeros((nt, ns), dtype=bool)
+        for seed, e_dot_seed in seeds:
+            todo = ~filled
+            if not todo.any():
+                break
+            v, norm2 = project(seed, e_dot_seed, slot)
+            ok = todo & (norm2 > floor)
+            with np.errstate(invalid="ignore"):
+                unit = v / np.sqrt(np.maximum(norm2, floor))[..., None]
+            normals[ok, slot, :] = unit[ok]
+            filled |= ok
+        assert not (mask.active & ~filled).any()
+    for slot in range(k_needed):
+        v = normals[..., slot, :]
+        v, norm2 = project(v, np.einsum("...am,...m->...a", e_low, v), slot)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
+    if frame is None:
+        _orient_frame_reference(normals, mask.active)
+    return normals
+
+
+@pytest.mark.parametrize(
+    "name,params,grid,seeding,anchor,unfilled",
+    [
+        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), "axes", (0, 0), False),
+        ("pulsating_circular_string", {"dim": 3}, (129, 32, 0.1, 0.9), "axes", (0, 0), False),
+        ("spinning_two_plane_string", {}, (129, 64, 0.1, 0.9), "analytic", (0, 0), False),
+        ("rotating_folded_string", {}, (129, 32, 0.1, 0.9), "axes", (0, 2), False),
+        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), "rebuild", (0, 0), False),
+        ("pulsating_circular_string", {}, (1025, 16, 0.5, 1.6), "axes", (0, 0), True),
+        ("pulsating_circular_string", {}, (129, 32, 1.5708, 2.3708), "axes", (3, 0), True),
+    ],
+    ids=["pulsating", "pulsating-dim3", "spinning-analytic", "folded", "seeded-rebuild",
+         "collapse-1025", "window"],
+)
+def test_normal_frame_matches_reference_bit_for_bit(name, params, grid, seeding, anchor,
+                                                    unfilled):
+    """The frame each build uses, against the rule computed from scratch:
+    the same bits, NaNs and signs of zero, seeded and unseeded.  The folded
+    string's fold columns put the anchor on column 2, so its row walks
+    wrap; the collapse and the window leave masked points unfilled (NaN),
+    and the window's anchor and column walk start on row 3."""
+    sol = make_solution(name, params)
+    grid = WorldsheetGrid(*grid)
+    intrinsic = intrinsic_geometry(sol.embedding(grid))
+    active = intrinsic.mask.active
+    frame = None
+    if seeding == "analytic":
+        frame = sol.frame(*grid.meshgrid())
+    elif seeding == "rebuild":
+        frame = build_geometry(sol.embedding(grid)).n.values
+    args = (intrinsic.g, intrinsic.e.values, intrinsic.e_low, intrinsic.gamma_inv.values,
+            intrinsic.mask)
+    normals = _orthonormal_normal_frame(*args, frame=frame)
+    expected = _orthonormal_normal_frame_reference(*args, frame=frame)
+    assert np.array_equal(normals, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(normals), np.signbit(expected))
+    assert tuple(np.argwhere(active)[0]) == anchor
+    assert np.isnan(normals).any() == unfilled and not np.isnan(normals[active]).any()
+
+
+def test_gram_schmidt_breakdown_names_the_first_point():
+    """A seed along a tangent everywhere leaves nothing after projection."""
+    geo = make_solution("pulsating_circular_string", {}).geometry(WorldsheetGrid(65, 32, 0.1, 0.9))
+    along_tau = np.repeat(geo.e.values[:, :, :1, :], 2, axis=2)
+    message = ("Gram-Schmidt breakdown: every seed is parallel to the tangent span "
+               "at grid point (tau_index=0, sigma_index=0)")
+    with pytest.raises(GeometryError) as failure:
+        build_geometry(geo.embedding, frame=along_tau)
+    assert str(failure.value) == message
 
 
 def _dilate_reference(points):

@@ -4,9 +4,9 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the twenty-six slice-path, declared-mask,
-shared-derivative and sigma-shift configs of :func:`extra_configs` once per
-checkout, each checkout in its own child process that imports ``stringlab``
+× nine kinds) and the thirty-two slice-path, declared-mask,
+shared-derivative, sigma-shift and normal-frame configs of
+:func:`extra_configs` once per checkout, each checkout in its own child process that imports ``stringlab``
 from that checkout's ``src/``.  Both sides run the configs of this
 checkout's ``perfbench/``, which is only read.
 
@@ -70,7 +70,13 @@ def extra_configs(seed: int) -> dict:
     connection), so every evaluator and coupling reads one set of each
     field's derivatives.  Sigma shift: conserve with the ``sigma_shift``
     Jacobi field on pulsating, spinning and folded, whose error text
-    carries the roundoff size of the shift's normal part."""
+    carries the roundoff size of the shift's normal part.  Normal frames:
+    pulsating in three dimensions (codimension 1 from coordinate seeds)
+    under ``geometry`` and ``conserve``; ``geometry`` and ``eom`` on the
+    window tau in [1.5708, 2.3708], whose first active row is 3, so the
+    orientation's column walk starts there; and ``deform-check`` and
+    ``linearize`` on the 257x16 collapse, whose displaced charts are not
+    finite on the masked rows."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
     folded_kinds = raw_configs("folded", seed)
     folded = folded_kinds["geometry"]
@@ -112,11 +118,22 @@ def extra_configs(seed: int) -> dict:
     }
     sigma_shift = {"pulsating": pulsating["conserve"], "spinning": spinning["conserve"],
                    "folded": folded_kinds["conserve"]}
+    dim3 = {"solution": {**pulsating["geometry"]["solution"], "params": {"radius": 1.0, "dim": 3}}}
+    window = {"grid": {**pulsating["geometry"]["grid"], "tau_min": 1.5708, "tau_max": 2.3708}}
+    frames = {
+        "pulsating dim 3 geometry": (pulsating["geometry"], dim3),
+        "pulsating dim 3 conserve": (pulsating["conserve"], dim3),
+        "window geometry": (pulsating["geometry"], window),
+        "window eom": (pulsating["eom"], window),
+        "collapse deform-check": (pulsating["deform-check"], collapse),
+        "collapse linearize": (pulsating["linearize"], collapse),
+    }
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
     out.update({f"derivatives/{key}": {**raw, "options": {**raw.get("options", {}), **options}}
                 for key, (raw, options) in shared.items()})
     out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
+    out.update({f"frames/{key}": {**raw, **over} for key, (raw, over) in frames.items()})
     out.update({f"sigma-shift/{key} conserve":
                 {**raw, "options": {"jacobi": ["translation_t", "sigma_shift"]}}
                 for key, raw in sigma_shift.items()})
