@@ -6,9 +6,10 @@
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
 × nine kinds) and the thirty-two slice-path, declared-mask,
 shared-derivative, sigma-shift and normal-frame configs of
-:func:`extra_configs` once per checkout, each checkout in its own child process that imports ``stringlab``
-from that checkout's ``src/``.  Both sides run the configs of this
-checkout's ``perfbench/``, which is only read.
+:func:`extra_configs` once per checkout, each checkout in its own child
+process that imports ``stringlab`` from that checkout's ``src/``.  Both
+sides run the configs of this checkout's ``perfbench/``, which is only
+read.
 
 For each config it prints both exit codes.  Where two reports differ it
 prints each differing leaf key with both values and their relative
