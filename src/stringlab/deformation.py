@@ -207,31 +207,36 @@ def _random_scalar(grid: WorldsheetGrid, rng) -> np.ndarray:
     """Band-limited random scalar: sigma modes <= n_sigma // 4, polynomial
     of degree 3 in the rescaled tau coordinate.
 
-    The coefficients are drawn in one call, in the order (m, k, cos/sin);
-    the trig factors are evaluated on the sigma axis and the polynomial on a
-    tau column, then broadcast, and the terms are summed in (m, k) order:
-    the same per-element arithmetic, in the same order, as evaluating each
-    term on the full meshgrid."""
+    The coefficients are drawn in one call, in the order (m, k, cos/sin).
+    The field is summed in product form, sum_m tau^m * sum_k trig_mk: the
+    k terms are added on the sigma axis first, in k order, then each tau
+    row m is added in m order into a zero array, all in elementwise numpy
+    arithmetic.  A matrix product (``poly.T @ rows``) would be faster still,
+    but its bits depend on which BLAS kernel runs, so no reference could
+    pin them."""
     k = np.arange(grid.n_sigma // 4 + 1.0)
     amp = 1.0 / ((1.0 + k) * (1.0 + np.arange(4.0)[:, None]))
     ab = rng.normal(size=(4, len(k), 2)) * amp[:, :, None]
     ks = k[:, None] * grid.sigma
     trig = ab[:, :, :1] * np.cos(ks) + ab[:, :, 1:] * np.sin(ks)  # (m, k, sigma)
+    rows = np.add.reduce(trig, axis=1)  # (m, sigma)
     span = grid.tau_max - grid.tau_min
     that = 2.0 * (grid.tau - grid.tau_min) / span - 1.0
-    # integer powers: numpy squares for ** 2, which pow(x, 2.0) need not match
-    poly = np.stack([that**m for m in range(4)])
-    terms = trig[:, :, None, :] * poly[:, None, :, None]  # (m, k, tau, sigma)
     vals = np.zeros(grid.shape)
-    for term in terms.reshape(-1, *grid.shape):
-        vals += term
+    for m in range(4):
+        # integer powers: numpy squares for ** 2, which pow(x, 2.0) need not match
+        vals += (that**m)[:, None] * rows[m]
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 
 
 def _random_components(grid: WorldsheetGrid, rng, count: int) -> np.ndarray:
-    """``count`` random scalars stacked on a trailing axis, drawn in order."""
-    return np.stack([_random_scalar(grid, rng) for _ in range(count)], axis=-1)
+    """``count`` random scalars on a trailing axis, drawn in order, each
+    written into its component plane (stored grid-innermost, as a Field)."""
+    buf = np.empty((count, *grid.shape))
+    for plane in buf:
+        plane[...] = _random_scalar(grid, rng)
+    return np.moveaxis(buf, 0, -1)
 
 
 def random_normal_components(grid: WorldsheetGrid, codim: int, seed: int) -> Field:

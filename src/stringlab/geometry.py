@@ -411,17 +411,23 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     p_f = Field(grid, p_num, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER))
     dp = gradient(p_f).values  # (..., e, a, b, c)
     dd_det = gradient(Field(grid, d)).values  # (..., e)
-    num = (
-        np.einsum("...cadb,...->...abcd", dp, d)
-        - np.einsum("...adb,...c->...abcd", p_num, dd_det)
-        - np.einsum("...dacb,...->...abcd", dp, d)
-        + np.einsum("...acb,...d->...abcd", p_num, dd_det)
-        + np.einsum("...ace,...edb->...abcd", p_num, p_num)
-        - np.einsum("...ade,...ecb->...abcd", p_num, p_num)
-    )
+    # the six terms are three products (dp d, P (x) dd, P P), each formed
+    # once and read twice through transposed views, summed in term order;
+    # the first two are read alike, so num keeps the first term's layout
+    dpd = np.einsum("...cadb,...->...cadb", dp, d)
+    del dp
+    pdd = np.einsum("...axb,...y->...yaxb", p_num, dd_det)
+    num = np.einsum("...cadb->...abcd", dpd) - np.einsum("...cadb->...abcd", pdd)
+    num -= np.einsum("...dacb->...abcd", dpd)
+    num += np.einsum("...dacb->...abcd", pdd)
+    del dpd, pdd
+    pp = np.einsum("...axe,...eyb->...axyb", p_num, p_num)
+    num += np.einsum("...acdb->...abcd", pp)
+    num -= np.einsum("...adcb->...abcd", pp)
+    del pp
     with np.errstate(divide="ignore", invalid="ignore"):
         riem = num / (d * d)[..., None, None, None, None]
-    del dp, dd_det, num
+    del dd_det, num
     ricci = np.einsum("...abad->...bd", riem)
     with np.errstate(invalid="ignore"):
         scal = np.einsum("...bd,...bd->...", gamma_inv, ricci)

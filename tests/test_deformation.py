@@ -263,7 +263,26 @@ def test_random_fields_are_deterministic_and_bandlimited(grid129):
 
 
 def _random_scalar_meshgrid(grid, rng):
-    """Full-meshgrid form of the band-limited random scalar: the reference."""
+    """Full-meshgrid form of the band-limited random scalar in its product
+    order, sum_m tau^m * sum_k trig_mk: the reference."""
+    tt, ss = grid.meshgrid()
+    span = grid.tau_max - grid.tau_min
+    that = 2.0 * (tt - grid.tau_min) / span - 1.0
+    vals = np.zeros(grid.shape)
+    for m in range(4):
+        row = np.zeros(grid.shape)
+        for k in range(grid.n_sigma // 4 + 1):
+            amp = 1.0 / ((1.0 + k) * (1.0 + m))
+            a, b = rng.normal(size=2) * amp
+            row += a * np.cos(k * ss) + (b * np.sin(k * ss) if k else 0.0)
+        vals += that**m * row
+    peak = np.abs(vals).max()
+    return vals / peak if peak > 0 else vals
+
+
+def _random_scalar_termwise(grid, rng):
+    """The random scalar summed one (m, k) term at a time on the full
+    meshgrid, the order before the product form."""
     tt, ss = grid.meshgrid()
     span = grid.tau_max - grid.tau_min
     that = 2.0 * (tt - grid.tau_min) / span - 1.0
@@ -285,3 +304,16 @@ def test_random_scalar_matches_meshgrid_reference(shape):
         fast = dfm._random_scalar(grid, np.random.default_rng(seed))
         reference = _random_scalar_meshgrid(grid, np.random.default_rng(seed))
         assert np.array_equal(fast, reference)
+
+
+@pytest.mark.parametrize(
+    "shape", [(9, 8), (33, 32), (129, 32), (129, 64), (257, 64), (129, 128), (1025, 16)]
+)
+def test_random_scalar_product_form_stays_near_the_termwise_sum(shape):
+    """Reordering the sum moves each value by roundoff of the unit peak
+    (at most 2.9e-15 measured, at 129x128)."""
+    grid = WorldsheetGrid(shape[0], shape[1], 0.1, 0.9)
+    for seed in range(5):
+        fast = dfm._random_scalar(grid, np.random.default_rng(seed))
+        termwise = _random_scalar_termwise(grid, np.random.default_rng(seed))
+        assert np.abs(fast - termwise).max() <= 1e-14

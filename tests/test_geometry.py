@@ -31,12 +31,14 @@ from stringlab.geometry import (
 from stringlab.grid import (
     NORMAL,
     SPACETIME,
+    WORLDSHEET_LOWER,
     WORLDSHEET_UPPER,
     Field,
     GridError,
     Mask,
     WorldsheetGrid,
     dilate,
+    gradient,
     grid_full,
     masked_max_abs,
 )
@@ -656,6 +658,68 @@ def test_curvilinear_minkowski_build_matches_cartesian(name, n_sigma):
         for s, g in ((cartesian, cartesian.geometry(grid)), (curved, geo))
     ]
     assert omegas[1] == pytest.approx(omegas[0], rel=1e-7)
+
+
+def _curvature_chain_reference(intrinsic):
+    """The curvature chain as first written, from the stored induced metric,
+    adjugate and determinant, with the Riemann numerator as six separate
+    einsums: the reference."""
+    grid, gamma, adj = intrinsic.grid, intrinsic.gamma.values, intrinsic.adjugate
+    d = -intrinsic.gamma_det
+    dgam = gradient(intrinsic.gamma).values
+    sym = (
+        np.einsum("...bdc->...dbc", dgam)
+        + np.einsum("...cdb->...dbc", dgam)
+        - dgam
+    )
+    p_num = -0.5 * np.einsum("...ad,...dbc->...abc", adj, sym)
+    dp = gradient(Field(grid, p_num, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER))).values
+    dd_det = gradient(Field(grid, d)).values
+    num = (
+        np.einsum("...cadb,...->...abcd", dp, d)
+        - np.einsum("...adb,...c->...abcd", p_num, dd_det)
+        - np.einsum("...dacb,...->...abcd", dp, d)
+        + np.einsum("...acb,...d->...abcd", p_num, dd_det)
+        + np.einsum("...ace,...edb->...abcd", p_num, p_num)
+        - np.einsum("...ade,...ecb->...abcd", p_num, p_num)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        riem = num / (d * d)[..., None, None, None, None]
+    ricci = np.einsum("...abad->...bd", riem)
+    with np.errstate(invalid="ignore"):
+        scal = np.einsum("...bd,...bd->...", intrinsic.gamma_inv.values, ricci)
+    einstein = ricci - 0.5 * gamma * scal[..., None, None]
+    return {"riem": riem, "ricci": ricci, "scalar": scal, "einstein": einstein}
+
+
+@pytest.mark.parametrize(
+    "name,params,grid,curvilinear",
+    [
+        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), False),
+        ("pulsating_circular_string", {"dim": 3}, (129, 32, 0.1, 0.9), False),
+        ("spinning_two_plane_string", {}, (129, 64, 0.1, 0.9), False),
+        ("rotating_folded_string", {}, (129, 32, 0.1, 0.9), False),
+        ("pulsating_circular_string", {}, (1025, 16, 0.5, 1.6), False),
+        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), True),
+    ],
+    ids=["pulsating", "pulsating-dim3", "spinning", "folded", "collapse-1025", "curvilinear"],
+)
+def test_curvature_chain_matches_reference_bit_for_bit(name, params, grid, curvilinear):
+    """Each curvature field a build stores, against the six-einsum Riemann
+    numerator: the same bits, signs of zero and strides, grid-innermost.  On
+    the collapse's masked rows |det gamma| is about 1e-15, not 0, so R
+    reaches 1e15 there but stays finite.  The curvilinear chart runs the
+    chain on a curved induced metric in a flat background."""
+    sol = make_solution(name, params)
+    if curvilinear:
+        sol = _in_curvilinear_chart(sol)
+    intrinsic = intrinsic_geometry(sol.embedding(WorldsheetGrid(*grid)))
+    expected = _curvature_chain_reference(intrinsic)
+    for field, reference in expected.items():
+        values = getattr(intrinsic, field).values
+        assert np.array_equal(values, reference, equal_nan=True), field
+        assert np.array_equal(np.signbit(values), np.signbit(reference)), field
+        assert values.strides == reference.strides and grid_axes_innermost(values), field
 
 
 def test_errors_on_a_band_name_full_grid_points():

@@ -4,8 +4,8 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the thirty-two slice-path, declared-mask,
-shared-derivative, sigma-shift and normal-frame configs of
+× nine kinds) and the thirty-six slice-path, declared-mask,
+shared-derivative, sigma-shift, normal-frame and random-field configs of
 :func:`extra_configs` once per checkout, each checkout in its own child
 process that imports ``stringlab`` from that checkout's ``src/``.  Both
 sides run the configs of this checkout's ``perfbench/``, which is only
@@ -77,7 +77,11 @@ def extra_configs(seed: int) -> dict:
     window tau in [1.5708, 2.3708], whose first active row is 3, so the
     orientation's column walk starts there; and ``deform-check`` and
     ``linearize`` on the 257x16 collapse, whose displaced charts are not
-    finite on the masked rows."""
+    finite on the masked rows.  Random fields: ``deform-check`` on
+    pulsating in three dimensions (one random normal scalar per seed) and
+    on folded 129x64 (the fold columns through the Riemann block),
+    ``convergence`` of ``self-adjoint`` (random fields on 65, 129 and 257
+    rows), and ``self-adjoint`` on spinning 129x128 (32 sigma modes)."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
     folded_kinds = raw_configs("folded", seed)
     folded = folded_kinds["geometry"]
@@ -129,12 +133,21 @@ def extra_configs(seed: int) -> dict:
         "collapse deform-check": (pulsating["deform-check"], collapse),
         "collapse linearize": (pulsating["linearize"], collapse),
     }
+    spinning_128 = {"grid": {**spinning["geometry"]["grid"], "n_sigma": 128}}
+    fields = {
+        "pulsating dim 3 deform-check": (pulsating["deform-check"], dim3),
+        "folded 129x64 deform-check": (folded_kinds["deform-check"], folded_64),
+        "convergence self-adjoint": (pulsating["convergence"],
+                                     {"options": {"quantity": "self-adjoint"}}),
+        "spinning 129x128 self-adjoint": (spinning["self-adjoint"], spinning_128),
+    }
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
     out.update({f"derivatives/{key}": {**raw, "options": {**raw.get("options", {}), **options}}
                 for key, (raw, options) in shared.items()})
     out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
     out.update({f"frames/{key}": {**raw, **over} for key, (raw, over) in frames.items()})
+    out.update({f"random-fields/{key}": {**raw, **over} for key, (raw, over) in fields.items()})
     out.update({f"sigma-shift/{key} conserve":
                 {**raw, "options": {"jacobi": ["translation_t", "sigma_shift"]}}
                 for key, raw in sigma_shift.items()})
