@@ -31,6 +31,15 @@ and the (singular) division by the determinant happens pointwise.  On
 worldsheets with degenerate points (string folds) this keeps the curvature
 accurate on active points instead of letting pole values poison the
 spectral stencils.
+
+R^a_{bcd} is antisymmetric in cd, so on a two-dimensional worldsheet its
+block cd = tau sigma is all of it.  A build forms that block alone, four
+components from the six terms of the general formula, and fills the rest
+of R by exact antisymmetry.  It does not reduce further, to the one
+independent component R_{tau sigma tau sigma}: Ricci would then be
+proportional to gamma by construction and G exactly 0, so every Einstein
+check would pass vacuously.  From four components, G measures the discrete
+chain's metric-compatibility defect, which falls as the grid is refined.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ from .grid import (
     GridError,
     Mask,
     WorldsheetGrid,
+    d_sigma,
+    d_tau,
     dilate,
     divergence,
     gradient,
@@ -407,28 +418,27 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
         conn = p_num / d[..., None, None, None]
 
     # Riemann from the weighted Christoffel; every stencil below acts on the
-    # smooth numerator fields, divisions stay pointwise
-    p_f = Field(grid, p_num, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER))
-    dp = gradient(p_f).values  # (..., e, a, b, c)
+    # smooth numerator fields, divisions stay pointwise.  R^a_{b tau sigma}
+    # is all of R (see the module docstring): its numerator reads only
+    # d_tau P^a_{sigma b} and d_sigma P^a_{tau b}, and adds the six terms
+    # of the general formula in their order
+    p_tau, p_sig = p_num[..., 0, :], p_num[..., 1, :]  # P^a_{tau b}, P^a_{sigma b}
+    mixed = (WORLDSHEET_UPPER, WORLDSHEET_LOWER)
     dd_det = gradient(Field(grid, d)).values  # (..., e)
-    # the six terms are three products (dp d, P (x) dd, P P), each formed
-    # once and read twice through transposed views, summed in term order;
-    # the first two are read alike, so num keeps the first term's layout
-    dpd = np.einsum("...cadb,...->...cadb", dp, d)
-    del dp
-    pdd = np.einsum("...axb,...y->...yaxb", p_num, dd_det)
-    num = np.einsum("...cadb->...abcd", dpd) - np.einsum("...cadb->...abcd", pdd)
-    num -= np.einsum("...dacb->...abcd", dpd)
-    num += np.einsum("...dacb->...abcd", pdd)
-    del dpd, pdd
-    pp = np.einsum("...axe,...eyb->...axyb", p_num, p_num)
-    num += np.einsum("...acdb->...abcd", pp)
-    num -= np.einsum("...adcb->...abcd", pp)
-    del pp
+    d_ab = d[..., None, None]
+    num = d_tau(Field(grid, p_sig, mixed)).values * d_ab - p_sig * dd_det[..., 0, None, None]
+    num -= d_sigma(Field(grid, p_tau, mixed)).values * d_ab
+    num += p_tau * dd_det[..., 1, None, None]
+    num += np.einsum("...ae,...eb->...ab", p_tau, p_sig)
+    num -= np.einsum("...ae,...eb->...ab", p_sig, p_tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        riem = num / (d * d)[..., None, None, None, None]
+        r = num / (d * d)[..., None, None]  # R^a_{b tau sigma}
     del dd_det, num
-    ricci = np.einsum("...abad->...bd", riem)
+    riem = grid_full(r.shape[:2] + (2, 2, 2, 2), 0.0)
+    riem[..., 0, 1], riem[..., 1, 0] = r, -r
+    # R_bd = R^a_{bad}: R_{b tau} = R^sigma_{b sigma tau}, R_{b sigma} = R^tau_{b tau sigma}
+    ricci = np.empty_like(r)
+    ricci[..., 0], ricci[..., 1] = -r[..., 1, :], r[..., 0, :]
     with np.errstate(invalid="ignore"):
         scal = np.einsum("...bd,...bd->...", gamma_inv, ricci)
     einstein = ricci - 0.5 * gamma * scal[..., None, None]

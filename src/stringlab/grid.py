@@ -31,7 +31,9 @@ that are not fields.
 The stencils reach the rest of the package through :func:`gradient` (both
 written into one buffer, on a new leading index) and :func:`divergence`,
 not through stencils stacked by hand.  :func:`d_tau` and :func:`d_sigma`
-are the same two kernels, one axis at a time.
+are the same two kernels, one axis at a time, for a caller that needs one
+direction only: the Riemann block of
+:func:`stringlab.geometry.intrinsic_geometry`.
 
 A grid's tau rows come in blocks of equal height: one block on a full
 grid, one per band on a :class:`RowBand` that stacks the bands of several

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +59,57 @@ def test_evaluator_validation_catches_bad_riemann():
     zeros3 = lambda pts: np.zeros(pts.shape[:-1] + (3, 3, 3))
     with pytest.raises(BackgroundError):
         BackgroundSpacetime(3, metric, zeros3, bad_riemann)
+
+
+def _diagonal_metric(dim: int, time_sign, off_diagonal=lambda pts: 0.0):
+    """A metric evaluator: diag(time_sign(pts), 1, ..., 1), plus
+    ``off_diagonal(pts)`` at [0, 1] alone (not at [1, 0])."""
+    def metric(pts):
+        g = np.broadcast_to(np.eye(dim), pts.shape[:-1] + (dim, dim)).copy()
+        g[..., 0, 0] = time_sign(pts)
+        g[..., 0, 1] += off_diagonal(pts)
+        return g
+    return metric
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_sample_check_sees_both_signs_of_each_coordinate(dim):
+    """The sampled points reach the negative side of x^1 and of x^2: a
+    metric Lorentzian only where x^1 > 0, and one non-symmetric only where
+    x^2 < 0, are rejected; the same metric with neither defect passes."""
+    zeros3 = lambda pts: np.zeros(pts.shape[:-1] + (dim,) * 3)
+    zeros4 = lambda pts: np.zeros(pts.shape[:-1] + (dim,) * 4)
+    lorentzian = lambda pts: -np.ones(pts.shape[:-1])
+    half_lorentzian = _diagonal_metric(dim, lambda pts: np.where(pts[..., 1] > 0, -1.0, 1.0))
+    with pytest.raises(BackgroundError, match="not Lorentzian"):
+        BackgroundSpacetime(dim, half_lorentzian, zeros3, zeros4)
+    half_symmetric = _diagonal_metric(dim, lorentzian,
+                                      lambda pts: np.where(pts[..., 2] < 0, 0.1, 0.0))
+    with pytest.raises(BackgroundError, match="not symmetric"):
+        BackgroundSpacetime(dim, half_symmetric, zeros3, zeros4)
+    BackgroundSpacetime(dim, _diagonal_metric(dim, lorentzian), zeros3, zeros4)
+
+
+def test_validating_configs_loads_no_random_module():
+    """Validating the nine readme benchmark configs in a fresh interpreter
+    loads ``numpy.random`` only if importing numpy alone already does."""
+    root = Path(__file__).resolve().parents[1]
+    child = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import stringlab.cli as cli\n"
+        "from workloads import raw_configs\n"
+        "for raw in raw_configs('readme', 0).values():\n"
+        "    cli.ExperimentConfig.from_dict(raw)\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def _flat_sheet_frames(dim: int):

@@ -4,12 +4,12 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the thirty-six slice-path, declared-mask,
-shared-derivative, sigma-shift, normal-frame and random-field configs of
-:func:`extra_configs` once per checkout, each checkout in its own child
-process that imports ``stringlab`` from that checkout's ``src/``.  Both
-sides run the configs of this checkout's ``perfbench/``, which is only
-read.
+× nine kinds) and the thirty-eight slice-path, declared-mask,
+shared-derivative, sigma-shift, normal-frame, random-field and curvature
+configs of :func:`extra_configs` once per checkout, each checkout in its
+own child process that imports ``stringlab`` from that checkout's
+``src/``.  Both sides run the configs of this checkout's ``perfbench/``,
+which is only read.
 
 For each config it prints both exit codes.  Where two reports differ it
 prints each differing leaf key with both values and their relative
@@ -81,7 +81,10 @@ def extra_configs(seed: int) -> dict:
     pulsating in three dimensions (one random normal scalar per seed) and
     on folded 129x64 (the fold columns through the Riemann block),
     ``convergence`` of ``self-adjoint`` (random fields on 65, 129 and 257
-    rows), and ``self-adjoint`` on spinning 129x128 (32 sigma modes)."""
+    rows), and ``self-adjoint`` on spinning 129x128 (32 sigma modes).
+    Curvature: ``geometry`` on spinning 129x128, the largest Riemann block
+    of the configs, and ``convergence`` of the Einstein tensor on
+    spinning's cusp window, where the curvature is largest."""
     pulsating, spinning = raw_configs("readme", seed), raw_configs("spinning", seed)
     folded_kinds = raw_configs("folded", seed)
     folded = folded_kinds["geometry"]
@@ -141,6 +144,10 @@ def extra_configs(seed: int) -> dict:
                                      {"options": {"quantity": "self-adjoint"}}),
         "spinning 129x128 self-adjoint": (spinning["self-adjoint"], spinning_128),
     }
+    curvature = {
+        "spinning 129x128 geometry": (spinning["geometry"], spinning_128),
+        "spinning cusp convergence": (spinning["convergence"], cusp),
+    }
     out = {f"slices/{key}": {**raw, **over, "options": {**raw["options"], **options}}
            for key, (raw, over, options) in cases.items()}
     out.update({f"derivatives/{key}": {**raw, "options": {**raw.get("options", {}), **options}}
@@ -148,6 +155,7 @@ def extra_configs(seed: int) -> dict:
     out.update({f"masks/{key}": {**raw, **over} for key, (raw, over) in masks.items()})
     out.update({f"frames/{key}": {**raw, **over} for key, (raw, over) in frames.items()})
     out.update({f"random-fields/{key}": {**raw, **over} for key, (raw, over) in fields.items()})
+    out.update({f"curvature/{key}": {**raw, **over} for key, (raw, over) in curvature.items()})
     out.update({f"sigma-shift/{key} conserve":
                 {**raw, "options": {"jacobi": ["translation_t", "sigma_shift"]}}
                 for key, raw in sigma_shift.items()})
