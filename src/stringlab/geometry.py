@@ -12,6 +12,14 @@ adds the frame, the extrinsic curvature and the normal connection.
 :func:`build_geometry` runs both, and comparisons that read only intrinsic
 fields run the first alone.
 
+The normal frame is read off the tangents, point by point, by one rule
+for every worldsheet: the Levi-Civita dual of the lowered tangents (and,
+in four dimensions, of the last coordinate axis taken off them).  A
+rotation of the normals is a gauge of the normal bundle (Capovilla &
+Guven, Phys. Rev. D 51 (1995) 6736), so the rule changes no
+gauge-invariant output; what it buys is that no solution supplies a frame
+and that a band's frame is the full grid's.
+
 Two conventions that everything downstream relies on:
 
 * Extrinsic curvature sign: K_ab^i = -n^i . (d_a d_b X + Gamma(bg) e_a e_b).
@@ -44,7 +52,7 @@ chain's metric-compatibility defect, which falls as the grid is refined.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,32 +201,93 @@ def fill_masked_along_sigma(values: np.ndarray, active: np.ndarray) -> np.ndarra
 # normal frame
 
 
+def _levi_civita_dual(*vectors: np.ndarray) -> np.ndarray:
+    """eps_{a b ...} v1^b v2^c ... pointwise, for the dim - 1 vectors of dim
+    3 or 4 components on the last axis, with the permutation symbol
+    (eps_{01...} = +1) and no metric.  By cofactors: component a is (-1)^a
+    times the determinant of the vectors without column a, each minor
+    expanded along its first vector over the minors of the rest."""
+    dim = len(vectors) + 1
+    minors = {(c,): vectors[-1][..., c] for c in range(dim)}
+    for size, v in enumerate(reversed(vectors[:-1]), start=2):
+        expanded = {}
+        for cols in itertools.combinations(range(dim), size):
+            out = v[..., cols[0]] * minors[cols[1:]]
+            for i in range(1, size):
+                term = v[..., cols[i]] * minors[cols[:i] + cols[i + 1:]]
+                out = out + term if i % 2 == 0 else out - term
+            expanded[cols] = out
+        minors = expanded
+    comps = [minors[tuple(c for c in range(dim) if c != a)] for a in range(dim)]
+    return np.moveaxis(np.stack([m if a % 2 == 0 else -m for a, m in enumerate(comps)]), 0, -1)
+
+
+def _unit(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v / sqrt(|g(v, v)|); NaN where g(v, v) is 0 (a masked point)."""
+    norm2 = np.einsum("...mn,...m,...n->...", g, v, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v / np.sqrt(np.abs(norm2))[..., None]
+
+
 def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
-    """Orthonormal normal frame by classical Gram-Schmidt, run twice.
+    """Orthonormal normal frame of the tangents, one rule per codimension,
+    read off the tangents point by point, or Gram-Schmidt of a given frame.
 
-    Slot k is the first of its seeds (``frame[..., k, :]``, else the
-    coordinate axes in order, point by point) whose projection off the
-    tangents and slots < k has norm above SEED_SKIP_TOL, normalized.  Only
-    coordinate seeds are oriented, so their frame cannot flip mid-grid.
+    * Codimension 1: the dual of the two lowered tangents, normalized, and
+      carried along each row across masked columns by :func:`_orient_frame`.
+    * Codimension 2: slot 2 is the last coordinate axis off the tangents,
+      by :func:`_gram_schmidt`; an active point where that axis lies in the
+      tangent plane raises.  Slot 1 is the dual of the lowered tangents and
+      slot 2, normalized: orthogonal to all three by construction, and
+      (n_1, e_tau, e_sigma, n_2) has one orientation at every point.
+    * Codimension 3 or more has no rule: the build raises.
+    * Given ``frame``, slot k is ``frame[..., k, :]`` by Gram-Schmidt, not
+      oriented.
 
-    Each piece of work is done once: a coordinate axis is projected off the
-    tangents once for all the slots that try it; each slot is lowered
-    (g . n) once per pass, for the slots after it; a seed is divided and
-    stored only at the points that accept it, and not at all when none does.
+    No rule reads a neighbouring point, save the codimension-1 walk along
+    a row, so a band's frame is the full grid's.
     """
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
-    k_needed = dim - 2
+    if frame is not None:
+        seeds = [(frame[..., k, :], np.einsum("...am,...m->...a", e_low, frame[..., k, :]))
+                 for k in range(dim - 2)]
+        return _gram_schmidt(g, e, e_low, gamma_inv, mask, seeds,
+                             "Gram-Schmidt breakdown: every seed is parallel to the tangent span")
+    tangents = (e_low[..., 0, :], e_low[..., 1, :])
+    if dim == 3:
+        normal = _unit(g, _levi_civita_dual(*tangents))
+        _orient_frame(normal, mask.active)
+        return normal[..., None, :]
+    if dim != 4:
+        raise GeometryError(f"no normal frame rule for codimension {dim - 2}; supply a frame")
+    # the last axis's dots with the tangents are e_low[..., -1]
+    n2 = _gram_schmidt(g, e, e_low, gamma_inv, mask, [(np.eye(dim)[-1], e_low[..., -1])],
+                       "the last coordinate axis lies in the tangent plane")[..., 0, :]
+    normals = grid_full((nt, ns, 2, dim), 0.0)
+    normals[..., 0, :] = _unit(g, _levi_civita_dual(*tangents, np.einsum("...mn,...n->...m", g, n2)))
+    normals[..., 1, :] = n2
+    return normals
+
+
+def _gram_schmidt(g, e, e_low, gamma_inv, mask, seeds, breakdown):
+    """Classical Gram-Schmidt of ``seeds`` off the tangents, run twice: the
+    frame (n_tau, n_sigma, slots, dim).
+
+    Slot k is seed k, given with its dots e_b . v with the tangents, off the
+    tangents and slots < k, normalized where its norm is above
+    SEED_SKIP_TOL: an active point where it is not raises ``breakdown``,
+    naming the point, and a masked one stays NaN.  The second pass refines:
+    a seed accepted with a small residual norm loses digits to
+    cancellation, and one more projection restores them.  Each slot is
+    lowered (g . n) once per pass, for the slots after it.
+    """
     floor = SEED_SKIP_TOL * SEED_SKIP_TOL
-    normals = grid_full((nt, ns, k_needed, dim), np.nan)
+    normals = grid_full(e.shape[:2] + (len(seeds), e.shape[-1]), np.nan)
 
     def off_tangents(v, e_dot_v):
         """v minus e_a gamma^{ab} (e_b . v), given e_b . v (contracted
         pairwise, a fraction of one three-operand einsum)."""
         return v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
-
-    # coordinate axis s off the tangents (their dots with it are e_low[..., s]),
-    # read, never written, by every slot that tries it
-    axis = functools.cache(lambda s: off_tangents(np.eye(dim)[s], e_low[..., :, s]))
 
     def off_slots(v, slot, lowered):
         """v minus its parts along the (orthonormal) slots before ``slot``,
@@ -230,74 +299,42 @@ def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
         return v, np.einsum("...mn,...m,...n->...", g, v, v)
 
     lowered = []
-    for slot in range(k_needed):
-        if frame is None:
-            seeds = (axis(s) for s in range(dim))
-        else:
-            given = frame[..., slot, :]
-            seeds = [off_tangents(given, np.einsum("...am,...m->...a", e_low, given))]
-        filled = np.zeros((nt, ns), dtype=bool)
-        for seed in seeds:
-            v, norm2 = off_slots(seed, slot, lowered)
-            ok = ~filled & (norm2 > floor)
-            if ok.any():
-                with np.errstate(invalid="ignore"):
-                    np.divide(v, np.sqrt(np.maximum(norm2, floor))[..., None],
-                              out=normals[..., slot, :], where=ok[..., None])
-                filled |= ok
-                if filled.all():
-                    break
-        missing = mask.active & ~filled
+    for slot, (seed, e_dot_seed) in enumerate(seeds):
+        v, norm2 = off_slots(off_tangents(seed, e_dot_seed), slot, lowered)
+        ok = norm2 > floor
+        with np.errstate(invalid="ignore"):
+            np.divide(v, np.sqrt(np.maximum(norm2, floor))[..., None],
+                      out=normals[..., slot, :], where=ok[..., None])
+        missing = mask.active & ~ok
         if missing.any():
             it, isig = np.argwhere(missing)[0]
-            raise GeometryError.at_point(
-                "Gram-Schmidt breakdown: every seed is parallel to the tangent span",
-                mask.grid, it, isig,
-            )
-    # second orthogonalization pass: seeds accepted with a small residual
-    # norm lose digits to cancellation, one refinement restores them
+            raise GeometryError.at_point(breakdown, mask.grid, it, isig)
     lowered = []
-    for slot in range(k_needed):
+    for slot in range(len(seeds)):
         v = normals[..., slot, :]
         v, norm2 = off_slots(off_tangents(v, np.einsum("...am,...m->...a", e_low, v)), slot, lowered)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm at a masked point
             normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
-    if frame is None:
-        _orient_frame(normals, mask.active)
     return normals
 
 
-def _orient_frame(normals: np.ndarray, active: np.ndarray) -> None:
-    """Fix the sign of each frame slot by continuation from an anchor point.
+def _orient_frame(normal: np.ndarray, active: np.ndarray) -> None:
+    """Carry a codimension-1 normal's orientation across masked columns.
 
-    The anchor, the first active point, gets a positive leading component;
-    signs propagate down its column in tau (no row above it is active), then
-    from it along each row in sigma (wrapping), skipping masked points.
-
-    The anchor and the row walks' order are found once for all slots.  The
-    walks read each slot's contiguous component planes in place; only an
-    anchor off column 0 makes the row walks read a copy rolled to start at
-    it.  See :func:`_walk_signs` for the dots and the signs.
-
-    On a grid of several blocks the column walk crosses the seams, so a
-    block's slot may come out with the opposite sign to a build of that
-    block alone: at every point of the block when the block's first active
-    point lies in the anchor's column, as it does with no masked points.
-    A slot negated at every point changes no bit of the two-form: every
-    normal index of the current is contracted with another, and a product
-    of two negated floats is exact.
+    The dual of the tangents turns over where e_sigma does, at a fold: on
+    each side of a masked column it is smooth, with opposite senses.  Each
+    row is walked in sigma (wrapping) from the column of the first active
+    point, and a point's sign follows the last point visited; see
+    :func:`_walk_signs` for the dots and the signs.  The walks read the
+    normal's contiguous component planes in place; only a first active
+    column other than 0 makes them read a copy rolled to start there.
     """
-    ns, k = normals.shape[1], normals.shape[2]
-    t0, s0 = divmod(int(np.argmax(active)), ns)
-    part = np.roll(active, -s0, axis=1)  # the row walks' order: column s0 first
-    for slot in range(k):
-        planes = np.moveaxis(normals[:, :, slot, :], -1, 0)  # (dim, nt, ns), views
-        anchor = planes[:, t0, s0]
-        if anchor[np.argmax(np.abs(anchor))] < 0:
-            anchor *= -1.0
-        planes[:, t0:, s0] *= _walk_signs(planes[:, None, t0:, s0], active[None, t0:, s0])[0]
-        signs = _walk_signs(np.roll(planes, -s0, axis=2) if s0 else planes, part)
-        planes *= np.roll(signs, s0, axis=1)
+    ns = normal.shape[1]
+    s0 = int(np.argmax(active)) % ns
+    planes = np.moveaxis(normal, -1, 0)  # (dim, nt, ns), views
+    signs = _walk_signs(np.roll(planes, -s0, axis=2) if s0 else planes,
+                        np.roll(active, -s0, axis=1))
+    planes *= np.roll(signs, s0, axis=1)
 
 
 def _walk_signs(planes: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -354,11 +391,12 @@ def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryB
     """Compute the full geometry bundle of an embedding: the intrinsic stage,
     then the frame stage on top of it.
 
-    ``frame`` (n_tau, n_sigma, codim, dim) optionally seeds the normal frame
-    in place of the coordinate axes: projected and orthonormalized like any
-    seed, not oriented.  Rebuilds pass the frame of the geometry they are
-    compared with (NaN allowed at masked points); gauge-covariance tests
-    pass a rotated one.
+    The normal frame is read off the tangents (see
+    :func:`_orthonormal_normal_frame`), or, given ``frame`` (n_tau, n_sigma,
+    codim, dim), is that frame by Gram-Schmidt off the tangents, not
+    oriented.  Rebuilds pass the frame of the geometry they are compared
+    with (NaN allowed at masked points), so that both give normal
+    components in one basis; gauge-covariance tests pass a rotated one.
     """
     return frame_geometry(intrinsic_geometry(emb), frame)
 
@@ -471,9 +509,9 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
 
 
 def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None) -> GeometryBundle:
-    """The frame stage of a build: the normal frame (seeded as in
-    :func:`build_geometry`), extrinsic curvature, its trace and the
-    normal-bundle connection, bundled with the intrinsic fields."""
+    """The frame stage of a build: the normal frame (read off the tangents,
+    or seeded as in :func:`build_geometry`), extrinsic curvature, its trace
+    and the normal-bundle connection, bundled with the intrinsic fields."""
     bg = intrinsic.background
     grid = intrinsic.grid
     nt, ns = grid.shape

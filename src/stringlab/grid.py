@@ -183,8 +183,9 @@ class RowBand(WorldsheetGrid):
     at every block (:meth:`by_block`) and a row's sigma derivative does not
     depend on the rows beside it (``_LEAST_PRODUCT``), so every field built
     on the stack is, block by block and bit for bit, the one built on that
-    band alone (a normal frame seeded by coordinate axes up to one sign per
-    slot and block, which the two-form does not see); and a build of many
+    band alone (a codimension-1 normal frame up to the sign of the rows
+    whose orientation walk starts at another column, which the two-form
+    does not see); and a build of many
     bands pays the fixed cost of one.  Each band's tau values and spacing are the full grid's, to
     the last bit.  Recomputed from the band's own window they differ in the
     last bits (``linspace`` puts up to 7 of the 13 rows 1 or 2 ulps off on

@@ -17,8 +17,9 @@ runtime, and the tests cross-check the two.
 
 Each fact about a family is stated once.  Its factory holds the chart, the
 declared degenerate points (folded's fold columns, or the closed-form
-weight that ``_degenerate_rows`` turns into degenerate rows) and, for
-spinning, the analytic frame.  ``_family``, the one constructor of a
+weight that ``_degenerate_rows`` turns into degenerate rows); no family
+supplies a normal frame, which the geometry builder reads off the
+tangents.  ``_family``, the one constructor of a
 family, checks the scale parameter and derives every direction from the
 chart: translations, the rotations and boosts of ``_GENERATORS``, the
 modulus as ``chart / scale``, and ``sigma_shift`` as the complex-step
@@ -31,7 +32,6 @@ also applies to the grid and action sections.
 from __future__ import annotations
 
 import inspect
-import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .background import BackgroundSpacetime, minkowski, minkowski_metric
+from .background import BackgroundSpacetime, minkowski
 from .geometry import Embedding, GeometryBundle, build_geometry
 from .grid import NORMAL, SPACETIME, Field, Mask, WorldsheetGrid, dilate
 
@@ -61,12 +61,8 @@ class ExactSolution:
     ``modulus`` names the family direction that changes the solution's
     parameter, not an isometry: the second field of the default Jacobi pair.
 
-    ``frame`` optionally supplies an analytic orthonormal normal frame as
-    the geometry builder's seeds.  The default coordinate seeds can spin at
-    sub-grid scales on worldsheets whose tangent planes sweep past the
-    coordinate axes: on the spinning string (129x64) they send deform-check
-    to O(1) discrepancies and conserve to a relative divergence of 15, so
-    that family keeps its analytic frame.
+    A solution carries no normal frame: :meth:`geometry` builds the one
+    that :func:`stringlab.geometry.build_geometry` reads off the tangents.
     """
 
     name: str
@@ -77,7 +73,6 @@ class ExactSolution:
     modulus: str
     degenerate: Callable[[WorldsheetGrid], np.ndarray] = field(
         repr=False, default=lambda g: np.zeros(g.shape, dtype=bool))
-    frame: ChartFn | None = field(repr=False, default=None)
 
     def mask(self, grid: WorldsheetGrid) -> Mask:
         return Mask(grid, ~dilate(self.degenerate(grid), grid))
@@ -89,8 +84,7 @@ class ExactSolution:
         )
 
     def geometry(self, grid: WorldsheetGrid) -> GeometryBundle:
-        frame = None if self.frame is None else self.frame(*grid.meshgrid())
-        return build_geometry(self.embedding(grid), frame=frame)
+        return build_geometry(self.embedding(grid))
 
     def family_names(self) -> list[str]:
         return sorted(self.family)
@@ -119,8 +113,7 @@ _GENERATORS = (
 
 
 def _family(name: str, params: dict, chart: ChartFn, dim: int, modulus: str,
-            degenerate: Callable[[WorldsheetGrid], np.ndarray], frame: ChartFn | None = None,
-            boosts: bool = False) -> ExactSolution:
+            degenerate: Callable[[WorldsheetGrid], np.ndarray], boosts: bool = False) -> ExactSolution:
     """The family ``name`` in ``dim``-dimensional Minkowski space, with every
     direction derived from its chart: the translations, the rotations (and
     boosts when asked) of ``_GENERATORS`` evaluated along the worldsheet,
@@ -157,7 +150,7 @@ def _family(name: str, params: dict, chart: ChartFn, dim: int, modulus: str,
     family[modulus] = lambda tt, ss: chart(tt, ss) / scale
     family["sigma_shift"] = lambda tt, ss: chart(tt, ss + 1j * h).imag / h
     return ExactSolution(name=name, params=params, background=minkowski(dim), chart=chart,
-                         family=family, modulus=modulus, degenerate=degenerate, frame=frame)
+                         family=family, modulus=modulus, degenerate=degenerate)
 
 
 def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], np.ndarray]:
@@ -234,7 +227,6 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
     on the grid's own points would declare different rows at other widths.
     """
     a = float(scale)
-    eta = np.diag(minkowski_metric(4))  # the metric's diagonal, for the frame
 
     def chart(tt, ss):
         u = tt + ss
@@ -243,45 +235,8 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
             [2 * a * tt, a * np.cos(u), a * np.sin(u) + a * np.cos(v), a * np.sin(v)], axis=-1
         )
 
-    def frame(tt, ss):
-        # smooth analytic normals: the first is the left-mover acceleration
-        # projected off the (null) tangent pair, the second its Levi-Civita
-        # dual against the tangents (orthogonal to all three by construction)
-        u = tt + ss
-        v = tt - ss
-        zero = np.zeros_like(tt)
-        one = np.ones_like(tt)
-        xl1 = a * np.stack([one, -np.sin(u), np.cos(u), zero], axis=-1)
-        xr1 = a * np.stack([one, zero, -np.sin(v), np.cos(v)], axis=-1)
-        xl2 = a * np.stack([zero, -np.cos(u), -np.sin(u), zero], axis=-1)
-
-        def dot(p, q):
-            return np.einsum("...m,...m->...", p * eta, q)
-
-        cross = dot(xl1, xr1)  # = -a^2 (1 + cos u sin v), nonzero off cusps
-        w1 = xl2 - (dot(xl2, xr1) / cross)[..., None] * xl1
-        n1 = w1 / np.sqrt(dot(w1, w1))[..., None]
-        n2 = eta * _levi_civita_dual(xl1 + xr1, xl1 - xr1, n1)  # index raised
-        n2 = n2 / np.sqrt(np.abs(dot(n2, n2)))[..., None]
-        return np.stack([n1, n2], axis=-2)
-
     return _family("spinning_two_plane_string", {"scale": a}, chart, 4, "scale",
-                   _degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))),
-                   frame=frame, boosts=True)
-
-
-def _levi_civita_dual(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """eps_{anrs} p^n q^r r^s pointwise, for 4-vectors on the last axis: by
-    cofactors, component a is (-1)^a times the 3x3 determinant of (p, q, r)
-    without column a, expanded along p over the 2x2 minors of (q, r)."""
-    m = {(i, j): q[..., i] * r[..., j] - q[..., j] * r[..., i]
-         for i, j in itertools.combinations(range(4), 2)}
-    return np.stack([
-        p[..., 1] * m[2, 3] - p[..., 2] * m[1, 3] + p[..., 3] * m[1, 2],
-        -(p[..., 0] * m[2, 3] - p[..., 2] * m[0, 3] + p[..., 3] * m[0, 2]),
-        p[..., 0] * m[1, 3] - p[..., 1] * m[0, 3] + p[..., 3] * m[0, 1],
-        -(p[..., 0] * m[1, 2] - p[..., 1] * m[0, 2] + p[..., 2] * m[0, 1]),
-    ], axis=-1)
+                   _degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))), boosts=True)
 
 
 def jacobi_from_family(sol: ExactSolution, geo: GeometryBundle, which: str) -> Field:

@@ -57,8 +57,10 @@ def rotating_geo(rotating, grid129):
 
 @pytest.fixture(scope="session")
 def spinning_geo(spinning):
-    # the twisting normal frame carries rational-trig content that needs the
-    # doubled sigma resolution to drop its spectral tail below tolerances
+    # the normal frame read off the tangents twists, and it divides by the
+    # tangents' product 1 + cos(tau+sigma) sin(tau-sigma): rational-trig
+    # content that needs the doubled sigma resolution to drop its spectral
+    # tail below tolerances
     return spinning_two_plane_string(1.0).geometry(
         WorldsheetGrid(n_tau=129, n_sigma=64, tau_min=0.1, tau_max=0.9)
     )

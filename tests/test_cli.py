@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stringlab import cli, dynamics, experiments, solutions, symplectic
+from stringlab import cli, deformation, dynamics, experiments, solutions, symplectic
 from stringlab.dynamics import ActionParams
-from stringlab.geometry import build_geometry
-from stringlab.grid import WorldsheetGrid
+from stringlab.geometry import Embedding, build_geometry
+from stringlab.grid import Field, WorldsheetGrid
 
 BASE = {
     "schema_version": 1,
@@ -699,8 +699,8 @@ def test_driver_with_library_objects_matches_run():
 
 
 def test_spinning_convergence_passes(tmp_path):
-    # the 65-row level builds because the analytic frame is projected onto
-    # the discrete normal space
+    # each level reads its frame off its own tangents, so the 65-row level
+    # builds with no frame supplied
     path = write_config(
         tmp_path,
         solution={"name": "spinning_two_plane_string", "params": {"scale": 1.0}},
@@ -740,12 +740,38 @@ def test_every_experiment_kind_passes(tmp_path, kind, n_tau, options):
 
 
 @pytest.mark.parametrize("kind", ["deform-check", "linearize"])
-def test_displaced_collapse_fails_typed_without_a_warning(tmp_path, capsys, kind):
-    """The displaced charts of the collapse are not finite on its masked
-    rows; under the suite's warnings-as-errors the periodicity check reads
-    them without a warning, and the run exits 3 naming the first bad point."""
+def test_displaced_collapse_fails_typed_without_a_warning(tmp_path, capsys, monkeypatch, kind):
+    """A displaced chart of the collapse that is not finite at two masked
+    points of row 249, the collapse instant: under the suite's
+    warnings-as-errors the periodicity check reads it without a warning,
+    and the run exits 3 naming the first bad point."""
+    real = deformation.deform_embedding
+
+    def displaced(geo, d, eps):
+        emb = real(geo, d, eps)
+        x = emb.x.values.copy()
+        x[249, [4, 12]] = np.inf
+        return Embedding(emb.background, Field(emb.grid, x, emb.x.indices), emb.mask)
+
+    monkeypatch.setattr(deformation, "deform_embedding", displaced)
+    monkeypatch.setattr(dynamics, "deform_embedding", displaced)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**COLLAPSE, "kind": kind}))
     assert cli.main(["run", "--config", str(path)]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: conn is not finite at grid point (tau=245, sigma=4)\n")
+
+
+@pytest.mark.parametrize("kind,code,message", [
+    ("deform-check", 1, ""),
+    # the seeded rebuild leaves NaN on masked rows that the tau stencil carries to row 253
+    ("linearize", 3, "numerical failure: normal_conn is not finite at grid point (tau=253, sigma=1)\n"),
+])
+def test_displaced_collapse_runs_without_a_warning(tmp_path, capsys, kind, code, message):
+    """The displaced charts of the 257x16 collapse are finite, masked rows
+    included, and each run ends under warnings-as-errors: deform-check
+    fails its checks, linearize fails typed."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**COLLAPSE, "kind": kind}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr().err == message

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import re
 
 import numpy as np
@@ -236,20 +235,6 @@ def test_spinning_frame_is_orthonormal_and_smooth(spinning, spinning_geo):
     for slot in range(2):
         dots = np.einsum("tsm,tsm->ts", n[:, :, slot], np.roll(n[:, :, slot], -1, axis=1))
         assert dots.min() > 0.9
-
-
-def test_levi_civita_dual_matches_the_tensor_contraction():
-    """The cofactor expansion of the spinning frame's dual equals the
-    contraction with the full Levi-Civita symbol, built from permutation
-    parities."""
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-        eps[perm] = (-1.0) ** inversions
-    p, q, r = np.random.default_rng(5).standard_normal((3, 7, 5, 4))
-    reference = np.einsum("anrs,...n,...r,...s->...a", eps, p, q, r)
-    got = solutions._levi_civita_dual(p, q, r)
-    assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_masked_rows_near_pulsating_collapse():

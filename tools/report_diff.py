@@ -4,7 +4,7 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the thirty-eight slice-path, declared-mask,
+× nine kinds) and the forty-one slice-path, declared-mask,
 shared-derivative, sigma-shift, normal-frame, random-field and curvature
 configs of :func:`extra_configs` once per checkout, each checkout in its
 own child process that imports ``stringlab`` from that checkout's
@@ -72,13 +72,16 @@ def extra_configs(seed: int) -> dict:
     field's derivatives.  Sigma shift: conserve with the ``sigma_shift``
     Jacobi field on pulsating, spinning and folded, whose error text
     carries the roundoff size of the shift's normal part.  Normal frames:
-    pulsating in three dimensions (codimension 1 from coordinate seeds)
+    pulsating in three dimensions (codimension 1, the tangents' dual)
     under ``geometry`` and ``conserve``; ``geometry`` and ``eom`` on the
-    window tau in [1.5708, 2.3708], whose first active row is 3, so the
-    orientation's column walk starts there; and ``deform-check`` and
-    ``linearize`` on the 257x16 collapse, whose displaced charts are not
-    finite on the masked rows.  Random fields: ``deform-check`` on
-    pulsating in three dimensions (one random normal scalar per seed) and
+    window tau in [1.5708, 2.3708], past the collapse, whose first active
+    row is 3; ``deform-check`` and ``linearize`` on the 257x16 collapse,
+    whose displaced charts are large on the masked rows; ``geometry`` and
+    ``eom`` on spinning 129x64 over tau in [0, 3.1416], through the instant
+    the string is at rest (tau near pi/4, where e_t nearly lies in the
+    tangent plane) and both cusps; and ``omega`` on spinning over tau in
+    [1.178, 1.978].  Random fields: ``deform-check`` on pulsating in three
+    dimensions (one random normal scalar per seed) and
     on folded 129x64 (the fold columns through the Riemann block),
     ``convergence`` of ``self-adjoint`` (random fields on 65, 129 and 257
     rows), and ``self-adjoint`` on spinning 129x128 (32 sigma modes).
@@ -128,6 +131,8 @@ def extra_configs(seed: int) -> dict:
                    "folded": folded_kinds["conserve"]}
     dim3 = {"solution": {**pulsating["geometry"]["solution"], "params": {"radius": 1.0, "dim": 3}}}
     window = {"grid": {**pulsating["geometry"]["grid"], "tau_min": 1.5708, "tau_max": 2.3708}}
+    spinning_0_pi = {"grid": {**spinning["geometry"]["grid"], "tau_min": 0.0, "tau_max": 3.1416}}
+    spinning_mid = {"grid": {**spinning["omega"]["grid"], "tau_min": 1.178, "tau_max": 1.978}}
     frames = {
         "pulsating dim 3 geometry": (pulsating["geometry"], dim3),
         "pulsating dim 3 conserve": (pulsating["conserve"], dim3),
@@ -135,6 +140,9 @@ def extra_configs(seed: int) -> dict:
         "window eom": (pulsating["eom"], window),
         "collapse deform-check": (pulsating["deform-check"], collapse),
         "collapse linearize": (pulsating["linearize"], collapse),
+        "spinning 0-pi geometry": (spinning["geometry"], spinning_0_pi),
+        "spinning 0-pi eom": (spinning["eom"], spinning_0_pi),
+        "spinning omega 1.178-1.978": (spinning["omega"], spinning_mid),
     }
     spinning_128 = {"grid": {**spinning["geometry"]["grid"], "n_sigma": 128}}
     fields = {
