@@ -489,15 +489,16 @@ def linearized_fd_oracle(
     deformation, one Field per entry of ``params``, in order.
 
     The displaced geometries do not depend on the couplings, so the geometry
-    is rebuilt from scratch once on each side (+/- eps), seeded with ``geo``'s
-    normal frame so the residual keeps its basis, and every entry is
-    differenced on that one pair.  Around on-shell geometries this
-    independently checks the linearized operator: frame-adjustment terms are
-    proportional to the residual itself and drop out at this order.
+    is rebuilt from scratch once on each side (+/- eps), and every entry is
+    differenced on that one pair.  Each rebuild reads its frame off its own
+    tangents, pointwise, so it is ``geo``'s frame turned by O(eps) in the
+    normal bundle; the turn adds O(eps) times the residual to the residual's
+    components, so around on-shell geometries the difference quotient
+    independently checks the linearized operator.
     """
     d = DeformationField.normal_only(phi)
-    plus = build_geometry(deform_embedding(geo, d, +eps), frame=geo.n.values)
-    minus = build_geometry(deform_embedding(geo, d, -eps), frame=geo.n.values)
+    plus = build_geometry(deform_embedding(geo, d, +eps))
+    minus = build_geometry(deform_embedding(geo, d, -eps))
     return [
         Field(
             geo.grid,

@@ -13,12 +13,14 @@ adds the frame, the extrinsic curvature and the normal connection.
 fields run the first alone.
 
 The normal frame is read off the tangents, point by point, by one rule
-for every worldsheet: the Levi-Civita dual of the lowered tangents (and,
-in four dimensions, of the last coordinate axis taken off them).  A
-rotation of the normals is a gauge of the normal bundle (Capovilla &
-Guven, Phys. Rev. D 51 (1995) 6736), so the rule changes no
-gauge-invariant output; what it buys is that no solution supplies a frame
-and that a band's frame is the full grid's.
+for every worldsheet and every build: the Levi-Civita dual of the lowered
+tangents (and, in four dimensions, of the last coordinate axis taken off
+them).  A rotation of the normals is a gauge of the normal bundle
+(Capovilla & Guven, Phys. Rev. D 51 (1995) 6736), so the rule changes no
+gauge-invariant output; what it buys is that no solution or rebuild
+supplies a frame and that a band's frame is the full grid's.  Being
+pointwise, the rule gives a displaced chart the base frame plus O(eps),
+and a reparametrized chart the base frame pulled back.
 
 Two conventions that everything downstream relies on:
 
@@ -229,93 +231,64 @@ def _unit(g: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v / np.sqrt(np.abs(norm2))[..., None]
 
 
-def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask, frame=None):
+def _orthonormal_normal_frame(g, e, e_low, gamma_inv, mask):
     """Orthonormal normal frame of the tangents, one rule per codimension,
-    read off the tangents point by point, or Gram-Schmidt of a given frame.
+    read off the tangents point by point.
 
     * Codimension 1: the dual of the two lowered tangents, normalized, and
       carried along each row across masked columns by :func:`_orient_frame`.
     * Codimension 2: slot 2 is the last coordinate axis off the tangents,
-      by :func:`_gram_schmidt`; an active point where that axis lies in the
-      tangent plane raises.  Slot 1 is the dual of the lowered tangents and
-      slot 2, normalized: orthogonal to all three by construction, and
-      (n_1, e_tau, e_sigma, n_2) has one orientation at every point.
+      by :func:`_last_axis_off_tangents`.  Slot 1 is the dual of the
+      lowered tangents and slot 2, normalized: orthogonal to all three by
+      construction, and (n_1, e_tau, e_sigma, n_2) has one orientation at
+      every point.
     * Codimension 3 or more has no rule: the build raises.
-    * Given ``frame``, slot k is ``frame[..., k, :]`` by Gram-Schmidt, not
-      oriented.
 
     No rule reads a neighbouring point, save the codimension-1 walk along
     a row, so a band's frame is the full grid's.
     """
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
-    if frame is not None:
-        seeds = [(frame[..., k, :], np.einsum("...am,...m->...a", e_low, frame[..., k, :]))
-                 for k in range(dim - 2)]
-        return _gram_schmidt(g, e, e_low, gamma_inv, mask, seeds,
-                             "Gram-Schmidt breakdown: every seed is parallel to the tangent span")
     tangents = (e_low[..., 0, :], e_low[..., 1, :])
     if dim == 3:
         normal = _unit(g, _levi_civita_dual(*tangents))
         _orient_frame(normal, mask.active)
         return normal[..., None, :]
     if dim != 4:
-        raise GeometryError(f"no normal frame rule for codimension {dim - 2}; supply a frame")
-    # the last axis's dots with the tangents are e_low[..., -1]
-    n2 = _gram_schmidt(g, e, e_low, gamma_inv, mask, [(np.eye(dim)[-1], e_low[..., -1])],
-                       "the last coordinate axis lies in the tangent plane")[..., 0, :]
+        raise GeometryError(f"no normal frame rule for codimension {dim - 2}")
+    n2 = _last_axis_off_tangents(g, e, e_low, gamma_inv, mask)
     normals = grid_full((nt, ns, 2, dim), 0.0)
     normals[..., 0, :] = _unit(g, _levi_civita_dual(*tangents, np.einsum("...mn,...n->...m", g, n2)))
     normals[..., 1, :] = n2
     return normals
 
 
-def _gram_schmidt(g, e, e_low, gamma_inv, mask, seeds, breakdown):
-    """Classical Gram-Schmidt of ``seeds`` off the tangents, run twice: the
-    frame (n_tau, n_sigma, slots, dim).
+def _last_axis_off_tangents(g, e, e_low, gamma_inv, mask):
+    """The last coordinate axis minus its part in the tangent plane,
+    normalized, taken off the tangents twice.
 
-    Slot k is seed k, given with its dots e_b . v with the tangents, off the
-    tangents and slots < k, normalized where its norm is above
-    SEED_SKIP_TOL: an active point where it is not raises ``breakdown``,
-    naming the point, and a masked one stays NaN.  The second pass refines:
-    a seed accepted with a small residual norm loses digits to
-    cancellation, and one more projection restores them.  Each slot is
-    lowered (g . n) once per pass, for the slots after it.
+    Where the first residual's norm is at most SEED_SKIP_TOL, an active
+    point raises, naming the first, and a masked one stays NaN.  The second
+    pass refines: an axis near the tangent plane leaves a small residual
+    that loses digits to cancellation, and one more projection restores
+    them.
     """
-    floor = SEED_SKIP_TOL * SEED_SKIP_TOL
-    normals = grid_full(e.shape[:2] + (len(seeds), e.shape[-1]), np.nan)
-
     def off_tangents(v, e_dot_v):
         """v minus e_a gamma^{ab} (e_b . v), given e_b . v (contracted
         pairwise, a fraction of one three-operand einsum)."""
         return v - np.einsum("...a,...am->...m", np.einsum("...ab,...b->...a", gamma_inv, e_dot_v), e)
 
-    def off_slots(v, slot, lowered):
-        """v minus its parts along the (orthonormal) slots before ``slot``,
-        each lowered (g . n) into ``lowered`` on first use; and g(v, v)."""
-        while len(lowered) < slot:
-            lowered.append(np.einsum("...mn,...n->...m", g, normals[..., len(lowered), :]))
-        for m, low in enumerate(lowered):
-            v = v - normals[..., m, :] * np.einsum("...m,...m->...", low, v)[..., None]
-        return v, np.einsum("...mn,...m,...n->...", g, v, v)
-
-    lowered = []
-    for slot, (seed, e_dot_seed) in enumerate(seeds):
-        v, norm2 = off_slots(off_tangents(seed, e_dot_seed), slot, lowered)
-        ok = norm2 > floor
-        with np.errstate(invalid="ignore"):
-            np.divide(v, np.sqrt(np.maximum(norm2, floor))[..., None],
-                      out=normals[..., slot, :], where=ok[..., None])
-        missing = mask.active & ~ok
-        if missing.any():
-            it, isig = np.argwhere(missing)[0]
-            raise GeometryError.at_point(breakdown, mask.grid, it, isig)
-    lowered = []
-    for slot in range(len(seeds)):
-        v = normals[..., slot, :]
-        v, norm2 = off_slots(off_tangents(v, np.einsum("...am,...m->...a", e_low, v)), slot, lowered)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm at a masked point
-            normals[..., slot, :] = v / np.sqrt(np.abs(norm2))[..., None]
-    return normals
+    # the last axis's dots with the tangents are e_low[..., -1]
+    v = off_tangents(np.eye(e.shape[-1])[-1], e_low[..., -1])
+    norm2 = np.einsum("...mn,...m,...n->...", g, v, v)
+    ok = norm2 > SEED_SKIP_TOL * SEED_SKIP_TOL
+    missing = mask.active & ~ok
+    if missing.any():
+        it, isig = np.argwhere(missing)[0]
+        raise GeometryError.at_point("the last coordinate axis lies in the tangent plane",
+                                     mask.grid, it, isig)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where(ok[..., None], v / np.sqrt(norm2)[..., None], np.nan)
+    return _unit(g, off_tangents(unit, np.einsum("...am,...m->...a", e_low, unit)))
 
 
 def _orient_frame(normal: np.ndarray, active: np.ndarray) -> None:
@@ -387,18 +360,14 @@ def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
         )
 
 
-def build_geometry(emb: Embedding, frame: np.ndarray | None = None) -> GeometryBundle:
+def build_geometry(emb: Embedding) -> GeometryBundle:
     """Compute the full geometry bundle of an embedding: the intrinsic stage,
     then the frame stage on top of it.
 
     The normal frame is read off the tangents (see
-    :func:`_orthonormal_normal_frame`), or, given ``frame`` (n_tau, n_sigma,
-    codim, dim), is that frame by Gram-Schmidt off the tangents, not
-    oriented.  Rebuilds pass the frame of the geometry they are compared
-    with (NaN allowed at masked points), so that both give normal
-    components in one basis; gauge-covariance tests pass a rotated one.
+    :func:`_orthonormal_normal_frame`), on a rebuild as on a first build.
     """
-    return frame_geometry(intrinsic_geometry(emb), frame)
+    return frame_geometry(intrinsic_geometry(emb))
 
 
 def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
@@ -508,10 +477,10 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     return intrinsic
 
 
-def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None) -> GeometryBundle:
-    """The frame stage of a build: the normal frame (read off the tangents,
-    or seeded as in :func:`build_geometry`), extrinsic curvature, its trace
-    and the normal-bundle connection, bundled with the intrinsic fields."""
+def frame_geometry(intrinsic: IntrinsicGeometry) -> GeometryBundle:
+    """The frame stage of a build: the normal frame read off the tangents,
+    extrinsic curvature, its trace and the normal-bundle connection,
+    bundled with the intrinsic fields."""
     bg = intrinsic.background
     grid = intrinsic.grid
     nt, ns = grid.shape
@@ -521,9 +490,7 @@ def frame_geometry(intrinsic: IntrinsicGeometry, frame: np.ndarray | None = None
     gamma_inv = intrinsic.gamma_inv.values
     active = intrinsic.mask.active
 
-    if frame is not None and np.shape(frame) != (nt, ns, dim - 2, dim):
-        raise GeometryError(f"frame override has shape {np.shape(frame)}")
-    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, intrinsic.mask, frame)
+    normals = _orthonormal_normal_frame(g, e_vals, e_low, gamma_inv, intrinsic.mask)
     n_low = np.einsum("...mn,...in->...im", g, normals)
 
     # extrinsic curvature K_ab^i = -n^i . (dd X + Gamma(bg) e e), symmetrized

@@ -49,9 +49,11 @@ alone and, on the probed grids, the full grid's, bit for bit.  The gauge
 check compares the two-form of one band's geometry, evaluated once, with
 that of each of its reparametrized rebuilds on the same row.  The rebuilds
 are one build too: one copy of the band per circle map, stacked in the
-same way (:meth:`~stringlab.grid.WorldsheetGrid.copies`), each field pulled
-back through every map with one FFT, and one kernel pass over the copies'
-slice rows; every copy equals, bit for bit, its map's rebuild alone.
+same way (:meth:`~stringlab.grid.WorldsheetGrid.copies`), the chart and
+each field pulled back through every map with one FFT, and one kernel
+pass over the copies' slice rows; every copy equals, bit for bit, its
+map's rebuild alone.  No rebuild is handed a frame: each reads its own
+off its tangents, by the rule of :mod:`stringlab.geometry`.
 
 Both evaluators contract in pairs: every einsum takes two operands, with
 the fields contracted into K and grad K first.  Without a planned path
@@ -358,7 +360,7 @@ def _directional_potential_derivative(geo, decomp_phi, probe_phi, p, eps) -> np.
     probe = DeformationField.normal_only(probe_phi)
     psis = []
     for sgn in (+1.0, -1.0):
-        geo2 = build_geometry(deform_embedding(geo, probe, sgn * eps), frame=geo.n.values)
+        geo2 = build_geometry(deform_embedding(geo, probe, sgn * eps))
         phi_n = Field(
             geo2.grid, np.einsum("...im,...m->...i", geo2.n_low, frozen), (NORMAL,)
         )
@@ -396,18 +398,21 @@ def resample_sigma(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
 
 
 def reparametrized_rebuild(geo: GeometryBundle, fields, sources):
-    """``geo`` rebuilt from scratch after pulling its embedding and normal
-    frame back through each row of ``sources`` (new source points of the
-    grid sigma values, one row per map), and ``fields`` pulled back
-    likewise.  One build serves every map: its grid is one copy of
-    ``geo``'s per map (:meth:`~stringlab.grid.WorldsheetGrid.copies`),
-    copy c seeded with frame c (the components' basis) and holding the
+    """``geo`` rebuilt from scratch after pulling its embedding back through
+    each row of ``sources`` (new source points of the grid sigma values,
+    one row per map), and ``fields`` pulled back likewise.  The rebuild
+    reads its frame off its own tangents: the rule is pointwise and an
+    orientation-preserving circle map keeps the tangent plane and its
+    orientation, so that frame is ``geo``'s pulled back, to the
+    interpolant's accuracy, and the fields' components keep their basis.
+    One build serves every map: its grid is one copy of ``geo``'s per map
+    (:meth:`~stringlab.grid.WorldsheetGrid.copies`), each holding the
     declared mask of ``geo``.  Every copy is, bit for bit, the rebuild
     through its map alone."""
     emb, stack = geo.embedding, geo.grid.copies(len(sources))
-    x, frame, *pulled = (resample_sigma(f.values, sources) for f in (emb.x, geo.n, *fields))
+    x, *pulled = (resample_sigma(f.values, sources) for f in (emb.x, *fields))
     mask = Mask(stack, np.tile(emb.mask.active, (len(sources), 1)))
-    rebuilt = build_geometry(Embedding(emb.background, Field(stack, x, emb.x.indices), mask), frame)
+    rebuilt = build_geometry(Embedding(emb.background, Field(stack, x, emb.x.indices), mask))
     return rebuilt, [Field(stack, phi, (NORMAL,)) for phi in pulled]
 
 

@@ -764,13 +764,13 @@ def test_displaced_collapse_fails_typed_without_a_warning(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("kind,code,message", [
     ("deform-check", 1, ""),
-    # the seeded rebuild leaves NaN on masked rows that the tau stencil carries to row 253
-    ("linearize", 3, "numerical failure: normal_conn is not finite at grid point (tau=253, sigma=1)\n"),
+    # the masked rows leak into active ones: fd_match is 1.19 at beta 0
+    ("linearize", 1, ""),
 ])
 def test_displaced_collapse_runs_without_a_warning(tmp_path, capsys, kind, code, message):
     """The displaced charts of the 257x16 collapse are finite, masked rows
-    included, and each run ends under warnings-as-errors: deform-check
-    fails its checks, linearize fails typed."""
+    included, and each run ends under warnings-as-errors: deform-check and
+    linearize both fail their checks, with nothing on stderr."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**COLLAPSE, "kind": kind}))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == code

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_axes_innermost, interior
+from stringlab import geometry
 from stringlab.background import BackgroundSpacetime, minkowski
 from stringlab.dynamics import (
     ActionParams,
@@ -290,7 +291,7 @@ def _spinning_analytic_frame(tt, ss, a=1.0):
     normal is the left-mover acceleration projected off the (null) tangent
     pair, the second its Levi-Civita dual against the tangents (orthogonal
     to all three by construction).  A reference for the frame that a build
-    reads off the tangents, and a seed that is not the grid's frame."""
+    reads off the tangents."""
     eta = np.array([-1.0, 1.0, 1.0, 1.0])
     u, v = tt + ss, tt - ss
     zero, one = np.zeros_like(tt), np.ones_like(tt)
@@ -312,14 +313,18 @@ def _spinning_analytic_frame(tt, ss, a=1.0):
 @pytest.mark.parametrize("window,bound", [((0.1, 0.9), 1.5e-10), ((2.0, 2.7), 5e-8)])
 def test_spinning_frame_is_minus_the_analytic_frame(spinning, window, bound):
     """The spinning frame read off the tangents is minus the analytic frame
-    projected onto the discrete normal space (a build seeded with it): on
-    active points of 129x64, 7.5e-11 on tau in [0.1, 0.9], and 2.3e-8 on
-    [2.0, 2.7], beside the cusp rows.  The bounds are twice those (2.2
-    times on the cusp window)."""
+    projected onto the discrete normal space (by Gram-Schmidt off the
+    tangents): on active points of 129x64, 7.5e-11 on tau in [0.1, 0.9],
+    and 2.3e-8 on [2.0, 2.7], beside the cusp rows.  The bounds are twice
+    those (2.2 times on the cusp window)."""
     grid = WorldsheetGrid(129, 64, *window)
     geo = spinning.geometry(grid)
-    seeded = build_geometry(geo.embedding, frame=_spinning_analytic_frame(*grid.meshgrid()))
-    assert masked_max_abs(geo.n.values + seeded.n.values, geo.mask.active) <= bound
+    analytic = _spinning_analytic_frame(*grid.meshgrid())
+    seeds = [(analytic[..., k, :], np.einsum("...am,...m->...a", geo.e_low, analytic[..., k, :]))
+             for k in range(2)]
+    projected = _gram_schmidt_reference(geo.g, geo.e.values, geo.e_low, geo.gamma_inv.values,
+                                        geo.mask, seeds)
+    assert masked_max_abs(geo.n.values + projected, geo.mask.active) <= bound
 
 
 def _unit_reference(g, v):
@@ -370,13 +375,9 @@ def _gram_schmidt_reference(g, e, e_low, gamma_inv, mask, seeds):
     return normals
 
 
-def _normal_frame_reference(g, e, e_low, gamma_inv, mask, frame=None):
+def _normal_frame_reference(g, e, e_low, gamma_inv, mask):
     """The frame rule written from scratch: the reference."""
     nt, ns, dim = e.shape[0], e.shape[1], e.shape[-1]
-    if frame is not None:
-        seeds = [(frame[..., k, :], np.einsum("...am,...m->...a", e_low, frame[..., k, :]))
-                 for k in range(dim - 2)]
-        return _gram_schmidt_reference(g, e, e_low, gamma_inv, mask, seeds)
     tangents = (e_low[..., 0, :], e_low[..., 1, :])
     if dim == 3:
         normal = _unit_reference(g, _dual_reference(*tangents))
@@ -389,50 +390,31 @@ def _normal_frame_reference(g, e, e_low, gamma_inv, mask, frame=None):
 
 
 @pytest.mark.parametrize(
-    "name,params,grid,seeded",
+    "name,params,grid",
     [
-        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), False),
-        ("pulsating_circular_string", {"dim": 3}, (129, 32, 0.1, 0.9), False),
-        ("spinning_two_plane_string", {}, (129, 64, 0.1, 0.9), False),
-        ("rotating_folded_string", {}, (129, 32, 0.1, 0.9), False),
-        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9), True),
-        ("pulsating_circular_string", {}, (1025, 16, 0.5, 1.6), False),
-        ("pulsating_circular_string", {}, (129, 32, 1.5708, 2.3708), False),
+        ("pulsating_circular_string", {}, (129, 32, 0.1, 0.9)),
+        ("pulsating_circular_string", {"dim": 3}, (129, 32, 0.1, 0.9)),
+        ("spinning_two_plane_string", {}, (129, 64, 0.1, 0.9)),
+        ("rotating_folded_string", {}, (129, 32, 0.1, 0.9)),
+        ("pulsating_circular_string", {}, (1025, 16, 0.5, 1.6)),
+        ("pulsating_circular_string", {}, (129, 32, 1.5708, 2.3708)),
     ],
-    ids=["pulsating", "pulsating-dim3", "spinning", "folded", "seeded-rebuild",
-         "collapse-1025", "window"],
+    ids=["pulsating", "pulsating-dim3", "spinning", "folded", "collapse-1025", "window"],
 )
-def test_normal_frame_matches_reference_bit_for_bit(name, params, grid, seeded):
+def test_normal_frame_matches_reference_bit_for_bit(name, params, grid):
     """The frame each build uses, against the rule computed from scratch:
-    the same values to the bit, seeded and unseeded, and the same signs of
-    zero when seeded (the reference's dual sums terms of exact zeros, whose
-    signs the cofactors do not form).  The folded string's fold columns
-    start its walks on column 2, so they wrap.  Every point gets a finite
-    frame, masked ones too, also the masked rows of the collapse and of
-    the window."""
+    the same values to the bit.  The folded string's fold columns start
+    its walks on column 2, so they wrap.  Every point gets a finite frame,
+    masked ones too, also the masked rows of the collapse and of the
+    window."""
     sol = make_solution(name, params)
     grid = WorldsheetGrid(*grid)
     intrinsic = intrinsic_geometry(sol.embedding(grid))
-    frame = build_geometry(sol.embedding(grid)).n.values if seeded else None
     args = (intrinsic.g, intrinsic.e.values, intrinsic.e_low, intrinsic.gamma_inv.values,
             intrinsic.mask)
-    normals = _orthonormal_normal_frame(*args, frame=frame)
-    expected = _normal_frame_reference(*args, frame=frame)
-    assert np.array_equal(normals, expected, equal_nan=True)
-    if seeded:
-        assert np.array_equal(np.signbit(normals), np.signbit(expected))
+    normals = _orthonormal_normal_frame(*args)
+    assert np.array_equal(normals, _normal_frame_reference(*args), equal_nan=True)
     assert np.isfinite(normals).all()
-
-
-def test_gram_schmidt_breakdown_names_the_first_point():
-    """A seed along a tangent everywhere leaves nothing after projection."""
-    geo = make_solution("pulsating_circular_string", {}).geometry(WorldsheetGrid(65, 32, 0.1, 0.9))
-    along_tau = np.repeat(geo.e.values[:, :, :1, :], 2, axis=2)
-    message = ("Gram-Schmidt breakdown: every seed is parallel to the tangent span "
-               "at grid point (tau_index=0, sigma_index=0)")
-    with pytest.raises(GeometryError) as failure:
-        build_geometry(geo.embedding, frame=along_tau)
-    assert str(failure.value) == message
 
 
 def test_last_axis_in_the_tangent_plane_names_the_point():
@@ -459,7 +441,7 @@ def test_codimension_three_has_no_frame_rule():
                  + [np.zeros_like(tt)] * 2, axis=-1)
     emb = Embedding(minkowski(5), Field(grid, x, (SPACETIME,)))
     intrinsic_geometry(emb)
-    with pytest.raises(GeometryError, match="no normal frame rule for codimension 3; supply a frame"):
+    with pytest.raises(GeometryError, match="^no normal frame rule for codimension 3$"):
         build_geometry(emb)
 
 
@@ -565,9 +547,10 @@ def test_laplacian_forms_agree(pulsating_geo, spinning_geo):
         assert masked_max_abs(a.values - b.values, interior(geo)) <= 1e-8
 
 
-def test_frame_rotation_gauge_covariance(pulsating, grid129):
-    """Rebuilding the geometry in a pointwise-rotated normal frame rotates
-    normal components and leaves frame scalars untouched."""
+def test_frame_rotation_gauge_covariance(pulsating, grid129, monkeypatch):
+    """Rebuilding the geometry in a pointwise-rotated normal frame, by a
+    frame rule that returns the rotated frame, rotates normal components
+    and leaves frame scalars untouched."""
     grid = grid129
     geo = pulsating.geometry(grid)
     tt, ss = grid.meshgrid()
@@ -579,7 +562,8 @@ def test_frame_rotation_gauge_covariance(pulsating, grid129):
          -s[..., None] * n[:, :, 0] + c[..., None] * n[:, :, 1]],
         axis=2,
     )
-    geo_rot = build_geometry(geo.embedding, frame=n_rot)
+    monkeypatch.setattr(geometry, "_orthonormal_normal_frame", lambda *args: n_rot)
+    geo_rot = build_geometry(geo.embedding)
     act = interior(geo)
     # scalar built from the extrinsic curvature is frame invariant
     kk = np.einsum("...abi,...abi->...",
@@ -613,27 +597,6 @@ def test_covariant_gradient_metric_compatible(pulsating_geo):
     geo = pulsating_geo
     grad_gamma = covariant_gradient(geo, geo.gamma)
     assert masked_max_abs(grad_gamma.values, interior(geo)) <= 1e-7
-
-
-def test_frame_override_shape_checked(pulsating_geo):
-    with pytest.raises(GeometryError):
-        build_geometry(pulsating_geo.embedding, frame=np.zeros((4, 4, 2, 4)))
-
-
-def test_supplied_frame_is_projected(spinning):
-    """A supplied frame seeds Gram-Schmidt: at 65 rows the analytic spinning
-    frame is further from the discrete normal space than the 1e-9 frame
-    checks allow, and the build projects it there."""
-    grid = WorldsheetGrid(65, 64, 0.1, 0.9)
-    analytic = _spinning_analytic_frame(*grid.meshgrid())
-    geo = build_geometry(spinning.embedding(grid), frame=analytic)
-    assert masked_max_abs(geo.n.values - analytic, geo.mask.active) <= 1e-8
-
-
-def test_supplied_frame_is_not_reoriented(pulsating_geo):
-    # the orientation pass would turn the flipped seeds back
-    flipped = build_geometry(pulsating_geo.embedding, frame=-pulsating_geo.n.values)
-    assert masked_max_abs(flipped.n.values + pulsating_geo.n.values, pulsating_geo.mask.active) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])

@@ -704,9 +704,9 @@ def test_slice_kinds_build_only_bands(pulsating, grid129, monkeypatch, kind):
 
     shapes = []
 
-    def recording_build(emb, frame=None):
+    def recording_build(emb):
         shapes.append(emb.grid.shape)
-        return build_geometry(emb, frame=frame)
+        return build_geometry(emb)
 
     monkeypatch.setattr(solutions, "build_geometry", recording_build)
     monkeypatch.setattr(sym, "build_geometry", recording_build)
@@ -743,8 +743,9 @@ def test_gauge_check_evaluates_its_base_two_form_once(pulsating, grid129, monkey
 
 
 def test_gauge_check_pulls_each_field_back_with_one_fft(pulsating, grid129, monkeypatch):
-    """The chart, the frame and the two Jacobi fields are each pulled back
-    through both maps of a gauge-check run with one FFT."""
+    """The chart and the two Jacobi fields are each pulled back through both
+    maps of a gauge-check run with one FFT; the rebuild reads its frame off
+    its own tangents, so no frame is pulled back."""
     from stringlab import experiments
 
     shapes = []
@@ -756,7 +757,7 @@ def test_gauge_check_pulls_each_field_back_with_one_fft(pulsating, grid129, monk
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     experiments.run_gauge_check(pulsating, grid129, dyn.ActionParams(1.0, 0.0), 0)
-    assert len(shapes) == 4
+    assert len(shapes) == 3
 
 
 @pytest.mark.parametrize(
@@ -811,9 +812,7 @@ def test_band_rebuild_matches_full_grid_rebuild(request, solution, geometry, mod
     p = dyn.ActionParams(1.0, 0.3)  # a nonzero coupling reads the curvature gradients
     for s in (grid.sigma + 1e-2 * np.sin(grid.sigma), grid.sigma + 3 * grid.h_sigma):
         x2 = Field(grid, sym.resample_sigma(emb.x.values, s), emb.x.indices)
-        full = build_geometry(
-            Embedding(emb.background, x2, emb.mask), frame=sym.resample_sigma(geo.n.values, s)
-        )
+        full = build_geometry(Embedding(emb.background, x2, emb.mask))
         g1, g2 = (Field(grid, sym.resample_sigma(f.values, s), (NORMAL,)) for f in (f1, f2))
         for row in (0, 2, grid.n_tau // 2, grid.n_tau - 1):
             reference = sym.symplectic_form(full, g1, g2, p, row)

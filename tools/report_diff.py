@@ -4,7 +4,7 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the forty-one slice-path, declared-mask,
+× nine kinds) and the forty-three slice-path, declared-mask,
 shared-derivative, sigma-shift, normal-frame, random-field and curvature
 configs of :func:`extra_configs` once per checkout, each checkout in its
 own child process that imports ``stringlab`` from that checkout's
@@ -73,9 +73,11 @@ def extra_configs(seed: int) -> dict:
     Jacobi field on pulsating, spinning and folded, whose error text
     carries the roundoff size of the shift's normal part.  Normal frames:
     pulsating in three dimensions (codimension 1, the tangents' dual)
-    under ``geometry`` and ``conserve``; ``geometry`` and ``eom`` on the
-    window tau in [1.5708, 2.3708], past the collapse, whose first active
-    row is 3; ``deform-check`` and ``linearize`` on the 257x16 collapse,
+    under ``geometry`` and ``conserve``, and under ``linearize`` and
+    ``gauge-check``, whose displaced and reparametrized rebuilds read a
+    codimension-1 frame off their own tangents; ``geometry`` and ``eom``
+    on the window tau in [1.5708, 2.3708], past the collapse, whose first
+    active row is 3; ``deform-check`` and ``linearize`` on the 257x16 collapse,
     whose displaced charts are large on the masked rows; ``geometry`` and
     ``eom`` on spinning 129x64 over tau in [0, 3.1416], through the instant
     the string is at rest (tau near pi/4, where e_t nearly lies in the
@@ -136,6 +138,8 @@ def extra_configs(seed: int) -> dict:
     frames = {
         "pulsating dim 3 geometry": (pulsating["geometry"], dim3),
         "pulsating dim 3 conserve": (pulsating["conserve"], dim3),
+        "pulsating dim 3 linearize": (pulsating["linearize"], dim3),
+        "pulsating dim 3 gauge-check": (pulsating["gauge-check"], dim3),
         "window geometry": (pulsating["geometry"], window),
         "window eom": (pulsating["eom"], window),
         "collapse deform-check": (pulsating["deform-check"], collapse),
