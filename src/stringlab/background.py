@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import NORMAL, WORLDSHEET_LOWER, Field
+from .grid import NORMAL, WORLDSHEET_LOWER, Field, grid_full
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -155,7 +155,7 @@ def riemann_slots(
     k = n.shape[2]
     idx = (WORLDSHEET_LOWER, WORLDSHEET_LOWER, NORMAL, NORMAL)
     if bg.flat:
-        return Field(tangents.grid, np.zeros(e.shape[:2] + (2, 2, k, k)), idx)
+        return Field(tangents.grid, grid_full(e.shape[:2] + (2, 2, k, k), 0.0), idx)
     riem = bg.riemann_at(points)
     m = np.einsum("...xbgn,...jx,...ab,...cg,...in->...acij", riem, n, e, e, n)
     return Field(tangents.grid, m, idx)

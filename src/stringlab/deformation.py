@@ -30,6 +30,7 @@ import numpy as np
 from .geometry import (
     Embedding,
     GeometryBundle,
+    covariant_divergence,
     covariant_gradient,
     intrinsic_geometry,
     lower_index,
@@ -121,7 +122,7 @@ def vary_metric(geo: GeometryBundle, d: DeformationField) -> tuple[Field, Field]
 
 def vary_volume(geo: GeometryBundle, d: DeformationField) -> Field:
     """First variation of the area density sqrt(-det gamma)."""
-    div = np.einsum("...aa->...", covariant_gradient(geo, d.phi_tangent).values)
+    div = covariant_divergence(geo, d.phi_tangent).values
     k_phi = np.einsum("...i,...i->...", geo.K_mean.values, d.phi_normal.values)
     return Field(geo.grid, geo.vol.values * (div + k_phi))
 
@@ -142,10 +143,15 @@ def vary_connection(geo: GeometryBundle, d: DeformationField) -> Field:
     phi_low = lower_index(geo, d.phi_tangent, 0)
     hh = covariant_gradient(geo, covariant_gradient(geo, phi_low)).values  # hh[c, b, d]
     tang = np.einsum("...ad,...gfd->...agf", gi, hh) + np.einsum("...ad,...fgd->...agf", gi, hh)
-    riem = geo.riem.values
-    phi_e = phi_low.values
-    tang = tang - np.einsum("...ad,...efgd,...e->...agf", gi, riem, phi_e)
-    tang = tang - np.einsum("...ad,...egfd,...e->...agf", gi, riem, phi_e)
+    # R^e_{fgd} phi_e = u_f eps_{gd}, with u_f = R^e_{f tau sigma} phi_e and
+    # eps_{tau sigma} = -eps_{sigma tau} = 1: gamma^{ad} eps_{gd} is w^a_g =
+    # (gamma^{a sigma}, -gamma^{a tau}), and the two Riemann terms are
+    # w^a_g u_f and its transpose in (g, f)
+    u = np.einsum("...ef,...e->...f", geo.riem_tau_sigma.values, phi_low.values)
+    w = np.empty_like(gi)
+    w[..., 0], w[..., 1] = gi[..., 1], -gi[..., 0]
+    wu = np.einsum("...ag,...f->...agf", w, u)
+    tang = tang - wu - np.swapaxes(wu, -1, -2)
     return Field(geo.grid, normal_part + 0.5 * tang, geo.conn.indices)
 
 
@@ -155,8 +161,7 @@ def vary_ricci_scalar(
     """First variations of the Ricci tensor and the scalar curvature: the
     Palatini assembly from the variations of the connection and of the
     inverse metric (:func:`vary_connection`, :func:`vary_metric`)."""
-    grad_dconn = covariant_gradient(geo, dconn).values  # [c, a(up), g, f]
-    trace_term = np.einsum("...ccab->...ab", grad_dconn)
+    trace_term = covariant_divergence(geo, dconn).values  # grad_c dconn^c_ab
     v = Field(geo.grid, np.einsum("...cac->...a", dconn.values), (geo.gamma.indices[0],))
     grad_v = covariant_gradient(geo, v).values  # [b, a] = grad_b v_a
     d_ricci = trace_term - np.einsum("...ba->...ab", grad_v)

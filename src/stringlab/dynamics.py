@@ -20,7 +20,8 @@ the Einstein blocks, which :func:`linearized_residual` returns beside the
 full residual so that each block is evaluated once.
 
 What the evaluators share are their inputs, each computed once per
-geometry and kept in ``geo.cache``: the coefficient fields, and each
+geometry and kept in ``geo.cache``: the coefficient fields (those of the
+mean-curvature terms only when a full linearization reads them), and each
 field's grad phi, grad grad phi and lap phi (:func:`_phi_derivatives`).
 The two symplectic potentials likewise share one connection variation per
 deformation.  Sharing inputs that both already took from the same function
@@ -52,6 +53,7 @@ from .grid import (
     WORLDSHEET_LOWER,
     WORLDSHEET_UPPER,
     Field,
+    grid_full,
     integrate_patch,
     masked_max_abs,
 )
@@ -194,7 +196,9 @@ def current_coefficients(geo: GeometryBundle) -> CurrentCoefficients:
 class _LinearizedCoefficients:
     """Geometry-dependent coefficient fields of the linearized operator,
     computed once per geometry and reused across operator applications:
-    the current's coefficients and the fourth-derivative ones on top."""
+    the current's coefficients and the fourth-derivative ones on top.  The
+    mean-curvature terms' coefficients are apart, in
+    :func:`mean_curvature_coefficients`: the on-shell operator reads none."""
 
     def __init__(self, geo: GeometryBundle):
         self.gi, self.k_low, self.k_upup, self.gk, self.kk = current_coefficients(geo)
@@ -203,18 +207,29 @@ class _LinearizedCoefficients:
         gk_f = Field(geo.grid, self.gk, (WORLDSHEET_LOWER,) + geo.K.indices)
         self.ggk = covariant_gradient(geo, gk_f).values        # grad_d grad_c K_ab^i
         self.lap_k = np.einsum("...dc,...dcabi->...abi", gi, self.ggk)
-        gkm_f = covariant_gradient(geo, geo.K_mean)
-        self.g_kmean = gkm_f.values                            # (c, i)
-        self.gg_kmean = covariant_gradient(geo, gkm_f).values  # (d, c, i)
-        self.lap_kmean = np.einsum("...dc,...dci->...i", gi, self.gg_kmean)
         self.scalar = geo.scalar.values
         slots = riemann_slots(geo.background, geo.e, geo.n, points=geo.embedding.x.values)
         self.m_slots = slots.values                            # (a, b, i, j)
-        self.m_traced = np.einsum("...ab,...abij->...ij", gi, self.m_slots)
+        self.m_traced = (grid_full(self.m_slots.shape[:2] + self.m_slots.shape[-2:], 0.0)
+                         if geo.background.flat  # the slots are zeros
+                         else np.einsum("...ab,...abij->...ij", gi, self.m_slots))
 
 
 def operator_coefficients(geo: GeometryBundle) -> _LinearizedCoefficients:
     return cached(geo, "linearized_coeffs", lambda: _LinearizedCoefficients(geo))
+
+
+def mean_curvature_coefficients(geo: GeometryBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of the operator's mean-curvature terms: grad_c K^i
+    (c, i), grad_d grad_c K^i (d, c, i) and lap K^i, computed once per
+    geometry on first use.  Only the full linearization reads them, in both
+    evaluators; the on-shell operator does not."""
+    def compute():
+        g_kmean = covariant_gradient(geo, geo.K_mean)
+        gg_kmean = covariant_gradient(geo, g_kmean).values
+        return g_kmean.values, gg_kmean, np.einsum("...dc,...dci->...i", geo.gamma_inv.values, gg_kmean)
+
+    return cached(geo, "mean_curvature_coeffs", compute)
 
 
 def _phi_derivatives(geo: GeometryBundle, phi: Field):
@@ -260,8 +275,9 @@ def _beta_terms_einsum(geo, c, phi_vals, gphi, ggphi, lap, include_mean: bool) -
     x = x - 4 * np.einsum("...cabj,...cj->...ab", c.gk, grad_up_c)
     if include_mean:
         km = c.k_mean
-        x = x - 2 * np.einsum("...baj,...j->...ab", c.gg_kmean, ph)
-        x = x - 4 * np.einsum("...aj,...bj->...ab", c.g_kmean, gphi)
+        g_kmean, gg_kmean, lap_kmean = mean_curvature_coefficients(geo)
+        x = x - 2 * np.einsum("...baj,...j->...ab", gg_kmean, ph)
+        x = x - 4 * np.einsum("...aj,...bj->...ab", g_kmean, gphi)
         x = x - 2 * np.einsum("...j,...baj->...ab", km, ggphi)
     out = np.einsum("...abi,...ab->...i", c.k_upup, x)
     out = out - 2 * np.einsum("...ij,...j->...i", c.kk, lap)
@@ -272,8 +288,8 @@ def _beta_terms_einsum(geo, c, phi_vals, gphi, ggphi, lap, include_mean: bool) -
     div_k = np.einsum("...gf,...gfej->...ej", gi, c.gk)
     div_div_k = np.einsum("...ce,...cej->...j", gi, np.einsum("...gf,...cgfej->...cej", gi, c.ggk))
     s = 2 * np.einsum("...j,...j->...", ric_k, ph)
-    s = s + 2 * np.einsum("...j,...j->...", c.lap_kmean, ph)
-    s = s + 4 * np.einsum("...cj,...cj->...", c.g_kmean, grad_up_c)
+    s = s + 2 * np.einsum("...j,...j->...", lap_kmean, ph)
+    s = s + 4 * np.einsum("...cj,...cj->...", g_kmean, grad_up_c)
     s = s + 2 * np.einsum("...j,...j->...", km, lap)
     s = s - 2 * np.einsum("...j,...j->...", div_div_k, ph)
     s = s - 4 * np.einsum("...ej,...ej->...", div_k, grad_up_e)
@@ -406,14 +422,15 @@ def linearized_residual_string(
         ]
 
         km = c.k_mean
+        g_kmean, gg_kmean, lap_kmean = mean_curvature_coefficients(geo)
         t_ggkm = np.zeros_like(ph)
         t_gkm = np.zeros_like(ph)
         t_km_ggphi = np.zeros_like(ph)
         for a in range(2):
             for bb in range(2):
                 kab = c.k_upup[..., a, bb, :]
-                t_ggkm += kab * dotj(c.gg_kmean[..., bb, a, :], ph)[..., None]
-                t_gkm += kab * dotj(c.g_kmean[..., a, :], gphi[..., bb, :])[..., None]
+                t_ggkm += kab * dotj(gg_kmean[..., bb, a, :], ph)[..., None]
+                t_gkm += kab * dotj(g_kmean[..., a, :], gphi[..., bb, :])[..., None]
                 t_km_ggphi += kab * dotj(km, ggphi[..., bb, a, :])[..., None]
         rk = np.zeros_like(ph)
         for cc in range(2):
@@ -422,7 +439,7 @@ def linearized_residual_string(
         grad_pair = np.zeros(geo.grid.shape)
         for cc in range(2):
             for dd in range(2):
-                grad_pair += gi[..., cc, dd] * dotj(c.g_kmean[..., cc, :], gphi[..., dd, :])
+                grad_pair += gi[..., cc, dd] * dotj(g_kmean[..., cc, :], gphi[..., dd, :])
         div_k = np.zeros_like(gphi)       # (grad_g K^{g c j}) held at slot c
         divdiv_j = np.zeros_like(ph)
         for cc in range(2):
@@ -444,7 +461,7 @@ def linearized_residual_string(
             -4 * b * t_gkm,
             -2 * b * t_km_ggphi,
             2 * b * km * dotj(rk, ph)[..., None],
-            2 * b * km * dotj(c.lap_kmean, ph)[..., None],
+            2 * b * km * dotj(lap_kmean, ph)[..., None],
             4 * b * km * grad_pair[..., None],
             2 * b * km * dotj(km, lap)[..., None],
             -2 * b * km * dotj(divdiv_j, ph)[..., None],

@@ -43,9 +43,12 @@ accurate on active points instead of letting pole values poison the
 spectral stencils.
 
 R^a_{bcd} is antisymmetric in cd, so on a two-dimensional worldsheet its
-block cd = tau sigma is all of it.  A build forms that block alone, four
-components from the six terms of the general formula, and fills the rest
-of R by exact antisymmetry.  It does not reduce further, to the one
+block cd = tau sigma is all of it.  A build forms and keeps that block
+alone, ``riem_tau_sigma``, four components from the six terms of the
+general formula; a reader of R contracts the block (R^a_{b sigma tau} is
+its negative, and cd = tau tau and sigma sigma vanish), as
+:func:`stringlab.deformation.vary_connection` does.  It does not reduce
+further, to the one
 independent component R_{tau sigma tau sigma}: Ricci would then be
 proportional to gamma by construction and G exactly 0, so every Einstein
 check would pass vacuously.  From four components, G measures the discrete
@@ -77,6 +80,7 @@ from .grid import (
     grid_full,
     grid_innermost,
     masked_max_abs,
+    stencils,
 )
 
 DEGENERACY_TOL = 1e-10
@@ -119,7 +123,9 @@ class Embedding:
 @dataclass(frozen=True)
 class IntrinsicGeometry:
     """The fields of an embedding up to the Einstein tensor: everything built
-    from the tangents and the induced metric, nothing from the normal frame."""
+    from the tangents and the induced metric, nothing from the normal frame.
+    Of the worldsheet Riemann tensor it keeps the block R^a_{b tau sigma},
+    which on a two-dimensional worldsheet is all of it."""
 
     embedding: Embedding
     grid: WorldsheetGrid
@@ -136,7 +142,7 @@ class IntrinsicGeometry:
     adjugate: np.ndarray       # adj(gamma): gamma . adj = det * Id
     vol: Field                 # sqrt(-det gamma)
     conn: Field                # worldsheet Christoffel Gamma^a_{bc}, indices (A, a, a)
-    riem: Field                # R^a_{bcd}, indices (A, a, a, a)
+    riem_tau_sigma: Field      # R^a_{b tau sigma}, all of R (module docstring), indices (A, a)
     ricci: Field               # (a, a)
     scalar: Field              # scalar curvature
     einstein: Field            # (a, a)
@@ -155,9 +161,11 @@ class GeometryBundle(IntrinsicGeometry):
     normal_conn: Field         # omega_a^{ij}, indices (a, i, i), antisymmetric in ij
     # values derived from this geometry, each computed on first use (see
     # :func:`cached`): the current's and the operator's coefficients
-    # ("current_coeffs", "linearized_coeffs"), and per input object, keyed
-    # by the object itself, ("normal_gradient", phi), ("phi_derivatives",
-    # phi) and the connection variation ("vary_connection", deformation)
+    # ("current_coeffs", "linearized_coeffs"), the coefficients of the
+    # operator's mean-curvature terms ("mean_curvature_coeffs"), and per
+    # input object, keyed by the object itself, ("normal_gradient", phi),
+    # ("phi_derivatives", phi) and the connection variation
+    # ("vary_connection", deformation)
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -350,7 +358,11 @@ def _require_periodic_chart(x: Field, dx_s: np.ndarray) -> None:
     vals = x.values
     h = x.grid.h_sigma
     with np.errstate(invalid="ignore"):  # a displaced chart may be inf on masked rows
-        local = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * h)
+        # the central difference (v[s + 1] - v[s - 1]) / 2h, wrapping
+        local = np.empty_like(vals)
+        np.subtract(vals[:, 2:], vals[:, :-2], out=local[:, 1:-1])
+        local[:, 0], local[:, -1] = vals[:, 1] - vals[:, -1], vals[:, 0] - vals[:, -2]
+        local /= 2.0 * h
         scale = 1.0 + np.abs(local).max()
         gap = np.abs(dx_s - local).max()
     if gap > 0.5 * scale:
@@ -426,9 +438,9 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
 
     # Riemann from the weighted Christoffel; every stencil below acts on the
     # smooth numerator fields, divisions stay pointwise.  R^a_{b tau sigma}
-    # is all of R (see the module docstring): its numerator reads only
-    # d_tau P^a_{sigma b} and d_sigma P^a_{tau b}, and adds the six terms
-    # of the general formula in their order
+    # is all of R and all a build keeps of it (see the module docstring):
+    # its numerator reads only d_tau P^a_{sigma b} and d_sigma P^a_{tau b},
+    # and adds the six terms of the general formula in their order
     p_tau, p_sig = p_num[..., 0, :], p_num[..., 1, :]  # P^a_{tau b}, P^a_{sigma b}
     mixed = (WORLDSHEET_UPPER, WORLDSHEET_LOWER)
     dd_det = gradient(Field(grid, d)).values  # (..., e)
@@ -441,8 +453,6 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = num / (d * d)[..., None, None]  # R^a_{b tau sigma}
     del dd_det, num
-    riem = grid_full(r.shape[:2] + (2, 2, 2, 2), 0.0)
-    riem[..., 0, 1], riem[..., 1, 0] = r, -r
     # R_bd = R^a_{bad}: R_{b tau} = R^sigma_{b sigma tau}, R_{b sigma} = R^tau_{b tau sigma}
     ricci = np.empty_like(r)
     ricci[..., 0], ricci[..., 1] = -r[..., 1, :], r[..., 0, :]
@@ -465,10 +475,7 @@ def intrinsic_geometry(emb: Embedding) -> IntrinsicGeometry:
         adjugate=adj,
         vol=Field(grid, vol),
         conn=Field(grid, conn, (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
-        riem=Field(
-            grid, riem,
-            (WORLDSHEET_UPPER, WORLDSHEET_LOWER, WORLDSHEET_LOWER, WORLDSHEET_LOWER),
-        ),
+        riem_tau_sigma=Field(grid, r, (WORLDSHEET_UPPER, WORLDSHEET_LOWER)),
         ricci=Field(grid, ricci, (WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
         scalar=Field(grid, scal),
         einstein=Field(grid, einstein, (WORLDSHEET_LOWER, WORLDSHEET_LOWER)),
@@ -539,7 +546,7 @@ def _validate_intrinsic(geo: IntrinsicGeometry) -> None:
     eye = np.eye(2)
     if masked_max_abs(ident - eye, act) > 1e-10:
         raise GeometryError("gamma_inv . gamma deviates from the identity")
-    for name in ("vol", "conn", "riem", "scalar"):
+    for name in ("vol", "conn", "riem_tau_sigma", "scalar"):
         getattr(geo, name).check_finite(geo.mask, name=name)
 
 
@@ -613,28 +620,52 @@ def covariant_gradient(geo: GeometryBundle, f: Field) -> Field:
     """Covariant derivative, prepending one lower worldsheet index.
 
     Worldsheet indices get Levi-Civita corrections, normal-frame indices get
-    the normal-bundle connection; the result on a field with indices
-    (i1, ..., ik) carries indices (a, i1, ..., ik).
+    the normal-bundle connection, each added into the gradient's own
+    buffer; the result on a field with indices (i1, ..., ik) carries
+    indices (a, i1, ..., ik).
     """
     out = gradient(f).values
-    conn = geo.conn.values
-    omega = geo.normal_conn.values
+    _add_corrections(geo, f, out, traced=False)
+    return Field(f.grid, out, (WORLDSHEET_LOWER,) + f.indices)
+
+
+def covariant_divergence(geo: GeometryBundle, f: Field) -> Field:
+    """nabla_c f^{c ...}: the trace of :func:`covariant_gradient` over its
+    derivative index and ``f``'s first index, which must be upper.
+
+    Only the traced entries are formed: d_tau of the f^tau block and
+    d_sigma of the f^sigma block, and each correction on the diagonal,
+    added in the gradient's order and traced by the same einsum, so the
+    result is the full gradient's trace bit for bit at half its work."""
+    if not f.indices or f.indices[0] != WORLDSHEET_UPPER:
+        raise GridError(f"covariant_divergence expects a leading upper index, got {f.indices}")
+    out = stencils(f.grid, f.values[:, :, 0], f.values[:, :, 1])
+    _add_corrections(geo, f, out, traced=True)
+    rest = _SPECTATORS[1:len(f.indices)]
+    return Field(f.grid, np.einsum(f"...c{rest}->...{rest}", out), f.indices[1:])
+
+
+def _add_corrections(geo: GeometryBundle, f: Field, out: np.ndarray, traced: bool) -> None:
+    """Add the connection terms of f's covariant derivative into ``out``,
+    one einsum per index position, contracting it where it stands, in
+    position order: Levi-Civita for worldsheet indices, the normal-bundle
+    connection for normal ones.  ``out`` holds d_c f at (c, i1, ...), or,
+    ``traced``, only its entries with i1 = c, at (c, i2, ...)."""
     n = len(f.indices)
     for pos, label in enumerate(f.indices):
         if label == SPACETIME:
             raise GridError("covariant_gradient does not support spacetime indices")
-        # one einsum per index position, contracting it where it stands
-        if label == WORLDSHEET_LOWER:
-            src, dst = _subscripts(n, pos, "e"), _subscripts(n, pos, "a")
-            corr = -np.einsum(f"...eca,...{src}->...c{dst}", conn, f.values)
-        elif label == WORLDSHEET_UPPER:
-            src, dst = _subscripts(n, pos, "e"), _subscripts(n, pos, "a")
-            corr = np.einsum(f"...ace,...{src}->...c{dst}", conn, f.values)
-        elif label == NORMAL:
+        if label == NORMAL:
+            table, coeffs = "cij", geo.normal_conn.values
             src, dst = _subscripts(n, pos, "j"), _subscripts(n, pos, "i")
-            corr = np.einsum(f"...cij,...{src}->...c{dst}", omega, f.values)
-        out = out + corr
-    return Field(f.grid, out, (WORLDSHEET_LOWER,) + f.indices)
+        else:
+            table, coeffs = ("eca" if label == WORLDSHEET_LOWER else "ace"), geo.conn.values
+            src, dst = _subscripts(n, pos, "e"), _subscripts(n, pos, "a")
+        if traced:  # f's first index is the derivative index c
+            dst = dst[1:]
+            table, src = ("cce", src) if pos == 0 else (table, "c" + src[1:])
+        add = np.subtract if label == WORLDSHEET_LOWER else np.add
+        add(out, np.einsum(f"...{table},...{src}->...c{dst}", coeffs, f.values), out=out)
 
 
 def normal_gradient(geo: GeometryBundle, phi: Field) -> Field:

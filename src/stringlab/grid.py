@@ -30,9 +30,12 @@ that are not fields.
 
 The stencils reach the rest of the package through :func:`gradient` (both
 written into one buffer, on a new leading index) and :func:`divergence`,
-not through stencils stacked by hand.  :func:`d_tau` and :func:`d_sigma`
-are the same two kernels, one axis at a time, for a caller that needs one
-direction only: the Riemann block of
+not through stencils stacked by hand.  :func:`stencils` is the buffer
+under :func:`gradient`, with the tau and sigma stencils on different
+inputs: the traced entries of a covariant divergence
+(:func:`stringlab.geometry.covariant_divergence`).  :func:`d_tau` and
+:func:`d_sigma` are the same two kernels, one axis at a time, for a caller
+that needs one direction only: the Riemann block of
 :func:`stringlab.geometry.intrinsic_geometry`.
 
 A grid's tau rows come in blocks of equal height: one block on a full
@@ -528,16 +531,23 @@ def d_tau(f: Field) -> Field:
     return Field(g, out, f.indices)
 
 
+def stencils(grid: WorldsheetGrid, tau_values: np.ndarray, sigma_values: np.ndarray) -> np.ndarray:
+    """d_tau of ``tau_values`` and d_sigma of ``sigma_values`` (component-
+    major values of one shape) stacked on a new axis 2, stored with the grid
+    axes innermost.  Both stencils write straight into their halves of one
+    buffer, and each entry's arithmetic does not depend on what else the
+    call differentiates."""
+    buf = np.empty((2,) + tau_values.shape[2:] + grid.shape)
+    out = np.moveaxis(buf, (-2, -1), (0, 1))
+    fd4_axis0(grid.by_block(tau_values), grid.h_tau, out=grid.by_block(out[:, :, 0]))
+    _sigma_derivative(sigma_values, buf[1])
+    return out
+
+
 def gradient(f: Field) -> Field:
     """Worldsheet gradient: d_tau f and d_sigma f stacked on a new leading
-    lower index, stored with the grid axes innermost.  Both stencils write
-    straight into their halves of one buffer."""
-    g = f.grid
-    vals = f.values
-    buf = np.empty((2,) + vals.shape[2:] + g.shape)
-    fd4_axis0(g.by_block(vals), g.h_tau, out=g.by_block(np.moveaxis(buf[0], (-2, -1), (0, 1))))
-    _sigma_derivative(vals, buf[1])
-    return Field(g, np.moveaxis(buf, (-2, -1), (0, 1)), (WORLDSHEET_LOWER,) + f.indices)
+    lower index, stored with the grid axes innermost."""
+    return Field(f.grid, stencils(f.grid, f.values, f.values), (WORLDSHEET_LOWER,) + f.indices)
 
 
 def divergence(v: Field) -> Field:

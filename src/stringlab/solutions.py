@@ -78,10 +78,8 @@ class ExactSolution:
         return Mask(grid, ~dilate(self.degenerate(grid), grid))
 
     def embedding(self, grid: WorldsheetGrid) -> Embedding:
-        tt, ss = grid.meshgrid()
-        return Embedding(
-            self.background, Field(grid, self.chart(tt, ss), (SPACETIME,)), self.mask(grid)
-        )
+        x = self.chart(grid.tau[:, None], grid.sigma[None, :])
+        return Embedding(self.background, Field(grid, x, (SPACETIME,)), self.mask(grid))
 
     def geometry(self, grid: WorldsheetGrid) -> GeometryBundle:
         return build_geometry(self.embedding(grid))
@@ -121,6 +119,12 @@ def _family(name: str, params: dict, chart: ChartFn, dim: int, modulus: str,
     parameter ``params[modulus]``, which must be positive, so the modulus
     velocity is ``chart / scale``.
 
+    A chart takes tau and sigma arrays that broadcast to one shape: the
+    embedding passes the grid's tau column and sigma row, so a component
+    that reads one axis alone is evaluated on that axis only, and the
+    family directions pass ``meshgrid`` arrays.  It returns the
+    components on a last axis, broadcast to the full shape.
+
     The sigma shift is the complex step ``chart(tau, sigma + i h).imag / h``
     with h = 2**-60: exact to the last bit, with no subtraction, and the
     division by a power of two is exact.  So a chart must be analytic in
@@ -153,6 +157,13 @@ def _family(name: str, params: dict, chart: ChartFn, dim: int, modulus: str,
                          family=family, modulus=modulus, degenerate=degenerate)
 
 
+def _stack(comps: list[np.ndarray]) -> np.ndarray:
+    """A chart's components broadcast to one shape and stacked on a last
+    axis, each one contiguous plane (the Field storage rule, so the
+    embedding's Field copies nothing)."""
+    return np.moveaxis(np.stack(np.broadcast_arrays(*comps)), 0, -1)
+
+
 def _degenerate_rows(weight: ChartFn) -> Callable[[WorldsheetGrid], np.ndarray]:
     """Declared degenerate points: the rows where a closed-form weight,
     evaluated on the grid's tau and sigma axes, drops below 1e-2."""
@@ -179,7 +190,7 @@ def pulsating_circular_string(radius: float = 1.0, dim: int = 4) -> ExactSolutio
         comps = [r * tt, r * np.cos(tt) * np.cos(ss), r * np.cos(tt) * np.sin(ss)]
         if dim == 4:
             comps.append(np.zeros_like(tt))
-        return np.stack(comps, axis=-1)
+        return _stack(comps)
 
     return _family("pulsating_circular_string", {"radius": r, "dim": dim}, chart, dim, "radius",
                    _degenerate_rows(lambda tt, ss: np.abs(np.cos(tt))))
@@ -195,9 +206,7 @@ def rotating_folded_string(amplitude: float = 1.0) -> ExactSolution:
     a = float(amplitude)
 
     def chart(tt, ss):
-        return np.stack(
-            [a * tt, a * np.cos(ss) * np.cos(tt), a * np.cos(ss) * np.sin(tt)], axis=-1
-        )
+        return _stack([a * tt, a * np.cos(ss) * np.cos(tt), a * np.cos(ss) * np.sin(tt)])
 
     def degenerate(grid: WorldsheetGrid) -> np.ndarray:
         folds = np.zeros(grid.shape, dtype=bool)
@@ -231,9 +240,7 @@ def spinning_two_plane_string(scale: float = 1.0) -> ExactSolution:
     def chart(tt, ss):
         u = tt + ss
         v = tt - ss
-        return np.stack(
-            [2 * a * tt, a * np.cos(u), a * np.sin(u) + a * np.cos(v), a * np.sin(v)], axis=-1
-        )
+        return _stack([2 * a * tt, a * np.cos(u), a * np.sin(u) + a * np.cos(v), a * np.sin(v)])
 
     return _family("spinning_two_plane_string", {"scale": a}, chart, 4, "scale",
                    _degenerate_rows(lambda tt, ss: 0.5 * (1.0 + np.sin(2.0 * tt))), boosts=True)

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import interior
+from conftest import grid_axes_innermost, interior
 from stringlab import deformation as dfm
 from stringlab import dynamics as dyn
 from stringlab import experiments
+from stringlab import symplectic as sym
 from stringlab.background import minkowski, synthetic_constant_curvature
 from stringlab.experiments import run_linearize
 from stringlab.geometry import Embedding, build_geometry, covariant_gradient, normal_gradient
@@ -323,6 +324,44 @@ def test_eom_residual_builds_no_operator_coefficients(pulsating_geo):
     gb_term = np.einsum("...ab,...abi->...i", geo.einstein.values, c.k_upup)
     expected = 1.0 * geo.K_mean.values + 2.0 * 0.3 * gb_term
     assert np.array_equal(res.values, expected)
+
+
+def test_mean_curvature_coefficients_are_formed_on_demand_once(pulsating_geo, monkeypatch):
+    """The on-shell operator behind self-adjoint never forms grad K^i,
+    grad grad K^i and lap K^i; the full linearization's two evaluators form
+    them once between them, as arrays that hold no geometry."""
+    geo = build_geometry(pulsating_geo.embedding)
+    p = dyn.ActionParams(1.0, 0.3)
+    phi1 = dfm.random_normal_components(geo.grid, geo.codim, seed=1)
+    phi2 = dfm.random_normal_components(geo.grid, geo.codim, seed=2)
+    sym.self_adjointness_residual(geo, phi1, phi2, p)
+    assert "linearized_coeffs" in geo.cache and "mean_curvature_coeffs" not in geo.cache
+    gradients_of_k_mean = []
+    real = dyn.covariant_gradient
+
+    def counting(g, f):
+        if f is g.K_mean:
+            gradients_of_k_mean.append(f)
+        return real(g, f)
+
+    monkeypatch.setattr(dyn, "covariant_gradient", counting)
+    dyn.linearized_residual(geo, phi1, p)
+    kept = geo.cache["mean_curvature_coeffs"]
+    dyn.linearized_residual_string(geo, phi1, p)
+    assert geo.cache["mean_curvature_coeffs"] is kept
+    assert len(gradients_of_k_mean) == 1
+    assert all(type(v) is np.ndarray for v in kept)
+
+
+def test_flat_background_skips_the_riemann_trace(pulsating_geo):
+    """On a flat background the operator's traced Riemann coupling is
+    zeros, bit for bit the trace of the (zero) slots it skips, and both are
+    stored grid-innermost."""
+    c = dyn.operator_coefficients(pulsating_geo)
+    traced = np.einsum("...ab,...abij->...ij", c.gi, c.m_slots)
+    assert np.array_equal(c.m_traced, traced)
+    assert np.array_equal(np.signbit(c.m_traced), np.signbit(traced))
+    assert grid_axes_innermost(c.m_slots) and grid_axes_innermost(c.m_traced)
 
 
 def test_tension_only_reduces_to_jacobi_operator(pulsating_geo):

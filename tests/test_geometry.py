@@ -22,6 +22,7 @@ from stringlab.geometry import (
     _orient_frame,
     _orthonormal_normal_frame,
     build_geometry,
+    covariant_divergence,
     covariant_gradient,
     fill_masked_along_sigma,
     gauss_scalar_curvature,
@@ -45,6 +46,7 @@ from stringlab.grid import (
     grid_full,
     masked_max_abs,
 )
+from stringlab.deformation import random_deformation, vary_connection
 from stringlab.solutions import _degenerate_rows, jacobi_from_family, make_solution
 from stringlab.symplectic import symplectic_form
 
@@ -599,6 +601,41 @@ def test_covariant_gradient_metric_compatible(pulsating_geo):
     assert masked_max_abs(grad_gamma.values, interior(geo)) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "name,grid",
+    [
+        ("pulsating_circular_string", WorldsheetGrid(129, 32, 0.1, 0.9)),
+        ("spinning_two_plane_string", WorldsheetGrid(129, 64, 0.1, 0.9)),
+        ("rotating_folded_string", WorldsheetGrid(129, 32, 0.1, 0.9)),
+        ("spinning_two_plane_string", WorldsheetGrid(129, 64, 0.1, 0.9).bands([0, 64, 120])),
+    ],
+    ids=["pulsating", "spinning", "folded", "spinning-bands"],
+)
+def test_covariant_divergence_is_the_traced_gradient_bit_for_bit(name, grid):
+    """nabla_c f^{c ...} against the einsum trace of the full covariant
+    gradient, values and sign bits: a vector phi^a, the connection
+    variation dGamma^c_ab, and a field phi^a phi^i with an upper index and
+    a normal slot; on folded's masked fold columns and a stack of bands."""
+    geo = make_solution(name, {}).geometry(grid)
+    d = random_deformation(grid, geo.codim, seed=4)
+    phi = d.phi_tangent
+    mixed = np.einsum("...a,...i->...ai", phi.values, d.phi_normal.values)
+    fields = [
+        (phi, "...cc->..."),
+        (vary_connection(geo, d), "...ccab->...ab"),
+        (Field(grid, mixed, (WORLDSHEET_UPPER, NORMAL)), "...cci->...i"),
+    ]
+    for f, trace in fields:
+        div = covariant_divergence(geo, f)
+        reference = np.einsum(trace, covariant_gradient(geo, f).values)
+        assert div.indices == f.indices[1:]
+        assert np.array_equal(div.values, reference, equal_nan=True), f.indices
+        assert np.array_equal(np.signbit(div.values), np.signbit(reference)), f.indices
+        assert grid_axes_innermost(div.values)
+    with pytest.raises(GridError, match="expects a leading upper index"):
+        covariant_divergence(geo, geo.K)
+
+
 @pytest.mark.parametrize("fixture", ["pulsating_geo", "rotating_geo", "spinning_geo"])
 def test_geometry_arrays_are_stored_component_major(fixture, request):
     """Every grid array of a bundle, of the current's coefficients and of
@@ -762,7 +799,7 @@ def _curvature_chain_reference(intrinsic):
     with np.errstate(invalid="ignore"):
         scal = np.einsum("...bd,...bd->...", intrinsic.gamma_inv.values, ricci)
     einstein = ricci - 0.5 * gamma * scal[..., None, None]
-    return {"riem": riem, "ricci": ricci, "scalar": scal, "einstein": einstein}
+    return {"riem_tau_sigma": riem[..., 0, 1], "ricci": ricci, "scalar": scal, "einstein": einstein}
 
 
 @pytest.mark.parametrize(
@@ -778,26 +815,24 @@ def _curvature_chain_reference(intrinsic):
     ids=["pulsating", "pulsating-dim3", "spinning", "folded", "collapse-1025", "curvilinear"],
 )
 def test_curvature_chain_matches_reference_bit_for_bit(name, params, grid, curvilinear):
-    """R^a_{b tau sigma}, the one Riemann block a build forms, against the
-    six-einsum Riemann numerator: the same bits and signs of zero.  The
-    rest of R is that block's exact antisymmetry in the last pair, at every
-    point, where the reference carries roundoff residues; so R, Ricci and
-    the scalar stay within 2e-15 of the reference's active maximum of each,
-    G within 2e-15 of Ricci's, and each is stored grid-innermost.  On the
-    collapse's masked rows |det gamma| is about 1e-15, not 0, so R reaches
-    1e15 there but stays finite.  The curvilinear chart runs the chain on a
-    curved induced metric in a flat background."""
+    """R^a_{b tau sigma}, the one Riemann block a build forms and keeps,
+    against the six-einsum Riemann numerator's: the same bits and signs of
+    zero.  Ricci, read off the block, and the scalar stay within 2e-15 of
+    the reference's active maximum of each, where the reference carries
+    roundoff residues in the rest of R; G within 2e-15 of Ricci's; and each
+    is stored grid-innermost.  On the collapse's masked rows |det gamma| is
+    about 1e-15, not 0, so R reaches 1e15 there but stays finite.  The
+    curvilinear chart runs the chain on a curved induced metric in a flat
+    background."""
     sol = make_solution(name, params)
     if curvilinear:
         sol = _in_curvilinear_chart(sol)
     intrinsic = intrinsic_geometry(sol.embedding(WorldsheetGrid(*grid)))
     expected = _curvature_chain_reference(intrinsic)
-    riem = intrinsic.riem.values
-    block, reference_block = riem[..., 0, 1], expected["riem"][..., 0, 1]
+    block, reference_block = intrinsic.riem_tau_sigma.values, expected["riem_tau_sigma"]
+    assert intrinsic.riem_tau_sigma.indices == (WORLDSHEET_UPPER, WORLDSHEET_LOWER)
     assert np.array_equal(block, reference_block, equal_nan=True)
     assert np.array_equal(np.signbit(block), np.signbit(reference_block))
-    assert np.array_equal(riem[..., 1, 0], -block, equal_nan=True)
-    assert (riem[..., 0, 0] == 0).all() and (riem[..., 1, 1] == 0).all()
     active = intrinsic.mask.active
     for field, reference in expected.items():
         values = getattr(intrinsic, field).values

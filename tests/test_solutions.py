@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import interior
+from conftest import grid_axes_innermost, interior
 from stringlab import dynamics as dyn
 from stringlab import solutions
 from stringlab.grid import SPACETIME, Field, WorldsheetGrid, d_sigma, d_tau, masked_max_abs
@@ -219,6 +219,30 @@ def test_sigma_shift_is_the_chart_sigma_derivative(grid):
     bent = solutions._family("bent", {"amplitude": 1.0}, chart, 3, "amplitude",
                              lambda g: np.zeros(g.shape, dtype=bool))
     assert _sigma_shift_gap(bent, grid) > 0.1
+
+
+@pytest.mark.parametrize("name,params", [
+    ("pulsating_circular_string", {}),
+    ("pulsating_circular_string", {"dim": 3}),
+    ("rotating_folded_string", {}),
+    ("spinning_two_plane_string", {}),
+])
+def test_chart_on_the_axes_is_the_chart_on_the_meshgrid(name, params):
+    """The chart on the grid's tau column and sigma row, as the embedding
+    evaluates it: bit for bit, sign bits included, the chart on
+    ``meshgrid`` arrays, and stored as a Field stores it.  (Folded's fold
+    columns leave too few points of a 33x8 grid active for an embedding.)"""
+    sol = make_solution(name, params)
+    full = WorldsheetGrid(129, 32, 0.1, 0.9)
+    for grid in (full, WorldsheetGrid(33, 8, 0.1, 0.9), full.bands([0, 64, 128])):
+        x = sol.chart(grid.tau[:, None], grid.sigma[None, :])
+        reference = sol.chart(*grid.meshgrid())
+        assert x.shape == reference.shape == grid.shape + (sol.background.dim,)
+        assert np.array_equal(x, reference)
+        assert np.array_equal(np.signbit(x), np.signbit(reference))
+        assert grid_axes_innermost(x)
+        if grid.n_sigma > 8:
+            assert np.array_equal(sol.embedding(grid).x.values, x)
 
 
 def test_unknown_family_rejected(pulsating, pulsating_geo):

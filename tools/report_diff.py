@@ -4,7 +4,7 @@
     python3 tools/report_diff.py PARENT_CHECKOUT [--seed N]
 
 Runs the 36 configs of ``perfbench/workloads.raw_configs`` (four workloads
-× nine kinds) and the forty-three slice-path, declared-mask,
+× nine kinds) and the forty-four slice-path, declared-mask,
 shared-derivative, sigma-shift, normal-frame, random-field and curvature
 configs of :func:`extra_configs` once per checkout, each checkout in its
 own child process that imports ``stringlab`` from that checkout's
@@ -61,9 +61,11 @@ def extra_configs(seed: int) -> dict:
     region and a masked row; and gauge-check on spinning at beta 0.3, so
     the stacked reparametrized rebuilds see a nonzero normal connection,
     the topological part and a near-edge row.  Declared masks, through full
-    builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]),
-    folded's fold columns at 129x64, also under ``convergence``, whose
-    negative orders fail it, and rows around the pulsating collapse at
+    builds: rows around spinning's cusp (129x64, tau in [2.0, 2.7]), also
+    under ``deform-check``, where |R| reaches 1.4e4 and so does the
+    roundoff of the connection variation's Riemann term; folded's fold
+    columns at 129x64, also under ``convergence``, whose negative orders
+    fail it, and rows around the pulsating collapse at
     257x16 and at 1025x16, where the tau stencil meets inf - inf on masked
     rows.  Shared derivatives: linearize at three betas on
     pulsating and spinning and at two nonzero betas on folded (masked
@@ -100,6 +102,7 @@ def extra_configs(seed: int) -> dict:
     masks = {
         "spinning cusp geometry": (spinning["geometry"], cusp),
         "spinning cusp eom": (spinning["eom"], cusp),
+        "spinning cusp deform-check": (spinning["deform-check"], cusp),
         "folded 129x64 geometry": (folded, folded_64),
         "folded 129x64 convergence": (folded_kinds["convergence"], folded_64),
         "collapse geometry": (pulsating["geometry"], collapse),
